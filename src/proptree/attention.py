@@ -19,20 +19,15 @@ SCORE_VARIANTS = ("additive", "bilinear", "multiplicative", "biaffine", "tensor"
 VARIANTS = SCORE_VARIANTS + ("edge",)
 
 
-class AdditiveAttention:
+class AdditiveAttention(nn.Module):
     name = "additive"
+    trainable = ("u", "w", "v", "b")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
         self.u = nn.uniform_param((l, 2 * d), rng)
         self.w = nn.uniform_param((l, 2 * d), rng)
         self.v = nn.uniform_param((l,), rng)
         self.b = nn.zeros_param((l,))
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.u, self.w, self.v, self.b]
-
-    def param_names(self) -> list[str]:
-        return ["u", "w", "v", "b"]
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
         m, l = encoded.shape[0], self.v.shape[0]
@@ -42,42 +37,32 @@ class AdditiveAttention:
         return nn.reshape(nn.matmul(nn.reshape(pair, (m * m, l)), self.v), (m, m))
 
 
-class BilinearAttention:
+class BilinearAttention(nn.Module):
     name = "bilinear"
+    trainable = ("w_bil",)
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
         self.w_bil = nn.uniform_param((2 * d, 2 * d), rng)
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.w_bil]
-
-    def param_names(self) -> list[str]:
-        return ["w_bil"]
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
         return nn.matmul(nn.matmul(encoded, self.w_bil), nn.transpose(encoded))
 
 
-class MultiplicativeAttention:
+class MultiplicativeAttention(nn.Module):
     name = "multiplicative"
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
         pass
 
-    def params(self) -> list[nn.Tensor]:
-        return []
-
-    def param_names(self) -> list[str]:
-        return []
-
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
         return nn.matmul(encoded, nn.transpose(encoded))
 
 
-class BiaffineAttention:
+class BiaffineAttention(nn.Module):
     """Reduce each state with a dense+tanh bottleneck, then score biaffinely."""
 
     name = "biaffine"
+    trainable = ("u_dep", "u_head", "v_dep", "v_head", "w_bil", "b_lin", "b_dep", "b_head")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator, p: int = 32):
         self.u_dep = nn.uniform_param((l, 2 * d), rng)
@@ -88,13 +73,6 @@ class BiaffineAttention:
         self.b_lin = nn.uniform_param((p,), rng)
         self.b_dep = nn.zeros_param((l,))
         self.b_head = nn.zeros_param((l,))
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.u_dep, self.u_head, self.v_dep, self.v_head,
-                self.w_bil, self.b_lin, self.b_dep, self.b_head]
-
-    def param_names(self) -> list[str]:
-        return ["u_dep", "u_head", "v_dep", "v_head", "w_bil", "b_lin", "b_dep", "b_head"]
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
         m = encoded.shape[0]
@@ -107,22 +85,17 @@ class BiaffineAttention:
         return pairwise + head_only
 
 
-class TensorAttention:
+class TensorAttention(nn.Module):
     """Bilinear slice per hidden unit plus a linear term, squashed and mixed."""
 
     name = "tensor"
+    trainable = ("w_t", "v_t", "u_t", "b_t")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
         self.w_t = nn.uniform_param((2 * d, l, 2 * d), rng)
         self.v_t = nn.uniform_param((l, 2 * d), rng)
         self.u_t = nn.uniform_param((l,), rng)
         self.b_t = nn.zeros_param((l,))
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.w_t, self.v_t, self.u_t, self.b_t]
-
-    def param_names(self) -> list[str]:
-        return ["w_t", "v_t", "u_t", "b_t"]
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
         m = encoded.shape[0]
@@ -136,10 +109,11 @@ class TensorAttention:
         return nn.reshape(nn.matmul(nn.reshape(pair, (m * m, l)), self.u_t), (m, m))
 
 
-class EdgeAttention:
+class EdgeAttention(nn.Module):
     """Message passing: aggregate edge vectors into new node states, T rounds."""
 
     name = "edge"
+    trainable = ("u_e", "w_e", "b_e", "a_src", "a_dst")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator, steps: int = 1):
         if steps < 1:
@@ -150,12 +124,6 @@ class EdgeAttention:
         self.b_e = nn.zeros_param((l,))
         self.a_src = nn.uniform_param((2 * d, l), rng)
         self.a_dst = nn.uniform_param((2 * d, l), rng)
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.u_e, self.w_e, self.b_e, self.a_src, self.a_dst]
-
-    def param_names(self) -> list[str]:
-        return ["u_e", "w_e", "b_e", "a_src", "a_dst"]
 
     def step(self, encoded: nn.Tensor) -> nn.Tensor:
         m, l = encoded.shape[0], self.b_e.shape[0]

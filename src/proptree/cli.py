@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .attention import VARIANTS
 from .corpus import get_importer, list_importers, read_corpus, split_corpus, write_corpus
 from .embeddings import load_embeddings
 from .synthetic import SyntheticConfig, generate_corpus
@@ -46,23 +47,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-frac", type=float, default=0.15)
     p.add_argument("--test-frac", type=float, default=0.15)
 
+    cfg = TrainConfig()
     p = sub.add_parser("train", help="train a model and persist the best checkpoint")
     p.add_argument("--train", required=True, dest="train_path")
     p.add_argument("--dev", dest="dev_path")
-    p.add_argument("--model", default="joint", choices=MODEL_KINDS)
-    p.add_argument("--attention", choices=("additive", "bilinear", "multiplicative",
-                                           "biaffine", "tensor", "edge"))
-    p.add_argument("--steps", type=int, default=3, help="edge message-passing rounds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", default=cfg.model, choices=MODEL_KINDS)
+    p.add_argument("--attention", default=cfg.attention, choices=VARIANTS)
+    p.add_argument("--steps", type=int, default=cfg.steps, help="edge message-passing rounds")
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--embeddings", help="word2vec file; random vectors when omitted")
     p.add_argument("--config", help="key=value override file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--d", type=int, default=128)
-    p.add_argument("--l", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--max-epochs", type=int, default=150)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--d", type=int, default=cfg.d)
+    p.add_argument("--l", type=int, default=cfg.l)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--dropout", type=float, default=cfg.dropout)
+    p.add_argument("--max-epochs", type=int, default=cfg.max_epochs)
+    p.add_argument("--patience", type=int, default=cfg.patience)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
     p.add_argument("--checkpoint", required=True)

@@ -240,21 +240,30 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
         own = sorted((m for m, g in group_of.items() if g == a), key=lambda m: spans[m].start)
         entities.append(Entity(ids[a], None, [spans[m] for m in own], parent))
 
-    _check_forest(entities, doc_id)
+    looped = first_cycle_node({e.id: e.parent for e in entities}, root=ROOT_ID)
+    if looped is not None:
+        raise ValueError(f"document {doc_id!r}: parent links form a cycle through {looped!r}")
     return Document(doc_id, list(tokens), entities)
 
 
-def _check_forest(entities: list[Entity], doc_id: str) -> None:
-    """Reject parent links that loop back on themselves."""
-    parent = {e.id: e.parent for e in entities}
+def first_cycle_node(parent: dict, root=0):
+    """The node at which following ``parent`` links first repeats, or None.
+
+    Walks start from each key in order; None means every node reaches
+    ``root``.  A walk stops at any node an earlier walk proved to reach the
+    root, so the check is linear in the number of nodes.
+    """
+    reaches = {root}
     for start in parent:
-        slow = start
-        seen = set()
-        while slow != ROOT_ID:
-            if slow in seen:
-                raise ValueError(f"document {doc_id!r}: parent links form a cycle through {slow!r}")
-            seen.add(slow)
-            slow = parent[slow]
+        path = set()
+        v = start
+        while v not in reaches:
+            if v in path:
+                return v
+            path.add(v)
+            v = parent[v]
+        reaches |= path
+    return None
 
 
 def structure_signature(doc: Document):

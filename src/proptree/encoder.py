@@ -14,12 +14,14 @@ from . import nn
 from .embeddings import EmbeddingTable
 
 
-class LstmDirection:
+class LstmDirection(nn.Module):
     """One direction of one LSTM layer.
 
     Gate layout in the stacked weight matrices is [input, forget, candidate,
     output].  The forget-gate bias starts at +1 to keep early memory open.
     """
+
+    trainable = ("wx", "wh", "b")
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
@@ -29,9 +31,6 @@ class LstmDirection:
         bias = np.zeros(4 * hidden_dim)
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.b = nn.Tensor(bias, requires_grad=True)
-
-    def params(self) -> list[nn.Tensor]:
-        return [self.wx, self.wh, self.b]
 
     def run(self, inputs: nn.Tensor, reverse: bool = False) -> nn.Tensor:
         """(n, input_dim) -> (n, d) hidden states; initial hidden and cell states are zero.
@@ -46,9 +45,6 @@ class BiLstmLayer:
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.fwd = LstmDirection(input_dim, hidden_dim, rng)
         self.bwd = LstmDirection(input_dim, hidden_dim, rng)
-
-    def params(self) -> list[nn.Tensor]:
-        return self.fwd.params() + self.bwd.params()
 
     def run(self, inputs: nn.Tensor) -> nn.Tensor:
         """(n, input_dim) -> (n, 2d): forward states, then backward states."""
@@ -75,8 +71,12 @@ class Encoder:
     def out_dim(self) -> int:
         return 2 * self.hidden_dim
 
-    def params(self) -> list[nn.Tensor]:
-        return [p for layer in self.layers for p in layer.params()]
+    def params_named(self, prefix: str = "") -> dict[str, nn.Tensor]:
+        named = {}
+        for i, layer in enumerate(self.layers):
+            named |= layer.fwd.params_named(f"{prefix}l{i}.fwd.")
+            named |= layer.bwd.params_named(f"{prefix}l{i}.bwd.")
+        return named
 
     def encode(self, tokens: list[str], train: bool = False,
                rng: np.random.Generator | None = None) -> nn.Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .attention import augment, make_attention, scorer_input_width
-from .data import SKIP, TokenHeadAssignment
+from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
 
@@ -32,28 +32,15 @@ class LabelScorer:
     def __init__(self, m: int, l: int, rng: np.random.Generator):
         if not l < m:
             raise ValueError(f"scoring width l={l} must be smaller than input width m={m}")
-        self.m = m
         self.l = l
         self.u = [nn.uniform_param((l, m), rng) for _ in range(N_LABELS)]
         self.w = [nn.uniform_param((l, m), rng) for _ in range(N_LABELS)]
         self.v = [nn.uniform_param((l,), rng) for _ in range(N_LABELS)]
         self.b = [nn.zeros_param((l,)) for _ in range(N_LABELS)]
 
-    def params(self) -> list[nn.Tensor]:
-        out = []
-        for k in range(N_LABELS):
-            out.extend([self.u[k], self.w[k], self.v[k], self.b[k]])
-        return out
-
-    def param_names(self) -> list[str]:
-        return [f"{base}{k}" for k in range(N_LABELS) for base in ("u", "w", "v", "b")]
-
-    def score_triple(self, h_j: nn.Tensor, h_i: nn.Tensor, k: int) -> nn.Tensor:
-        """Scalar score of head-vector h_j over dependent-vector h_i, label k."""
-        if h_j.shape != (self.m,) or h_i.shape != (self.m,):
-            raise ValueError(f"expected width-{self.m} vectors, got {h_j.shape} and {h_i.shape}")
-        hidden = nn.tanh(nn.matmul(self.u[k], h_j) + nn.matmul(self.w[k], h_i) + self.b[k])
-        return nn.matmul(self.v[k], hidden)
+    def params_named(self, prefix: str = "") -> dict[str, nn.Tensor]:
+        return {f"{prefix}{base}{k}": getattr(self, base)[k]
+                for k in range(N_LABELS) for base in ("u", "w", "v", "b")}
 
     def score_matrix(self, states: nn.Tensor) -> nn.Tensor:
         """(M, M, 4) scores; axes are [dependent i, head j, label k]."""
@@ -121,10 +108,6 @@ def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
     return nn.scale(nn.reduce_sum(nn.log(picked)), -1.0)
 
 
-def greedy_decode(dist: JointDistribution) -> TokenHeadAssignment:
-    return dist.greedy()
-
-
 class JointParser:
     """Encoder + optional attention + joint scorer, trained end to end."""
 
@@ -143,23 +126,11 @@ class JointParser:
         )
         self.scorer = LabelScorer(scorer_input_width(d, attention), l, rng)
 
-    def params(self) -> list[nn.Tensor]:
-        att = self.attention.params() if self.attention else []
-        return self.encoder.params() + att + self.scorer.params()
-
     def params_named(self) -> dict[str, nn.Tensor]:
-        named: dict[str, nn.Tensor] = {}
-        for li, layer in enumerate(self.encoder.layers):
-            for direction, cell in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                named[f"enc.l{li}.{direction}.wx"] = cell.wx
-                named[f"enc.l{li}.{direction}.wh"] = cell.wh
-                named[f"enc.l{li}.{direction}.b"] = cell.b
+        named = self.encoder.params_named("enc.")
         if self.attention:
-            for name, p in zip(self.attention.param_names(), self.attention.params()):
-                named[f"att.{name}"] = p
-        for name, p in zip(self.scorer.param_names(), self.scorer.params()):
-            named[f"scorer.{name}"] = p
-        return named
+            named |= self.attention.params_named("att.")
+        return named | self.scorer.params_named("scorer.")
 
     def forward_rows(self, tokens: list[str], train: bool = False,
                      rng: np.random.Generator | None = None) -> nn.Tensor:

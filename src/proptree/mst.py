@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import EQUIVALENT, PART_OF, SEGMENT, SKIP, TokenHeadAssignment
+from .data import EQUIVALENT, PART_OF, SEGMENT, SKIP, TokenHeadAssignment, first_cycle_node
 from .joint import JointDistribution
 
 # Labels an arc may carry inside the tree (skip never enters the graph).
@@ -174,30 +174,16 @@ def is_tree(assignment: TokenHeadAssignment) -> bool:
     either the root or another non-skip token, and following heads from any
     token must reach the root (no cycles, single component).
     """
-    keep = set()
+    heads = {}
     for t in range(1, assignment.n + 1):
-        label = assignment.label_of(t)
         head = assignment.head_of(t)
-        if label == SKIP:
-            if head != t:
-                return False
-        else:
-            keep.add(t)
-    for t in keep:
-        head = assignment.head_of(t)
-        if head != 0 and head not in keep:
+        if assignment.label_of(t) != SKIP:
+            heads[t] = head
+        elif head != t:
             return False
-        if head == t:
-            return False
-    for t in keep:
-        seen = set()
-        v = t
-        while v != 0:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = assignment.head_of(v)
-    return True
+    if any(h != 0 and h not in heads for h in heads.values()):
+        return False
+    return first_cycle_node(heads) is None
 
 
 def repair(dist: JointDistribution, greedy: TokenHeadAssignment) -> TokenHeadAssignment:

@@ -430,3 +430,20 @@ def uniform_param(shape, rng: np.random.Generator, scale: float = 0.05) -> Tenso
 
 def zeros_param(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
+
+
+class Module:
+    """A leaf parameter holder whose ``trainable`` class attribute names its
+    trainable Tensor attributes.
+
+    ``params_named`` maps each of those names, after ``prefix``, to its
+    tensor.  Modules built from other modules override it to prefix their
+    parts' names.  The names are declared rather than read from the
+    instance ``__dict__``: on CPython 3.11 reading ``__dict__`` makes every
+    later attribute access on that object slower.
+    """
+
+    trainable: tuple[str, ...] = ()
+
+    def params_named(self, prefix: str = "") -> dict[str, Tensor]:
+        return {prefix + name: getattr(self, name) for name in self.trainable}

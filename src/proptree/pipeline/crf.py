@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Document, bio_encode
-from ..nn import Adam, Tensor
+from ..nn import Adam, Module, Tensor
 
 
 def emission_features(tokens: list[str], i: int) -> list[str]:
@@ -39,7 +39,9 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return out.squeeze(axis) if axis is not None else out.item()
 
 
-class CrfModel:
+class CrfModel(Module):
+    trainable = ("w_emit", "w_trans")
+
     def __init__(self, tags: list[str], feature_index: dict[str, int]):
         self.tags = list(tags)
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
@@ -47,12 +49,6 @@ class CrfModel:
         k, f = len(self.tags), len(self.feature_index)
         self.w_emit = Tensor(np.zeros((f, k)), requires_grad=True)
         self.w_trans = Tensor(np.zeros((k, k)), requires_grad=True)
-
-    def params(self) -> list[Tensor]:
-        return [self.w_emit, self.w_trans]
-
-    def params_named(self) -> dict[str, Tensor]:
-        return {"crf.w_emit": self.w_emit, "crf.w_trans": self.w_trans}
 
     def feature_ids(self, tokens: list[str]) -> list[list[int]]:
         """Known-feature ids per position; unseen features are dropped."""
@@ -184,7 +180,7 @@ def train_crf(docs: list[Document], lam: float = 10.0, epochs: int = 50,
     model = CrfModel(tags or tagset_from_corpus(docs), feature_index_from_corpus(docs))
     gold = [bio_encode(doc) for doc in docs]
     cached = [model.feature_ids(doc.tokens) for doc in docs]
-    opt = Adam(model.params(), lr=lr)
+    opt = Adam(model.params_named().values(), lr=lr)
     rng = np.random.default_rng(seed)
     reg = lam / len(docs)
     for _ in range(epochs):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Document, Entity
-from ..nn import Adam, Tensor
+from ..nn import Adam, Module, Tensor
 
 ROOT_TOKEN = "<root>"
 
@@ -54,13 +54,12 @@ def extract_edge_features(parent: Entity | None, child: Entity, tokens: list[str
     return feats
 
 
-class _FeatureModel:
+class _FeatureModel(Module):
+    trainable = ("w",)
+
     def __init__(self, feature_index: dict[str, int]):
         self.feature_index = dict(feature_index)
         self.w = Tensor(np.zeros(len(self.feature_index)), requires_grad=True)
-
-    def params(self) -> list[Tensor]:
-        return [self.w]
 
     def feature_ids(self, parent: Entity | None, child: Entity, tokens: list[str]) -> list[int]:
         return [self.feature_index[f]
@@ -82,9 +81,6 @@ class LtmModel(_FeatureModel):
         # Single-class training degenerates to a constant prior probability.
         self.constant_p = constant_p
 
-    def params_named(self) -> dict[str, Tensor]:
-        return {"ltm.w": self.w}
-
     def probability(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
         if self.constant_p is not None:
             return self.constant_p
@@ -99,9 +95,6 @@ class MttModel(_FeatureModel):
     """Arc log-potentials normalized over all arborescences."""
 
     kind = "mtt"
-
-    def params_named(self) -> dict[str, Tensor]:
-        return {"mtt.w": self.w}
 
     def arc_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
         return self.raw_score(parent, child, tokens)
@@ -211,7 +204,7 @@ def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
 
     lam = 1.0 / c
     reg = lam / len(pairs)
-    opt = Adam(model.params(), lr=lr)
+    opt = Adam(model.params_named().values(), lr=lr)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for idx in rng.permutation(len(pairs)):
@@ -248,7 +241,7 @@ def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
 
     lam = 1.0 / c
     reg = lam / len(cases)
-    opt = Adam(model.params(), lr=lr)
+    opt = Adam(model.params_named().values(), lr=lr)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for idx in rng.permutation(len(cases)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..data import Document, Entity, Mention, ROOT_ID, bio_decode_spans
+from ..data import Document, Entity, Mention, ROOT_ID, bio_decode_spans, first_cycle_node
 from ..mst import WeightedDigraph, chu_liu_edmonds
 
 Tagger = Callable[[list[str]], list[str]]
@@ -54,15 +54,7 @@ def greedy_entity_parents(entities: Sequence[Entity], tokens: list[str],
 
 def parents_form_tree(parents: list[int]) -> bool:
     """True when every entity reaches the root without repeating a node."""
-    for start in range(1, len(parents) + 1):
-        seen = set()
-        v = start
-        while v != 0:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = parents[v - 1]
-    return True
+    return first_cycle_node(dict(enumerate(parents, start=1))) is None
 
 
 def pipeline_predict(doc_id: str, tokens: list[str], tagger: Tagger,

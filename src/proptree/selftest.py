@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 
 from . import nn
-from .data import decode_heads_to_tree, encode_tree_to_heads, structure_signature
+from .data import (decode_heads_to_tree, encode_tree_to_heads, first_cycle_node,
+                   structure_signature)
 from .joint import JointDistribution, LabelScorer, distribution_rows, loss_from_rows
 from .mst import WeightedDigraph, arborescence_weight, chu_liu_edmonds
 from .pipeline.crf import CrfModel
@@ -24,20 +25,8 @@ def _all_parent_maps(n: int):
     """Every spanning arborescence over nodes 1..n rooted at 0."""
     for combo in itertools.product(range(n + 1), repeat=n):
         parents = {d: combo[d - 1] for d in range(1, n + 1)}
-        if all(p != d for d, p in parents.items()) and _reaches_root(parents):
+        if first_cycle_node(parents) is None:
             yield parents
-
-
-def _reaches_root(parents: dict[int, int]) -> bool:
-    for start in parents:
-        seen = set()
-        v = start
-        while v != 0:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = parents[v]
-    return True
 
 
 def check_gradients() -> str:
@@ -54,7 +43,7 @@ def check_gradients() -> str:
         loss = loss_from_rows(distribution_rows(scorer, states), gold)
     tape.backward(loss)
     eps = 1e-5
-    for p in scorer.params():
+    for p in scorer.params_named().values():
         flat = p.data.reshape(-1)
         gflat = p.grad.reshape(-1)
         for idx in range(0, flat.size, max(1, flat.size // 5)):

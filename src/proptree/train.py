@@ -22,7 +22,7 @@ from .embeddings import EmbeddingTable
 from .joint import JointParser
 from .metrics import MetricsReport, aggregate, score_edges
 from .mst import is_tree, repair
-from .nn import Adam, Tape, load_checkpoint, save_checkpoint
+from .nn import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from .pipeline import CrfModel, LtmModel, MttModel, pipeline_predict, train_crf, train_ltm, train_mtt
 from .synthetic import vocabulary
 
@@ -41,15 +41,14 @@ class TrainConfig:
     dropout: float | None = None
     max_epochs: int = 150
     patience: int = 10
-    batch_size: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model!r}; choose from {MODEL_KINDS}")
         if not all(v > 0 for v in (self.d, self.l, self.p, self.lr,
-                                   self.max_epochs, self.patience, self.batch_size)):
-            raise ValueError("d, l, p, lr, max_epochs, patience, batch_size must be positive")
+                                   self.max_epochs, self.patience)):
+            raise ValueError("d, l, p, lr, max_epochs, patience must be positive")
         if not self.l < 2 * self.d:
             raise ValueError(f"l={self.l} must be smaller than 2d={2 * self.d}")
 
@@ -112,6 +111,9 @@ class JointRunner:
         self.table = table
         self.kind = "joint"
 
+    def params_named(self) -> dict[str, Tensor]:
+        return self.model.params_named()
+
     def predict_doc(self, tokens: list[str]) -> tuple[TokenHeadAssignment, bool]:
         dist = self.model.distribution(tokens)
         greedy = dist.greedy()
@@ -132,9 +134,7 @@ class JointRunner:
             "config": self.model.config,
             "vocab": self.table.vocab,
         }
-        params = {name: p.data for name, p in self.model.params_named().items()}
-        params["emb.matrix"] = self.table.matrix
-        save_checkpoint(str(path), manifest, params)
+        save_checkpoint(str(path), manifest, _arrays(self) | {"emb.matrix": self.table.matrix})
 
 
 class PipelineRunner:
@@ -144,6 +144,10 @@ class PipelineRunner:
         self.crf = crf
         self.edge_model = edge_model
         self.kind = f"pipeline-crf+{edge_model.kind}"
+
+    def params_named(self) -> dict[str, Tensor]:
+        return self.crf.params_named("crf.") | self.edge_model.params_named(
+            f"{self.edge_model.kind}.")
 
     def predict_doc(self, tokens: list[str], doc_id: str = "doc"
                     ) -> tuple[TokenHeadAssignment, bool]:
@@ -172,10 +176,30 @@ class PipelineRunner:
             "edge_features": _names_in_order(self.edge_model.feature_index),
             "constant_p": getattr(self.edge_model, "constant_p", None),
         }
-        params = dict(self.crf.params_named())
-        params.update(self.edge_model.params_named())
-        params = {name: p.data for name, p in params.items()}
-        save_checkpoint(str(path), manifest, params)
+        save_checkpoint(str(path), manifest, _arrays(self))
+
+
+def _arrays(runner) -> dict[str, np.ndarray]:
+    return {name: p.data for name, p in runner.params_named().items()}
+
+
+def _restore(runner, arrays: dict[str, np.ndarray]):
+    """Copy checkpoint arrays into the runner's parameters; names and shapes must match."""
+    for name, tensor in runner.params_named().items():
+        stored = _pop(arrays, name)
+        if stored.shape != tensor.data.shape:
+            raise ValueError(f"checkpoint mismatch for {name}: "
+                             f"{stored.shape} vs expected {tensor.data.shape}")
+        tensor.data[...] = stored
+    if arrays:
+        raise ValueError(f"checkpoint has unexpected parameters {sorted(arrays)}")
+    return runner
+
+
+def _pop(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in arrays:
+        raise ValueError(f"checkpoint lacks parameter {name}")
+    return arrays.pop(name)
 
 
 def _names_in_order(index: dict[str, int]) -> list[str]:
@@ -202,7 +226,8 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     # corpora too small to carve a dev set from.
     val_docs = dev_docs if dev_docs else train_docs
 
-    opt = Adam(model.params(), lr=config.lr)
+    params = list(model.params_named().values())
+    opt = Adam(params, lr=config.lr)
     shuffle_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     log = TrainLog()
@@ -227,7 +252,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         if val_f1 > best_f1:
             best_f1 = val_f1
             log.best_epoch = epoch
-            best_params = [p.data.copy() for p in model.params()]
+            best_params = [p.data.copy() for p in params]
             stale = 0
         else:
             stale += 1
@@ -235,7 +260,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
                 break
 
     if best_params is not None:
-        for p, data in zip(model.params(), best_params):
+        for p, data in zip(params, best_params):
             p.data[...] = data
     return runner, log
 
@@ -267,34 +292,24 @@ def train_model(config: TrainConfig, train_docs: list[Document],
 
 def load_runner(path: str | Path):
     """Rebuild a runner of the kind recorded in the checkpoint manifest."""
-    manifest, params = load_checkpoint(str(path))
+    manifest, arrays = load_checkpoint(str(path))
     kind = manifest["kind"]
     if kind == "joint":
-        table = EmbeddingTable(manifest["vocab"], params["emb.matrix"])
+        table = EmbeddingTable(manifest["vocab"], _pop(arrays, "emb.matrix"))
         cfg = manifest["config"]
         model = JointParser(
             table, d=cfg["d"], l=cfg["l"], layers=cfg["layers"], dropout=cfg["dropout"],
             attention=cfg["attention"], steps=cfg["steps"], p=cfg["p"], seed=cfg["seed"],
         )
-        for name, tensor in model.params_named().items():
-            stored = params[name]
-            if stored.shape != tensor.data.shape:
-                raise ValueError(f"checkpoint mismatch for {name}: "
-                                 f"{stored.shape} vs expected {tensor.data.shape}")
-            tensor.data[...] = stored
-        return JointRunner(model, table)
+        return _restore(JointRunner(model, table), arrays)
     if kind.startswith("pipeline-crf+"):
         crf = CrfModel(manifest["tags"], {f: i for i, f in enumerate(manifest["crf_features"])})
-        crf.w_emit.data[...] = params["crf.w_emit"]
-        crf.w_trans.data[...] = params["crf.w_trans"]
         edge_index = {f: i for i, f in enumerate(manifest["edge_features"])}
         if kind.endswith("ltm"):
             edge_model = LtmModel(edge_index, constant_p=manifest.get("constant_p"))
-            edge_model.w.data[...] = params["ltm.w"]
         else:
             edge_model = MttModel(edge_index)
-            edge_model.w.data[...] = params["mtt.w"]
-        return PipelineRunner(crf, edge_model)
+        return _restore(PipelineRunner(crf, edge_model), arrays)
     raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 

@@ -110,7 +110,7 @@ def test_gradient_correctness():
         for variant in (None,) + VARIANTS:
             for seed in range(20):
                 model, tokens, gold = random_joint_case(seed, variant)
-                params = model.params()
+                params = model.params_named().values()
                 with Tape() as tape:
                     loss = model.loss(tokens, gold, train=False)
                 tape.backward(loss)

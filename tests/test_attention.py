@@ -49,7 +49,7 @@ def test_additive_matches_loop():
     layer = layer_for("additive")
     h = states()
     att = layer.scores(nn.Tensor(h)).data
-    u, w, v, b = (t.data for t in layer.params())
+    u, w, v, b = (t.data for t in layer.params_named().values())
     for j in range(M):
         for i in range(M):
             expect = v @ np.tanh(u @ h[j] + w @ h[i] + b)
@@ -87,7 +87,7 @@ def test_tensor_matches_loop():
     layer = layer_for("tensor")
     h = states()
     att = layer.scores(nn.Tensor(h)).data
-    w_t, v_t, u_t, b_t = (t.data for t in layer.params())
+    w_t, v_t, u_t, b_t = (t.data for t in layer.params_named().values())
     for j in range(M):
         for i in range(M):
             q = np.array([h[j] @ w_t[:, s, :] @ h[i] for s in range(L)])
@@ -116,7 +116,7 @@ def test_edge_step_matches_loop():
 def test_edge_steps_compose():
     one = layer_for("edge", steps=1)
     two = layer_for("edge", steps=2)
-    for src, dst in zip(one.params(), two.params()):
+    for src, dst in zip(one.params_named().values(), two.params_named().values()):
         dst.data[:] = src.data
     h = nn.Tensor(states())
     twice = one.step(one.step(h)).data
@@ -160,7 +160,7 @@ def test_augment_widths():
 def test_gradients_match_finite_differences(variant):
     layer = layer_for(variant, seed=9)
     h = states(seed=10)
-    params = layer.params()
+    params = layer.params_named().values()
     for p in params:  # widen from init scale so gradients are not vanishing
         p.data *= 10.0
     if not params:  # multiplicative has none; perturb the states instead

@@ -29,7 +29,7 @@ def test_two_layer_shapes():
     enc = make_encoder(d=3, layers=2)
     out = enc.encode(["villa", "garden", "pool"])
     assert out.shape == (4, 6)
-    assert len(enc.params()) == 12  # 2 layers x 2 directions x (wx, wh, b)
+    assert len(enc.params_named().values()) == 12  # 2 layers x 2 directions x (wx, wh, b)
     with pytest.raises(ValueError):
         make_encoder(layers=3)
 
@@ -105,7 +105,7 @@ def test_lstm_sequence_matches_per_step_recurrence(reverse):
     d = 3
     direction = LstmDirection(2, d, np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    for p in direction.params():  # weights large enough to use the gates' range
+    for p in direction.params_named().values():  # weights large enough to use the gates' range
         p.data[:] = rng.normal(size=p.data.shape)
     xs = np.random.default_rng(6).normal(size=(7, 2))
     out = nn.lstm_sequence(nn.Tensor(xs), direction.wx, direction.wh, direction.b,
@@ -171,7 +171,7 @@ def test_encoder_gradients_match_finite_differences():
     for layers in (1, 2):
         enc = make_encoder(d=2, layers=layers)
         tokens = ["villa", "garden", "pool"]
-        params = enc.params()
+        params = enc.params_named().values()
         arrays = [p.data for p in params]
 
         def forward():

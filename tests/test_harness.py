@@ -1,6 +1,7 @@
 """Training loop, checkpoints, CLI."""
 
 import json
+import re
 import struct
 import zipfile
 
@@ -17,6 +18,7 @@ from proptree.embeddings import (
     load_word2vec_text,
 )
 from proptree.metrics import Counts, MetricsReport
+from proptree.nn import load_checkpoint, save_checkpoint
 from proptree.synthetic import SyntheticConfig, generate_corpus
 from proptree.train import (
     JointRunner,
@@ -66,6 +68,19 @@ def test_config_overrides():
         cfg.apply_overrides({"banana": "1"})
 
 
+def test_batch_size_is_not_a_config_key():
+    with pytest.raises(KeyError, match="batch_size"):
+        TrainConfig().apply_overrides({"batch_size": "1"})
+
+
+def test_cli_train_defaults_come_from_config():
+    args = cli.build_parser().parse_args(["train", "--train", "t.jsonl", "--out", "o"])
+    cfg = TrainConfig()
+    for key in ("model", "attention", "steps", "seed", "d", "l", "lr", "dropout",
+                "max_epochs", "patience"):
+        assert getattr(args, key) == getattr(cfg, key), key
+
+
 def test_trainlog_csv():
     log = TrainLog()
     log.add(1, 2.5, 40.0, 0.1)
@@ -92,7 +107,7 @@ def test_early_stopping_keeps_best_epoch(monkeypatch):
     snapshots = []
 
     def scripted_evaluate(self, _docs):
-        snapshots.append([p.data.copy() for p in self.model.params()])
+        snapshots.append([p.data.copy() for p in self.model.params_named().values()])
         return fake_f1_report(sequence[len(snapshots) - 1])
 
     monkeypatch.setattr(JointRunner, "evaluate", scripted_evaluate)
@@ -102,7 +117,7 @@ def test_early_stopping_keeps_best_epoch(monkeypatch):
     assert [r.epoch for r in log.records] == [1, 2, 3, 4]
     assert log.best_epoch == 2
     assert log.best_f1 == 60.0
-    for p, snap in zip(runner.model.params(), snapshots[1]):
+    for p, snap in zip(runner.model.params_named().values(), snapshots[1]):
         assert np.array_equal(p.data, snap)
 
 
@@ -110,14 +125,16 @@ def test_training_is_deterministic():
     docs = small_corpus()
     a_runner, a_log = train_joint(tiny_config(), docs, [])
     b_runner, b_log = train_joint(tiny_config(), docs, [])
-    for pa, pb in zip(a_runner.model.params(), b_runner.model.params()):
+    for pa, pb in zip(a_runner.model.params_named().values(),
+                      b_runner.model.params_named().values()):
         assert np.array_equal(pa.data, pb.data)
     assert [(r.epoch, r.loss, r.val_f1) for r in a_log.records] == \
            [(r.epoch, r.loss, r.val_f1) for r in b_log.records]
 
     c_runner, _ = train_joint(tiny_config(seed=1), docs, [])
     assert not all(np.array_equal(pa.data, pc.data)
-                   for pa, pc in zip(a_runner.model.params(), c_runner.model.params()))
+                   for pa, pc in zip(a_runner.model.params_named().values(),
+                                     c_runner.model.params_named().values()))
 
 
 def test_joint_checkpoint_roundtrip(tmp_path):
@@ -147,10 +164,76 @@ def test_pipeline_checkpoint_roundtrip(tmp_path, kind):
     runner.save(path)
     loaded = load_runner(path)
     assert loaded.kind == kind
-    assert np.array_equal(runner.crf.w_emit.data, loaded.crf.w_emit.data)
-    assert np.array_equal(runner.edge_model.w.data, loaded.edge_model.w.data)
+    named, named2 = runner.params_named(), loaded.params_named()
+    assert set(named) == set(named2)
+    for name in named:
+        assert np.array_equal(named[name].data, named2[name].data), name
     for doc in docs[:3]:
         assert runner.predict_doc(doc.tokens, doc.id) == loaded.predict_doc(doc.tokens, doc.id)
+
+
+ENCODER_L0 = {f"enc.l0.{d}.{p}" for d in ("fwd", "bwd") for p in ("wx", "wh", "b")}
+ENCODER_L1 = {f"enc.l1.{d}.{p}" for d in ("fwd", "bwd") for p in ("wx", "wh", "b")}
+SCORER = {f"scorer.{p}{k}" for k in range(4) for p in ("u", "w", "v", "b")}
+CHECKPOINT_NAMES = [
+    ("joint", None, ENCODER_L0 | SCORER),
+    ("joint-2layer", None, ENCODER_L0 | ENCODER_L1 | SCORER),
+    ("joint", "additive", ENCODER_L0 | SCORER | {"att.u", "att.w", "att.v", "att.b"}),
+    ("joint", "bilinear", ENCODER_L0 | SCORER | {"att.w_bil"}),
+    ("joint", "multiplicative", ENCODER_L0 | SCORER),
+    ("joint", "biaffine", ENCODER_L0 | SCORER | {
+        "att.u_dep", "att.u_head", "att.v_dep", "att.v_head",
+        "att.w_bil", "att.b_lin", "att.b_dep", "att.b_head"}),
+    ("joint", "tensor", ENCODER_L0 | SCORER | {"att.w_t", "att.v_t", "att.u_t", "att.b_t"}),
+    ("joint", "edge", ENCODER_L0 | SCORER | {
+        "att.u_e", "att.w_e", "att.b_e", "att.a_src", "att.a_dst"}),
+    ("pipeline-crf+ltm", None, {"crf.w_emit", "crf.w_trans", "ltm.w"}),
+    ("pipeline-crf+mtt", None, {"crf.w_emit", "crf.w_trans", "mtt.w"}),
+]
+
+
+@pytest.mark.parametrize("kind, attention, names", CHECKPOINT_NAMES,
+                         ids=[f"{k}-{a}" for k, a, _ in CHECKPOINT_NAMES])
+def test_checkpoint_parameter_names(tmp_path, kind, attention, names):
+    runner, _ = train_model(
+        tiny_config(model=kind, attention=attention, max_epochs=1), small_corpus(n=3), [])
+    assert set(runner.params_named()) == names
+    if kind.startswith("joint"):
+        assert set(runner.model.params_named()) == names
+        names = names | {"emb.matrix"}
+    runner.save(tmp_path / "ck.zip")
+    _, arrays = load_checkpoint(str(tmp_path / "ck.zip"))
+    assert set(arrays) == names
+
+
+def _drop(arrays, name):
+    del arrays[name]
+
+
+def _add(arrays, name):
+    arrays["extra.w"] = arrays[name]
+
+
+def _shrink(arrays, name):
+    arrays[name] = arrays[name][:1]
+
+
+TAMPERED = [(kind, name, edit)
+            for kind, name in (("joint", "scorer.u0"), ("pipeline-crf+ltm", "crf.w_emit"),
+                               ("pipeline-crf+mtt", "crf.w_emit"), ("pipeline-crf+mtt", "mtt.w"))
+            for edit in (_drop, _add, _shrink)] + [("joint", "emb.matrix", _drop)]
+
+
+@pytest.mark.parametrize("kind, name, edit", TAMPERED,
+                         ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_checkpoint_rejects_mismatched_arrays(tmp_path, kind, name, edit):
+    runner, _ = train_model(tiny_config(model=kind, max_epochs=1), small_corpus(n=3), [])
+    runner.save(tmp_path / "ck.zip")
+    manifest, arrays = load_checkpoint(str(tmp_path / "ck.zip"))
+    edit(arrays, name)
+    save_checkpoint(str(tmp_path / "bad.zip"), manifest, arrays)
+    with pytest.raises(ValueError, match=re.escape("extra.w" if edit is _add else name)):
+        load_runner(tmp_path / "bad.zip")
 
 
 def test_checkpoint_version_guard(tmp_path):
