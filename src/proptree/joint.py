@@ -72,12 +72,8 @@ class JointDistribution:
         return self.p.shape[0] - 1
 
     def greedy(self) -> TokenHeadAssignment:
-        heads, labels = [], []
-        for i in range(1, self.n + 1):
-            flat = int(np.argmax(self.p[i].reshape(-1)))
-            heads.append(flat // N_LABELS)
-            labels.append(flat % N_LABELS)
-        return TokenHeadAssignment(heads, labels)
+        flat = self.p[1:].reshape(self.n, self.p[0].size).argmax(axis=1)
+        return TokenHeadAssignment((flat // N_LABELS).tolist(), (flat % N_LABELS).tolist())
 
 
 def distribution_rows(scorer: LabelScorer, states: nn.Tensor) -> nn.Tensor:

@@ -1,4 +1,4 @@
-"""Tree enforcement: weighted digraph construction and Chu-Liu-Edmonds.
+"""Tree enforcement: dense arc weights and Chu-Liu-Edmonds.
 
 Greedy head selection can produce cycles or multiple roots.  This module
 rebuilds a legal structure: every non-skip token becomes a node, each
@@ -7,9 +7,23 @@ non-skip label for that pair, and the maximum spanning arborescence rooted
 at node 0 replaces the greedy heads.  Skip decisions are taken from the
 greedy output and never revisited.
 
-Ties are broken deterministically: when incoming edges tie, the smaller
-head index wins; when cycle-entry candidates tie, the smaller entry target
-wins.
+A graph over k nodes is one (k, k) array ``weights[head, dependent]`` of
+node positions, with -inf for a missing arc; self-arcs and arcs into the
+root are never used.  The decoder contracts cycles one at a time in a single
+preallocated (2k - 1, 2k - 1) array, so memory stays O(k^2) however deeply
+cycles nest.
+
+Ties are broken deterministically, which makes the output a function of the
+weights alone:
+- when incoming arcs tie, the smaller head id wins;
+- a contracted cycle ranks after every existing node, so it loses every tie;
+- cycles are sought by walking heads from each node in ascending order, and
+  the first cycle met is contracted first;
+- when arcs leaving a cycle tie, the smaller cycle member is their source;
+- when cycle-entry candidates tie, the smaller entry target wins.
+An arc entering a contracted cycle at u weighs base + (w - cycle_score[u]),
+where base sums the cycle's arc weights and cycle_score[u] is the weight of
+u's arc inside the cycle.
 """
 
 from __future__ import annotations
@@ -27,144 +41,96 @@ _P_FLOOR = 1e-300
 
 
 class WeightedDigraph:
-    """Dense arc weights over {0} + non-skip token positions."""
+    """Arc weights (and optional arc labels) over ascending node ids, root first."""
 
-    def __init__(self, nodes: list[int]):
-        if nodes[0] != 0:
+    def __init__(self, nodes: list[int], weights: np.ndarray, labels: np.ndarray | None = None):
+        if not nodes or nodes[0] != 0:
             raise ValueError("node 0 (the root) must be present")
         self.nodes = list(nodes)
-        self.weights: dict[tuple[int, int], float] = {}
-        self.arc_labels: dict[tuple[int, int], int] = {}
-
-    def add_arc(self, head: int, dep: int, weight: float, label: int) -> None:
-        if dep == head:
-            raise ValueError(f"self-arc on node {head}")
-        if dep == 0:
-            raise ValueError("arcs into the root are not allowed")
-        self.weights[(head, dep)] = weight
-        self.arc_labels[(head, dep)] = label
-
-    def weight(self, head: int, dep: int) -> float:
-        return self.weights[(head, dep)]
+        self.weights = weights
+        self.labels = labels
 
 
 def build_graph(dist: JointDistribution, greedy: TokenHeadAssignment) -> WeightedDigraph:
     """Full graph over greedy non-skip tokens, weighted by best-label log-prob."""
     keep = [t for t in range(1, greedy.n + 1) if greedy.label_of(t) != SKIP]
-    graph = WeightedDigraph([0] + keep)
-    for dep in keep:
-        for head in [0] + keep:
-            if head == dep:
-                continue
-            probs = dist.p[dep, head, list(ARC_LABELS)]
-            best = int(np.argmax(probs))
-            weight = float(np.log(max(probs[best], _P_FLOOR)))
-            graph.add_arc(head, dep, weight, ARC_LABELS[best])
-    return graph
+    nodes = [0] + keep
+    # [dependent, head, label] -> [head, dependent, label]
+    probs = dist.p[np.ix_(keep, nodes)][..., ARC_LABELS].transpose(1, 0, 2)
+    weights = np.full((len(nodes), len(nodes)), -np.inf)
+    weights[:, 1:] = np.log(np.maximum(probs.max(axis=2), _P_FLOOR))
+    np.fill_diagonal(weights, -np.inf)
+    labels = np.zeros(weights.shape, dtype=int)
+    labels[:, 1:] = np.array(ARC_LABELS)[probs.argmax(axis=2)]
+    return WeightedDigraph(nodes, weights, labels)
 
 
 def chu_liu_edmonds(graph: WeightedDigraph) -> dict[int, int]:
     """Maximum-weight spanning arborescence rooted at 0; returns dep -> head."""
-    nodes = [v for v in graph.nodes if v != 0]
-    if not nodes:
-        return {}
-    incoming: dict[int, dict[int, float]] = {v: {} for v in nodes}
-    for (h, d), w in graph.weights.items():
-        incoming[d][h] = w
-    parent = _solve(set(graph.nodes), incoming, next_id=max(graph.nodes) + 1)
-    return parent
+    k = len(graph.nodes)
+    size = 2 * k - 1  # each contraction removes at least one node
+    w = np.full((size, size), -np.inf)
+    w[:k, :k] = graph.weights
+    w[:, 0] = -np.inf
+    np.fill_diagonal(w, -np.inf)
 
+    def node_id(pos: int) -> int:
+        return graph.nodes[pos] if pos < k else graph.nodes[-1] + pos - k + 1
 
-def _best_head(options: dict[int, float]) -> int:
-    """Highest weight; ties go to the smaller head index."""
-    return min(options, key=lambda h: (-options[h], h))
+    parent = np.zeros(size, dtype=int)
+    parent[1:k] = w[:k, 1:k].argmax(axis=0)
+    for v in range(1, k):
+        if w[parent[v], v] == -np.inf:
+            raise ValueError(f"node {node_id(v)} has no incoming arcs; tree impossible")
 
-
-def _solve(nodes: set[int], incoming: dict[int, dict[int, float]], next_id: int) -> dict[int, int]:
-    parent: dict[int, int] = {}
-    for v in sorted(n for n in nodes if n != 0):
-        if not incoming[v]:
-            raise ValueError(f"node {v} has no incoming arcs; tree impossible")
-        parent[v] = _best_head(incoming[v])
-
-    cycle = _find_cycle(parent)
-    if cycle is None:
-        return parent
-
-    # Contract the cycle into one pseudo-node and solve the smaller problem.
-    cyc = set(cycle)
-    cnode = next_id
-    cycle_score = {v: incoming[v][parent[v]] for v in cyc}
-
-    new_incoming: dict[int, dict[int, float]] = {}
-    enter_via: dict[int, tuple[int, int]] = {}
-    leave_via: dict[int, tuple[int, int]] = {}
-    for v in nodes:
-        if v == 0 or v in cyc:
+    active = np.arange(size) < k
+    rooted = np.arange(size) == 0  # proved to reach the root; stays so
+    contracted: list[tuple[int, np.ndarray]] = []
+    start = 1
+    while start < k + len(contracted):
+        if not active[start] or rooted[start]:
+            start += 1
             continue
-        opts = {}
-        for h in sorted(incoming[v]):
-            w = incoming[v][h]
-            if h in cyc:
-                # Arc out of the cycle: keep the best concrete source.
-                if cnode not in opts or w > opts[cnode]:
-                    opts[cnode] = w
-                    leave_via[v] = (h, 0)
-            else:
-                opts[h] = w
-        new_incoming[v] = opts
-
-    # Entering the cycle at u breaks u's internal arc; score the swap.
-    enter_opts: dict[int, float] = {}
-    for u in sorted(cyc):
-        for h, w in incoming[u].items():
-            if h in cyc:
-                continue
-            gain = w - cycle_score[u]
-            if h not in enter_opts or gain > enter_opts[h]:
-                enter_opts[h] = gain
-                enter_via[h] = (h, u)
-    if not enter_opts:
-        raise ValueError(f"cycle {sorted(cyc)} cannot be entered from outside; tree impossible")
-    base = sum(cycle_score.values())
-    new_incoming[cnode] = {h: base + gain for h, gain in enter_opts.items()}
-
-    contracted = (nodes - cyc) | {cnode}
-    sub_parent = _solve(contracted, new_incoming, next_id + 1)
-
-    # Expand: keep cycle arcs except at the chosen entry point.
-    result: dict[int, int] = {}
-    entry_head = sub_parent[cnode]
-    _, entry_target = enter_via[entry_head]
-    for v, h in sub_parent.items():
-        if v == cnode:
-            continue
-        result[v] = leave_via[v][0] if h == cnode else h
-    for u in cyc:
-        result[u] = entry_head if u == entry_target else parent[u]
-    return result
-
-
-def _find_cycle(parent: dict[int, int]) -> list[int] | None:
-    seen_any: set[int] = set()
-    for start in sorted(parent):
-        if start in seen_any:
-            continue
-        path = []
-        spot: dict[int, int] = {}
-        v = start
-        while v in parent and v not in seen_any:
-            if v in spot:
-                return path[spot[v]:]
-            spot[v] = len(path)
-            path.append(v)
+        path, v = {}, start  # node -> step at which the walk met it
+        while not rooted[v] and v not in path:
+            path[v] = len(path)
             v = parent[v]
-        seen_any.update(path)
-    return None
+        if rooted[v]:
+            rooted[list(path)] = True
+            continue
+        cycle = np.array(sorted(u for u, step in path.items() if step >= path[v]))
+
+        # Contract the cycle into node c, numbered after every existing node.
+        c = k + len(contracted)
+        score = w[parent[cycle], cycle]
+        active[cycle] = False
+        live = np.flatnonzero(active)
+        deps = live[1:]
+        w[c, deps] = w[np.ix_(cycle, deps)].max(axis=0)
+        w[live, c] = sum(score.tolist()) + (w[np.ix_(live, cycle)] - score).max(axis=1)
+        if w[live, c].max() == -np.inf:
+            raise ValueError(f"cycle {[node_id(u) for u in cycle]} cannot be entered "
+                             "from outside; tree impossible")
+        active[c] = True
+        contracted.append((c, cycle))
+        # Only c and nodes whose head was on the cycle can change head.
+        redo = np.append(deps[np.isin(parent[deps], cycle)], c)
+        heads = np.append(live, c)
+        parent[redo] = heads[w[np.ix_(heads, redo)].argmax(axis=0)]
+
+    # Expand, innermost cycle first: keep cycle arcs except at the entry
+    # target, and give arcs that leave c their best concrete source.
+    for c, cycle in reversed(contracted):
+        head = parent[c]
+        parent[cycle[(w[head, cycle] - w[parent[cycle], cycle]).argmax()]] = head
+        leaving = np.flatnonzero(parent[:c] == c)
+        parent[leaving] = cycle[w[np.ix_(cycle, leaving)].argmax(axis=0)]
+    return {graph.nodes[v]: graph.nodes[parent[v]] for v in range(1, k)}
 
 
 def arborescence_weight(graph: WeightedDigraph, parent: dict[int, int]) -> float:
-    return sum(graph.weight(h, d) for d, h in parent.items())
+    pos = {v: i for i, v in enumerate(graph.nodes)}
+    return sum(float(graph.weights[pos[h], pos[d]]) for d, h in parent.items())
 
 
 def is_tree(assignment: TokenHeadAssignment) -> bool:
@@ -190,11 +156,12 @@ def repair(dist: JointDistribution, greedy: TokenHeadAssignment) -> TokenHeadAss
     """Replace non-skip arcs with the maximum spanning arborescence's arcs."""
     graph = build_graph(dist, greedy)
     parent = chu_liu_edmonds(graph)
+    pos = {v: i for i, v in enumerate(graph.nodes)}
     heads = list(greedy.heads)
     labels = list(greedy.labels)
     for dep, head in parent.items():
         heads[dep - 1] = head
-        labels[dep - 1] = graph.arc_labels[(head, dep)]
+        labels[dep - 1] = int(graph.labels[pos[head], pos[dep]])
     for t in range(1, greedy.n + 1):
         if labels[t - 1] == SKIP:
             heads[t - 1] = t

@@ -1,0 +1,33 @@
+"""Brute-force oracles over tree spaces small enough to enumerate.
+
+``selftest`` and the test suite check the tree decoder and the matrix-tree
+model against these.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Iterator
+
+from .data import first_cycle_node
+
+
+def enumerate_arborescences(n: int) -> Iterator[dict[int, int]]:
+    """Every spanning arborescence over nodes {0..n-1} rooted at 0, as dep -> head."""
+    choices = [[h for h in range(n) if h != v] for v in range(1, n)]
+    for heads in itertools.product(*choices):
+        parents = dict(enumerate(heads, start=1))
+        if first_cycle_node(parents) is None:
+            yield parents
+
+
+def best_arborescence_weight(n: int, weight: Callable[[int, int], float | None]) -> float | None:
+    """Largest summed weight(h, v) over arborescences; weight returns None for no arc."""
+    best = None
+    for parents in enumerate_arborescences(n):
+        arcs = [weight(h, v) for v, h in parents.items()]
+        if None not in arcs:
+            total = sum(arcs, 0.0)
+            if best is None or total > best:
+                best = total
+    return best

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..data import Document, Entity, Mention, ROOT_ID, bio_decode_spans, first_cycle_node
 from ..mst import WeightedDigraph, chu_liu_edmonds
 
@@ -27,13 +29,14 @@ def entities_from_tags(tags: list[str]) -> list[Entity]:
 
 def entity_graph(entities: Sequence[Entity], tokens: list[str],
                  arc_score: ArcScorer) -> WeightedDigraph:
-    graph = WeightedDigraph([0] + list(range(1, len(entities) + 1)))
+    k = len(entities) + 1
+    weights = np.full((k, k), -np.inf)
     for m, child in enumerate(entities, start=1):
-        graph.add_arc(0, m, arc_score(None, child, tokens), -1)
+        weights[0, m] = arc_score(None, child, tokens)
         for h, parent in enumerate(entities, start=1):
             if h != m:
-                graph.add_arc(h, m, arc_score(parent, child, tokens), -1)
-    return graph
+                weights[h, m] = arc_score(parent, child, tokens)
+    return WeightedDigraph(list(range(k)), weights)
 
 
 def greedy_entity_parents(entities: Sequence[Entity], tokens: list[str],

@@ -12,21 +12,13 @@ import itertools
 import numpy as np
 
 from . import nn
-from .data import (decode_heads_to_tree, encode_tree_to_heads, first_cycle_node,
-                   structure_signature)
+from .data import decode_heads_to_tree, encode_tree_to_heads, structure_signature
 from .joint import JointDistribution, LabelScorer, distribution_rows, loss_from_rows
 from .mst import WeightedDigraph, arborescence_weight, chu_liu_edmonds
+from .oracle import best_arborescence_weight, enumerate_arborescences
 from .pipeline.crf import CrfModel
 from .pipeline.edge_models import mtt_log_partition_and_marginals
 from .synthetic import SyntheticConfig, generate_corpus
-
-
-def _all_parent_maps(n: int):
-    """Every spanning arborescence over nodes 1..n rooted at 0."""
-    for combo in itertools.product(range(n + 1), repeat=n):
-        parents = {d: combo[d - 1] for d in range(1, n + 1)}
-        if first_cycle_node(parents) is None:
-            yield parents
 
 
 def check_gradients() -> str:
@@ -63,14 +55,14 @@ def check_edmonds() -> str:
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
         for _ in range(20):
-            graph = WeightedDigraph([0] + list(range(1, n + 1)))
+            weights = np.full((n + 1, n + 1), -np.inf)
             for d in range(1, n + 1):
                 for h in range(0, n + 1):
                     if h != d:
-                        graph.add_arc(h, d, float(rng.integers(-5, 6)), 0)
+                        weights[h, d] = rng.integers(-5, 6)
+            graph = WeightedDigraph(list(range(n + 1)), weights)
             got = arborescence_weight(graph, chu_liu_edmonds(graph))
-            best = max(sum(graph.weight(h, d) for d, h in pm.items())
-                       for pm in _all_parent_maps(n))
+            best = best_arborescence_weight(n + 1, lambda h, d: float(weights[h, d]))
             if abs(got - best) > 1e-9:
                 raise AssertionError(f"edmonds weight {got} != enumerated best {best}")
     return "spanning-tree weights match exhaustive enumeration"
@@ -86,7 +78,7 @@ def check_mtt() -> str:
         th = rng.normal(size=(t + 1, t + 1))
         log_z, marg = mtt_log_partition_and_marginals(th)
         brute = sum(np.exp(sum(th[h][d] for d, h in pm.items()))
-                    for pm in _all_parent_maps(t))
+                    for pm in enumerate_arborescences(t + 1))
         if abs(log_z - np.log(brute)) > 1e-8 * max(1.0, abs(np.log(brute))):
             raise AssertionError(f"mtt partition {log_z} != enumerated {np.log(brute)}")
         sums = marg.sum(axis=0)

@@ -186,20 +186,19 @@ def _arrays(runner) -> dict[str, np.ndarray]:
 def _restore(runner, arrays: dict[str, np.ndarray]):
     """Copy checkpoint arrays into the runner's parameters; names and shapes must match."""
     for name, tensor in runner.params_named().items():
-        stored = _pop(arrays, name)
-        if stored.shape != tensor.data.shape:
-            raise ValueError(f"checkpoint mismatch for {name}: "
-                             f"{stored.shape} vs expected {tensor.data.shape}")
-        tensor.data[...] = stored
+        tensor.data[...] = _pop(arrays, name, tensor.data.shape)
     if arrays:
         raise ValueError(f"checkpoint has unexpected parameters {sorted(arrays)}")
     return runner
 
 
-def _pop(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
+def _pop(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
     if name not in arrays:
         raise ValueError(f"checkpoint lacks parameter {name}")
-    return arrays.pop(name)
+    stored = arrays.pop(name)
+    if stored.shape != shape:
+        raise ValueError(f"checkpoint mismatch for {name}: {stored.shape} vs expected {shape}")
+    return stored
 
 
 def _names_in_order(index: dict[str, int]) -> list[str]:
@@ -295,8 +294,9 @@ def load_runner(path: str | Path):
     manifest, arrays = load_checkpoint(str(path))
     kind = manifest["kind"]
     if kind == "joint":
-        table = EmbeddingTable(manifest["vocab"], _pop(arrays, "emb.matrix"))
         cfg = manifest["config"]
+        table = EmbeddingTable(manifest["vocab"],
+                               _pop(arrays, "emb.matrix", (len(manifest["vocab"]), cfg["d"])))
         model = JointParser(
             table, d=cfg["d"], l=cfg["l"], layers=cfg["layers"], dropout=cfg["dropout"],
             attention=cfg["attention"], steps=cfg["steps"], p=cfg["p"], seed=cfg["seed"],

@@ -1,14 +1,17 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately independent of the package internals:
-finite differences on plain callables, and brute-force enumeration over
-small structured spaces (arborescences, tag sequences).  Tests compare
-the package's analytic/algorithmic answers against these.
+finite differences on plain callables, a parent walk, and brute-force
+enumeration over small structured spaces (tag sequences here; arborescences
+come from ``proptree.oracle``, which ``proptree selftest`` shares).  Tests
+compare the package's analytic/algorithmic answers against these.
 """
 
 import itertools
 
 import numpy as np
+
+from proptree.oracle import enumerate_arborescences
 
 
 def finite_difference(f, arrays, eps=1e-5):
@@ -48,13 +51,6 @@ def max_rel_err(analytic, numeric):
     return worst
 
 
-def enumerate_parent_maps(n):
-    """All head assignments over nodes 1..n-1 (heads in 0..n-1, no self)."""
-    choices = [[h for h in range(n) if h != v] for v in range(1, n)]
-    for combo in itertools.product(*choices):
-        yield {v: combo[v - 1] for v in range(1, n)}
-
-
 def reaches_root(parents, v):
     seen = set()
     while v != 0:
@@ -63,30 +59,6 @@ def reaches_root(parents, v):
         seen.add(v)
         v = parents[v]
     return True
-
-
-def enumerate_arborescences(n):
-    """All spanning arborescences over nodes {0..n-1} rooted at 0."""
-    for parents in enumerate_parent_maps(n):
-        if all(reaches_root(parents, v) for v in parents):
-            yield parents
-
-
-def best_arborescence_weight(n, weight):
-    """Brute-force max arborescence weight; weight(h, v) -> float or None."""
-    best = None
-    for parents in enumerate_arborescences(n):
-        total = 0.0
-        ok = True
-        for v, h in parents.items():
-            w = weight(h, v)
-            if w is None:
-                ok = False
-                break
-            total += w
-        if ok and (best is None or total > best):
-            best = total
-    return best
 
 
 def arborescence_log_sum(theta):

@@ -218,10 +218,15 @@ def _shrink(arrays, name):
     arrays[name] = arrays[name][:1]
 
 
+def _narrow(arrays, name):
+    arrays[name] = arrays[name][:, :1]
+
+
 TAMPERED = [(kind, name, edit)
             for kind, name in (("joint", "scorer.u0"), ("pipeline-crf+ltm", "crf.w_emit"),
                                ("pipeline-crf+mtt", "crf.w_emit"), ("pipeline-crf+mtt", "mtt.w"))
-            for edit in (_drop, _add, _shrink)] + [("joint", "emb.matrix", _drop)]
+            for edit in (_drop, _add, _shrink)] + [
+    ("joint", "emb.matrix", edit) for edit in (_drop, _shrink, _narrow)]
 
 
 @pytest.mark.parametrize("kind, name, edit", TAMPERED,

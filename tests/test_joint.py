@@ -78,6 +78,18 @@ def test_greedy_prefers_smallest_head_then_label_on_ties():
     assert got.labels == [PART_OF, SEGMENT]
 
 
+def test_greedy_matches_per_row_argmax():
+    # small integers tie often; each row's first flat argmax is the reference
+    rng = np.random.default_rng(4)
+    for n in range(1, 7):
+        p = np.zeros((n + 1, n + 1, 4))
+        p[1:] = rng.integers(0, 3, size=(n, n + 1, 4))
+        flat = [int(np.argmax(p[i].reshape(-1))) for i in range(1, n + 1)]
+        got = JointDistribution(p).greedy()
+        assert got.heads == [f // 4 for f in flat]
+        assert got.labels == [f % 4 for f in flat]
+
+
 def test_uniform_loss_closed_form():
     # all-equal scores make each row uniform over 4(N+1) cells
     scorer, _ = scorer_and_states()
