@@ -14,9 +14,12 @@ from pathlib import Path
 
 from .attention import VARIANTS
 from .corpus import get_importer, list_importers, read_corpus, split_corpus, write_corpus
+from .data import Document, TokenHeadAssignment, encode_tree_to_heads
 from .embeddings import load_embeddings
+from .mst import is_tree
 from .synthetic import SyntheticConfig, generate_corpus
-from .train import MODEL_KINDS, TrainConfig, load_runner, predict_records, train_model
+from .train import (MODEL_KINDS, TrainConfig, load_runner, predict_records, score_docs,
+                    train_model)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,11 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=cfg.patience)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
-    p.add_argument("--checkpoint", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--gold-as-prediction", action="store_true",
+                        help="sanity mode: score gold against itself")
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="metrics JSON path")
-    p.add_argument("--gold-as-prediction", action="store_true",
-                   help="sanity mode: score gold against itself")
 
     p = sub.add_parser("predict", help="emit assignments and trees for a corpus")
     p.add_argument("--checkpoint", required=True)
@@ -155,23 +159,18 @@ def cmd_evaluate(args) -> int:
     if not docs:
         raise ValueError(f"{args.data}: no labeled documents")
     if args.gold_as_prediction:
-        from .data import encode_tree_to_heads
-        from .metrics import aggregate, score_edges
-        from .mst import is_tree
-        counts = []
-        flags = []
-        for doc in docs:
-            gold = encode_tree_to_heads(doc)
-            counts.append(score_edges(gold, gold))
-            flags.append(is_tree(gold))
-        report = aggregate(counts, flags)
+        report = score_docs(docs, _gold_prediction)
     else:
-        runner = load_runner(args.checkpoint)
-        report = runner.evaluate(docs)
+        report = load_runner(args.checkpoint).evaluate(docs)
     print(report.to_table())
     if args.out:
         Path(args.out).write_text(report.dumps() + "\n")
     return 0
+
+
+def _gold_prediction(doc: Document) -> tuple[TokenHeadAssignment, bool]:
+    gold = encode_tree_to_heads(doc)
+    return gold, is_tree(gold)
 
 
 def cmd_predict(args) -> int:

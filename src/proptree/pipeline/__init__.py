@@ -2,9 +2,9 @@
 
 from .crf import CrfModel, crf_objective, train_crf
 from .edge_models import (
-    EdgeScorer,
     LtmModel,
     MttModel,
+    candidate_arcs,
     extract_edge_features,
     mtt_log_partition_and_marginals,
     train_ltm,
@@ -14,9 +14,9 @@ from .predict import greedy_entity_parents, pipeline_predict
 
 __all__ = [
     "CrfModel",
-    "EdgeScorer",
     "LtmModel",
     "MttModel",
+    "candidate_arcs",
     "crf_objective",
     "extract_edge_features",
     "greedy_entity_parents",

@@ -69,21 +69,26 @@ class CrfModel(Module):
                 out[i] = self.w_emit.data[ids].sum(axis=0)
         return out
 
+    def _forward(self, emit: np.ndarray) -> np.ndarray:
+        """(N, K) log-space forward scores: alpha[i, k] sums the paths ending in tag k at i."""
+        alpha = np.zeros_like(emit)
+        alpha[0] = emit[0]
+        for i in range(1, len(emit)):
+            alpha[i] = _logsumexp(alpha[i - 1][:, None] + self.w_trans.data, axis=0) + emit[i]
+        return alpha
+
+    def _path_score(self, emit: np.ndarray, y: list[int]) -> float:
+        score = sum(emit[i, y[i]] for i in range(len(y)))
+        score += sum(self.w_trans.data[y[i - 1], y[i]] for i in range(1, len(y)))
+        return score
+
     def log_partition(self, tokens: list[str]) -> float:
         if not tokens:
             raise ValueError("cannot score an empty sequence")
-        emit = self.emissions(tokens)
-        alpha = emit[0]
-        for i in range(1, len(tokens)):
-            alpha = _logsumexp(alpha[:, None] + self.w_trans.data, axis=0) + emit[i]
-        return float(_logsumexp(alpha))
+        return float(_logsumexp(self._forward(self.emissions(tokens))[-1]))
 
     def sequence_score(self, tokens: list[str], tags: list[str]) -> float:
-        emit = self.emissions(tokens)
-        y = [self.tag_index[t] for t in tags]
-        score = sum(emit[i, y[i]] for i in range(len(y)))
-        score += sum(self.w_trans.data[y[i - 1], y[i]] for i in range(1, len(y)))
-        return float(score)
+        return float(self._path_score(self.emissions(tokens), [self.tag_index[t] for t in tags]))
 
     def viterbi(self, tokens: list[str]) -> list[str]:
         if not tokens:
@@ -114,10 +119,7 @@ class CrfModel(Module):
         n, k = emit.shape
         y = [self.tag_index[t] for t in tags]
 
-        alpha = np.zeros((n, k))
-        alpha[0] = emit[0]
-        for i in range(1, n):
-            alpha[i] = _logsumexp(alpha[i - 1][:, None] + self.w_trans.data, axis=0) + emit[i]
+        alpha = self._forward(emit)
         beta = np.zeros((n, k))
         for i in range(n - 2, -1, -1):
             beta[i] = _logsumexp(self.w_trans.data + (emit[i + 1] + beta[i + 1])[None, :], axis=1)
@@ -138,9 +140,7 @@ class CrfModel(Module):
             g_trans += np.exp(pair)
             g_trans[y[i - 1], y[i]] -= 1.0
 
-        gold = sum(emit[i, y[i]] for i in range(n))
-        gold += sum(self.w_trans.data[y[i - 1], y[i]] for i in range(1, n))
-        return float(log_z - gold), g_emit, g_trans
+        return float(log_z - self._path_score(emit, y)), g_emit, g_trans
 
 
 def tagset_from_corpus(docs: list[Document]) -> list[str]:

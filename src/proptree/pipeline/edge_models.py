@@ -10,12 +10,32 @@ a Laplacian minor determinant and marginals from its inverse.
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
 
 from ..data import Document, Entity
 from ..nn import Adam, Module, Tensor
 
 ROOT_TOKEN = "<root>"
+
+
+def candidate_arcs(entities: Sequence[Entity]
+                   ) -> Iterator[tuple[int, int, Entity | None, Entity]]:
+    """Every candidate arc ``(h, m, parent, child)`` over nodes 0..t.
+
+    Node 0 is the root (``parent`` None) and node i is ``entities[i - 1]``.
+    The root is only ever a parent and no entity heads itself.  Arcs come
+    child-major: for m = 1..t the root first, then heads 1..t ascending.
+    This order fixes LTM's training pairs and, through argmax's first-max
+    rule on the arc matrix, the greedy tie rule: the root beats every tied
+    head and the smaller head beats a larger one.
+    """
+    for m, child in enumerate(entities, start=1):
+        yield 0, m, None, child
+        for h, parent in enumerate(entities, start=1):
+            if h != m:
+                yield h, m, parent, child
 
 
 def _bucket(n: int) -> str:
@@ -99,67 +119,59 @@ class MttModel(_FeatureModel):
     def arc_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
         return self.raw_score(parent, child, tokens)
 
-    def theta_matrix(self, entities: list[Entity], tokens: list[str]) -> np.ndarray:
-        """(t+1, t+1) log-potentials; row 0 is the root, column 0 unused."""
-        t = len(entities)
-        theta = np.full((t + 1, t + 1), -np.inf)
-        for m, child in enumerate(entities, start=1):
-            theta[0][m] = self.raw_score(None, child, tokens)
-            for h, parent in enumerate(entities, start=1):
-                if h != m:
-                    theta[h][m] = self.raw_score(parent, child, tokens)
-        return theta
 
-
-def mtt_log_partition_and_marginals(theta: np.ndarray,
-                                    names: list[str] | None = None
-                                    ) -> tuple[float, np.ndarray]:
+def mtt_log_partition_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Partition function and arc marginals of the arborescence distribution.
 
     ``theta[h][m]`` is the log-potential of arc h->m over nodes 0..t with
     root 0; entries with h == m or m == 0 are ignored.  Columns are
     max-shifted before exponentiation, so only ratios ever reach ``exp``.
     Every spanning tree uses exactly one arc into each child, which makes
-    the shift a constant factor that is added back to log Z.
+    the shift a constant factor that is added back to log Z.  With ``a`` the
+    shifted potentials, L = diag(column sums of a[:, 1:]) - a[1:, 1:] and
+    node k at row and column k - 1 of L and of inv(L): log Z = log det L +
+    shifts, and the marginal of h->m is a[h, m] * (inv(L)[m, m] -
+    inv(L)[m, h]), without the second term for h = 0 (Koo et al. 2007).
     """
     t = theta.shape[0] - 1
     if t < 1:
         raise ValueError("need at least one non-root node")
-    shift = np.zeros(t + 1)
-    a = np.zeros_like(theta)
-    for m in range(1, t + 1):
-        col = [theta[h][m] for h in range(t + 1) if h != m]
-        shift[m] = max(col)
-        if not np.isfinite(shift[m]):  # no usable arc into m at all
-            shift[m] = 0.0
-            continue
-        for h in range(t + 1):
-            if h != m:
-                a[h][m] = np.exp(theta[h][m] - shift[m])
+    usable = ~np.eye(t + 1, dtype=bool)
+    usable[:, 0] = False
+    masked = np.where(usable, theta, -np.inf)
+    shift = masked.max(axis=0)
+    dead = ~np.isfinite(shift)  # no usable arc into the node at all
+    shift[dead] = 0.0
+    a = np.exp(masked - shift)
+    a[:, dead] = 0.0
 
-    lap = np.zeros((t, t))
-    for m in range(1, t + 1):
-        lap[m - 1][m - 1] = sum(a[h][m] for h in range(t + 1) if h != m)
-        for h in range(1, t + 1):
-            if h != m:
-                lap[h - 1][m - 1] = -a[h][m]
-
+    lap = np.diag(a[:, 1:].sum(axis=0)) - a[1:, 1:]
     sign, logdet = np.linalg.slogdet(lap)
-    if sign <= 0 or not np.isfinite(logdet):
-        sums = lap.diagonal()
-        worst = int(np.argmin(sums)) + 1
-        label = names[worst] if names else f"node {worst}"
-        raise ValueError(f"singular Laplacian: {label} is effectively isolated")
+    # With no arborescence det L is 0, but rounding can leave it positive.
+    isolated = ~_reachable_from_root(a > 0)[1:]
+    if isolated.any() or sign <= 0 or not np.isfinite(logdet):
+        diag = np.where(isolated, lap.diagonal(), np.inf) if isolated.any() else lap.diagonal()
+        worst = int(np.argmin(diag)) + 1
+        raise ValueError(f"singular Laplacian: node {worst} is effectively isolated")
     log_z = float(logdet + shift[1:].sum())
 
     inv = np.linalg.inv(lap)
+    inv_diag = inv.diagonal()
     marg = np.zeros_like(theta)
-    for m in range(1, t + 1):
-        marg[0][m] = a[0][m] * inv[m - 1][m - 1]
-        for h in range(1, t + 1):
-            if h != m:
-                marg[h][m] = a[h][m] * (inv[m - 1][m - 1] - inv[m - 1][h - 1])
+    marg[0, 1:] = a[0, 1:] * inv_diag
+    marg[1:, 1:] = a[1:, 1:] * (inv_diag[None, :] - inv.T)
     return log_z, marg
+
+
+def _reachable_from_root(arcs: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nodes that node 0 reaches over ``arcs[h, m]``."""
+    reached = np.zeros(len(arcs), dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | arcs[reached].any(axis=0)
+        if (grown == reached).all():
+            return reached
+        reached = grown
 
 
 def _gold_parent_nodes(doc: Document) -> tuple[list[Entity], list[int]]:
@@ -173,12 +185,8 @@ def _gold_parent_nodes(doc: Document) -> tuple[list[Entity], list[int]]:
 def edge_feature_index(docs: list[Document]) -> dict[str, int]:
     feats = set()
     for doc in docs:
-        entities, _ = _gold_parent_nodes(doc)
-        for child in entities:
-            feats.update(extract_edge_features(None, child, doc.tokens))
-            for parent in entities:
-                if parent is not child:
-                    feats.update(extract_edge_features(parent, child, doc.tokens))
+        for _, _, parent, child in candidate_arcs(doc.entities):
+            feats.update(extract_edge_features(parent, child, doc.tokens))
     return {f: i for i, f in enumerate(sorted(feats))}
 
 
@@ -189,13 +197,9 @@ def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
     pairs: list[tuple[list[int], int]] = []
     for doc in docs:
         entities, parents = _gold_parent_nodes(doc)
-        for m, child in enumerate(entities, start=1):
-            for h in range(len(entities) + 1):
-                if h == m:
-                    continue
-                parent = None if h == 0 else entities[h - 1]
-                ids = model.feature_ids(parent, child, doc.tokens)
-                pairs.append((ids, int(parents[m - 1] == h)))
+        for h, m, parent, child in candidate_arcs(entities):
+            ids = model.feature_ids(parent, child, doc.tokens)
+            pairs.append((ids, int(parents[m - 1] == h)))
     if not pairs:
         raise ValueError("no candidate entity pairs in the training corpus")
     labels = {y for _, y in pairs}
@@ -227,15 +231,9 @@ def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
         entities, parents = _gold_parent_nodes(doc)
         if not entities:
             continue
-        t = len(entities)
-        ids: dict[tuple[int, int], list[int]] = {}
-        for m, child in enumerate(entities, start=1):
-            for h in range(t + 1):
-                if h == m:
-                    continue
-                parent = None if h == 0 else entities[h - 1]
-                ids[(h, m)] = model.feature_ids(parent, child, doc.tokens)
-        cases.append((t, ids, parents))
+        ids = {(h, m): model.feature_ids(parent, child, doc.tokens)
+               for h, m, parent, child in candidate_arcs(entities)}
+        cases.append((len(entities), ids, parents))
     if not cases:
         raise ValueError("no documents with entities in the training corpus")
 
@@ -257,6 +255,3 @@ def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
                 np.add.at(model.w.grad, fid, coeff)
             opt.step()
     return model
-
-
-EdgeScorer = LtmModel | MttModel

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..data import Document, Entity, Mention, ROOT_ID, bio_decode_spans, first_cycle_node
 from ..mst import WeightedDigraph, chu_liu_edmonds
+from .edge_models import candidate_arcs
 
 Tagger = Callable[[list[str]], list[str]]
 ArcScorer = Callable[[Entity | None, Entity, list[str]], float]
@@ -29,30 +30,19 @@ def entities_from_tags(tags: list[str]) -> list[Entity]:
 
 def entity_graph(entities: Sequence[Entity], tokens: list[str],
                  arc_score: ArcScorer) -> WeightedDigraph:
+    """Dense arc weights over the root (node 0) and the entities (nodes 1..t)."""
     k = len(entities) + 1
     weights = np.full((k, k), -np.inf)
-    for m, child in enumerate(entities, start=1):
-        weights[0, m] = arc_score(None, child, tokens)
-        for h, parent in enumerate(entities, start=1):
-            if h != m:
-                weights[h, m] = arc_score(parent, child, tokens)
+    for h, m, parent, child in candidate_arcs(entities):
+        weights[h, m] = arc_score(parent, child, tokens)
     return WeightedDigraph(list(range(k)), weights)
 
 
 def greedy_entity_parents(entities: Sequence[Entity], tokens: list[str],
                           arc_score: ArcScorer) -> list[int]:
-    """Independent best head per entity (0 = root); ties to the smaller head."""
-    out = []
-    for m, child in enumerate(entities, start=1):
-        best_h, best_w = 0, arc_score(None, child, tokens)
-        for h, parent in enumerate(entities, start=1):
-            if h == m:
-                continue
-            w = arc_score(parent, child, tokens)
-            if w > best_w:
-                best_h, best_w = h, w
-        out.append(best_h)
-    return out
+    """Independent best head per entity (0 = root): the first maximum of each
+    column, so the root wins ties and otherwise the smaller head does."""
+    return entity_graph(entities, tokens, arc_score).weights[:, 1:].argmax(axis=0).tolist()
 
 
 def parents_form_tree(parents: list[int]) -> bool:

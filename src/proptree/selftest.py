@@ -84,6 +84,18 @@ def check_mtt() -> str:
         sums = marg.sum(axis=0)
         if np.abs(sums[1:] - 1.0).max() > 1e-8:
             raise AssertionError("per-child marginals do not sum to 1")
+    # missing arcs: only 0->1, 0->2, 1->2, 2->1, 2->3 and 3->1 are usable
+    th = np.full((4, 4), -np.inf)
+    th[0, 1], th[0, 2], th[1, 2], th[2, 1], th[2, 3], th[3, 1] = 0.5, -1.0, 1.0, 0.0, 2.0, -0.5
+    log_z, marg = mtt_log_partition_and_marginals(th)
+    z, brute = 0.0, np.zeros_like(th)
+    for pm in enumerate_arborescences(4):
+        weight = np.exp(sum(th[h][d] for d, h in pm.items()))
+        z += weight
+        for d, h in pm.items():
+            brute[h][d] += weight
+    if abs(log_z - np.log(z)) > 1e-8 or np.abs(marg - brute / z).max() > 1e-8:
+        raise AssertionError("mtt with missing arcs disagrees with enumeration")
     return "matrix-tree partition and marginals match enumeration"
 
 

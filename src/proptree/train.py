@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,7 +104,29 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-class JointRunner:
+def score_docs(docs: list[Document],
+               predict: Callable[[Document], tuple[TokenHeadAssignment, bool]]
+               ) -> MetricsReport:
+    """Edge scores of ``predict(doc)`` (an assignment and whether greedy
+    output was already a tree) against each document's gold tree."""
+    counts, flags = [], []
+    for doc in docs:
+        gold = encode_tree_to_heads(doc)
+        predicted, was_tree = predict(doc)
+        counts.append(score_edges(predicted, gold))
+        flags.append(was_tree)
+    return aggregate(counts, flags)
+
+
+class Runner:
+    """Evaluation shared by the runner kinds, each of which defines
+    ``predict_doc(tokens, doc_id="doc") -> (assignment, greedy_was_tree)``."""
+
+    def evaluate(self, docs: list[Document]) -> MetricsReport:
+        return score_docs(docs, lambda doc: self.predict_doc(doc.tokens, doc.id))
+
+
+class JointRunner(Runner):
     """A trained joint parser plus its frozen embedding table."""
 
     def __init__(self, model: JointParser, table: EmbeddingTable):
@@ -114,19 +137,11 @@ class JointRunner:
     def params_named(self) -> dict[str, Tensor]:
         return self.model.params_named()
 
-    def predict_doc(self, tokens: list[str]) -> tuple[TokenHeadAssignment, bool]:
+    def predict_doc(self, tokens: list[str], doc_id: str = "doc"
+                    ) -> tuple[TokenHeadAssignment, bool]:
         dist = self.model.distribution(tokens)
         greedy = dist.greedy()
         return repair(dist, greedy), is_tree(greedy)
-
-    def evaluate(self, docs: list[Document]) -> MetricsReport:
-        counts, flags = [], []
-        for doc in docs:
-            gold = encode_tree_to_heads(doc)
-            predicted, was_tree = self.predict_doc(doc.tokens)
-            counts.append(score_edges(predicted, gold))
-            flags.append(was_tree)
-        return aggregate(counts, flags)
 
     def save(self, path: str | Path) -> None:
         manifest = {
@@ -137,7 +152,7 @@ class JointRunner:
         save_checkpoint(str(path), manifest, _arrays(self) | {"emb.matrix": self.table.matrix})
 
 
-class PipelineRunner:
+class PipelineRunner(Runner):
     """A trained CRF segmenter plus an entity-pair attachment model."""
 
     def __init__(self, crf: CrfModel, edge_model: LtmModel | MttModel):
@@ -154,19 +169,6 @@ class PipelineRunner:
         tree, was_tree = pipeline_predict(doc_id, tokens, self.crf.tag,
                                           self.edge_model.arc_score)
         return encode_tree_to_heads(tree), was_tree
-
-    def predict_tree(self, tokens: list[str], doc_id: str = "doc") -> Document:
-        tree, _ = pipeline_predict(doc_id, tokens, self.crf.tag, self.edge_model.arc_score)
-        return tree
-
-    def evaluate(self, docs: list[Document]) -> MetricsReport:
-        counts, flags = [], []
-        for doc in docs:
-            gold = encode_tree_to_heads(doc)
-            predicted, was_tree = self.predict_doc(doc.tokens, doc.id)
-            counts.append(score_edges(predicted, gold))
-            flags.append(was_tree)
-        return aggregate(counts, flags)
 
     def save(self, path: str | Path) -> None:
         manifest = {
@@ -313,11 +315,11 @@ def load_runner(path: str | Path):
     raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 
-def predict_records(runner, docs: list[Document]) -> list[dict]:
+def predict_records(runner: Runner, docs: list[Document]) -> list[dict]:
     """Token-level assignment plus (when decodable) the tree for each doc."""
     out = []
     for doc in docs:
-        assignment, was_tree = _predict(runner, doc)
+        assignment, was_tree = runner.predict_doc(doc.tokens, doc.id)
         record = {
             "id": doc.id,
             "tokens": doc.tokens,
@@ -332,9 +334,3 @@ def predict_records(runner, docs: list[Document]) -> list[dict]:
             record["entities"] = None
         out.append(record)
     return out
-
-
-def _predict(runner, doc: Document) -> tuple[TokenHeadAssignment, bool]:
-    if isinstance(runner, PipelineRunner):
-        return runner.predict_doc(doc.tokens, doc.id)
-    return runner.predict_doc(doc.tokens)

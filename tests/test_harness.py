@@ -361,12 +361,21 @@ def test_cli_gold_as_prediction_is_perfect(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     run_cli(["generate", "--out", corpus, "--n-docs", "6", "--seed", "0"])
     metrics = tmp_path / "m.json"
-    assert run_cli(["evaluate", "--checkpoint", "unused", "--data", corpus,
+    assert run_cli(["evaluate", "--data", corpus,
                     "--gold-as-prediction", "--out", metrics]) == 0
     blob = json.loads(metrics.read_text())
     assert blob["overall_f1"] == 100.0
     assert blob["tree_rate"] == 100.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", [[], ["--checkpoint", "c.zip", "--gold-as-prediction"]],
+                         ids=["neither", "both"])
+def test_cli_evaluate_takes_checkpoint_or_gold(source, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evaluate", "--data", "c.jsonl", *source])
+    assert exc.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
 
 
 def test_cli_convert_roundtrip(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proptree.data import Document, Entity, Mention, bio_encode
 from proptree.pipeline.crf import (
@@ -15,6 +17,7 @@ from proptree.pipeline.crf import (
 from proptree.pipeline.edge_models import (
     LtmModel,
     MttModel,
+    candidate_arcs,
     edge_feature_index,
     extract_edge_features,
     mtt_log_partition_and_marginals,
@@ -29,6 +32,7 @@ from proptree.pipeline.predict import (
     parents_form_tree,
     pipeline_predict,
 )
+from proptree.oracle import enumerate_arborescences
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 from helpers import (
@@ -226,6 +230,42 @@ def test_mtt_singular_laplacian_reports_node():
     theta[0, 1] = 0.0  # node 2 has no usable incoming arc
     with pytest.raises(ValueError, match="node 2"):
         mtt_log_partition_and_marginals(theta)
+    # every node has an incoming arc but none leaves the root: det L is 0,
+    # yet rounding leaves slogdet a positive sign and a finite log
+    theta = np.full((4, 4), -np.inf)
+    theta[1, 2] = theta[1, 3] = 2.0
+    theta[2, 1], theta[3, 2] = -1.0, -2.0
+    with pytest.raises(ValueError, match="node 1"):
+        mtt_log_partition_and_marginals(theta)
+
+
+# -inf marks a missing arc; small integers make ties common
+ARC_SCORES = st.one_of(st.integers(-2, 2).map(float), st.just(-np.inf))
+
+
+@st.composite
+def sparse_thetas(draw):
+    n = draw(st.integers(2, 5))
+    return np.array(draw(st.lists(ARC_SCORES, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+@given(sparse_thetas())
+def test_mtt_matches_enumeration_with_missing_arcs(theta):
+    trees = [pm for pm in enumerate_arborescences(len(theta))
+             if all(np.isfinite(theta[h, v]) for v, h in pm.items())]
+    if not trees:
+        with pytest.raises(ValueError, match="singular Laplacian: node [0-9]+ is effectively"):
+            mtt_log_partition_and_marginals(theta)
+        return
+    log_z, marg = mtt_log_partition_and_marginals(theta)
+    weights = [sum(theta[h, v] for v, h in pm.items()) for pm in trees]
+    brute_z = float(np.log(np.exp(weights).sum()))
+    assert log_z == pytest.approx(brute_z, abs=1e-8)
+    brute = np.zeros_like(theta)
+    for pm, w in zip(trees, weights):
+        for v, h in pm.items():
+            brute[h, v] += np.exp(w - brute_z)
+    np.testing.assert_allclose(marg, brute, rtol=0, atol=1e-8)
 
 
 def test_mtt_training_learns_attachments():
@@ -252,6 +292,43 @@ def test_entities_from_tags():
     assert ents[0].mentions == [Mention(1, 3)]
     assert ents[1].type == "b"
     assert entities_from_tags(["O", "O"]) == []
+
+
+def test_candidate_arcs_are_child_major_with_the_root_first():
+    ents = entities_from_tags(["B-a", "B-b", "B-c"])
+    arcs = list(candidate_arcs(ents))
+    assert [(h, m) for h, m, _, _ in arcs] == [
+        (0, 1), (2, 1), (3, 1), (0, 2), (1, 2), (3, 2), (0, 3), (1, 3), (2, 3)]
+    for h, m, parent, child in arcs:
+        assert parent is (None if h == 0 else ents[h - 1]) and child is ents[m - 1]
+
+
+def test_greedy_parents_match_per_child_loop_on_ties():
+    rng = np.random.default_rng(0)
+    root_ties = head_ties = 0
+    for _ in range(300):
+        t = int(rng.integers(1, 7))
+        scores = rng.integers(-2, 3, size=(t + 1, t + 1)).astype(float)
+        np.fill_diagonal(scores, 9.0)  # self-arcs are never candidates
+        ents = entities_from_tags(["B-a"] * t)
+        node = {e.id: i for i, e in enumerate(ents, start=1)}
+
+        def arc_score(parent, child, _tokens):
+            return scores[0 if parent is None else node[parent.id], node[child.id]]
+
+        want = []
+        for m in range(1, t + 1):
+            best = 0
+            for h in range(1, t + 1):
+                if h != m and scores[h, m] > scores[best, m]:
+                    best = h
+            top = max(scores[h, m] for h in range(t + 1) if h != m)
+            tied = [h for h in range(t + 1) if h != m and scores[h, m] == top]
+            root_ties += len(tied) > 1 and tied[0] == 0
+            head_ties += len(tied) > 1 and tied[0] != 0
+            want.append(best)
+        assert greedy_entity_parents(ents, ["x"] * t, arc_score) == want
+    assert root_ties > 50 and head_ties > 50
 
 
 def test_parents_form_tree():
