@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .data import first_cycle_node
 
 
@@ -31,3 +33,20 @@ def best_arborescence_weight(n: int, weight: Callable[[int, int], float | None])
             if best is None or total > best:
                 best = total
     return best
+
+
+def arborescence_log_z_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Over arborescences of theta's nodes that use only finite arcs: log of
+    the summed exp(sum of theta[h, v]) and each arc's marginal probability,
+    an (n, n) array indexed [h, v]. None when no such arborescence exists."""
+    trees = [parents for parents in enumerate_arborescences(len(theta))
+             if all(np.isfinite(theta[h, v]) for v, h in parents.items())]
+    if not trees:
+        return None
+    weights = np.array([sum(theta[h, v] for v, h in parents.items()) for parents in trees])
+    log_z = float(np.logaddexp.reduce(weights))
+    marginals = np.zeros(theta.shape)
+    for parents, weight in zip(trees, weights):
+        for v, h in parents.items():
+            marginals[h, v] += np.exp(weight - log_z)
+    return log_z, marginals

@@ -120,10 +120,10 @@ def score_docs(docs: list[Document],
 
 class Runner:
     """Evaluation shared by the runner kinds, each of which defines
-    ``predict_doc(tokens, doc_id="doc") -> (assignment, greedy_was_tree)``."""
+    ``predict_doc(tokens) -> (assignment, greedy_was_tree)``."""
 
     def evaluate(self, docs: list[Document]) -> MetricsReport:
-        return score_docs(docs, lambda doc: self.predict_doc(doc.tokens, doc.id))
+        return score_docs(docs, lambda doc: self.predict_doc(doc.tokens))
 
 
 class JointRunner(Runner):
@@ -137,8 +137,7 @@ class JointRunner(Runner):
     def params_named(self) -> dict[str, Tensor]:
         return self.model.params_named()
 
-    def predict_doc(self, tokens: list[str], doc_id: str = "doc"
-                    ) -> tuple[TokenHeadAssignment, bool]:
+    def predict_doc(self, tokens: list[str]) -> tuple[TokenHeadAssignment, bool]:
         dist = self.model.distribution(tokens)
         greedy = dist.greedy()
         return repair(dist, greedy), is_tree(greedy)
@@ -319,7 +318,7 @@ def predict_records(runner: Runner, docs: list[Document]) -> list[dict]:
     """Token-level assignment plus (when decodable) the tree for each doc."""
     out = []
     for doc in docs:
-        assignment, was_tree = runner.predict_doc(doc.tokens, doc.id)
+        assignment, was_tree = runner.predict_doc(doc.tokens)
         record = {
             "id": doc.id,
             "tokens": doc.tokens,

@@ -11,8 +11,6 @@ import itertools
 
 import numpy as np
 
-from proptree.oracle import enumerate_arborescences
-
 
 def finite_difference(f, arrays, eps=1e-5):
     """Central finite differences of scalar f w.r.t. a list of arrays.
@@ -59,15 +57,6 @@ def reaches_root(parents, v):
         seen.add(v)
         v = parents[v]
     return True
-
-
-def arborescence_log_sum(theta):
-    """log sum over arborescences of exp(sum theta[h][v]); theta (n, n)."""
-    n = theta.shape[0]
-    total = 0.0
-    for parents in enumerate_arborescences(n):
-        total += np.exp(sum(theta[h, v] for v, h in parents.items()))
-    return float(np.log(total))
 
 
 def crf_enumerate(emit, trans):
