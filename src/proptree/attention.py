@@ -30,11 +30,8 @@ class AdditiveAttention(nn.Module):
         self.b = nn.zeros_param((l,))
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
-        m, l = encoded.shape[0], self.v.shape[0]
-        head = nn.matmul(encoded, nn.transpose(self.u))
-        dep = nn.matmul(encoded, nn.transpose(self.w))
-        pair = nn.tanh(nn.reshape(head, (m, 1, l)) + nn.reshape(dep, (1, m, l)) + self.b)
-        return nn.reshape(nn.matmul(nn.reshape(pair, (m * m, l)), self.v), (m, m))
+        return nn.pair_mlp(nn.matmul(encoded, nn.transpose(self.u)),
+                           nn.matmul(encoded, nn.transpose(self.w)), self.b, self.v)
 
 
 class BilinearAttention(nn.Module):

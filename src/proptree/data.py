@@ -76,12 +76,6 @@ class Document:
     def n(self) -> int:
         return len(self.tokens)
 
-    def entity_by_id(self, eid: str) -> Entity:
-        for e in self.entities:
-            if e.id == eid:
-                return e
-        raise KeyError(f"no entity {eid!r} in document {self.id!r}")
-
 
 class TokenHeadAssignment:
     """One (head, label) pair per token; index t-1 holds token t (1-based)."""
@@ -316,23 +310,3 @@ def bio_decode_spans(tags: list[str]) -> list[tuple[int, int, str]]:
     if start is not None:
         spans.append((start, len(tags) + 1, cur))
     return spans
-
-
-def has_crossing_arcs(assignment: TokenHeadAssignment) -> bool:
-    """True if any two entity-level arcs cross when drawn above the sentence.
-
-    Only ``PART_OF`` and ``EQUIVALENT`` arcs participate; segment arcs live
-    inside single mentions and cannot cross anything meaningful.
-    """
-    arcs = []
-    for t in range(1, assignment.n + 1):
-        if assignment.labels[t - 1] in (PART_OF, EQUIVALENT):
-            h = assignment.heads[t - 1]
-            arcs.append((min(t, h), max(t, h)))
-    for i in range(len(arcs)):
-        a, b = arcs[i]
-        for j in range(i + 1, len(arcs)):
-            c, e = arcs[j]
-            if a < c < b < e or c < a < e < b:
-                return True
-    return False

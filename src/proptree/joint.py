@@ -32,7 +32,6 @@ class LabelScorer:
     def __init__(self, m: int, l: int, rng: np.random.Generator):
         if not l < m:
             raise ValueError(f"scoring width l={l} must be smaller than input width m={m}")
-        self.l = l
         self.u = [nn.uniform_param((l, m), rng) for _ in range(N_LABELS)]
         self.w = [nn.uniform_param((l, m), rng) for _ in range(N_LABELS)]
         self.v = [nn.uniform_param((l,), rng) for _ in range(N_LABELS)]
@@ -42,23 +41,13 @@ class LabelScorer:
         return {f"{prefix}{base}{k}": getattr(self, base)[k]
                 for k in range(N_LABELS) for base in ("u", "w", "v", "b")}
 
-    def score_matrix(self, states: nn.Tensor) -> nn.Tensor:
-        """(M, M, 4) scores; axes are [dependent i, head j, label k]."""
-        m_pos = states.shape[0]
-        per_label = []
-        for k in range(N_LABELS):
-            head = nn.matmul(states, nn.transpose(self.u[k]))
-            dep = nn.matmul(states, nn.transpose(self.w[k]))
-            pair = nn.tanh(
-                nn.reshape(dep, (m_pos, 1, self.l))
-                + nn.reshape(head, (1, m_pos, self.l))
-                + self.b[k]
-            )
-            per_label.append(nn.reshape(
-                nn.matmul(nn.reshape(pair, (m_pos * m_pos, self.l)), self.v[k]),
-                (m_pos, m_pos),
-            ))
-        return nn.stack(per_label, axis=2)
+    def score_matrix(self, dependents: nn.Tensor, heads: nn.Tensor) -> nn.Tensor:
+        """(R, C, 4) scores; axes are [dependent i, head j, label k]."""
+        return nn.stack([
+            nn.pair_mlp(nn.matmul(dependents, nn.transpose(self.w[k])),
+                        nn.matmul(heads, nn.transpose(self.u[k])), self.b[k], self.v[k])
+            for k in range(N_LABELS)
+        ], axis=2)
 
 
 class JointDistribution:
@@ -77,17 +66,20 @@ class JointDistribution:
 
 
 def distribution_rows(scorer: LabelScorer, states: nn.Tensor) -> nn.Tensor:
-    """(N, (N+1)*4) tensor of per-dependent joint softmax rows."""
+    """(N, (N+1)*4) per-dependent joint score rows, over [head j, label k].
+
+    Only the dependents states[1:] are scored; the root is never one.  A
+    row's softmax is that dependent's joint distribution.
+    """
     m_pos = states.shape[0]
-    scores = scorer.score_matrix(states)
-    dep_rows = nn.narrow(scores, 0, 1, m_pos)
-    return nn.softmax(nn.reshape(dep_rows, (m_pos - 1, m_pos * N_LABELS)), axis=1)
+    scores = scorer.score_matrix(nn.narrow(states, 0, 1, m_pos), states)
+    return nn.reshape(scores, (m_pos - 1, m_pos * N_LABELS))
 
 
 def rows_to_distribution(rows: nn.Tensor) -> JointDistribution:
     n = rows.shape[0]
     p = np.zeros((n + 1, n + 1, N_LABELS))
-    p[1:] = rows.data.reshape(n, n + 1, N_LABELS)
+    p[1:] = nn.softmax(rows, axis=1).data.reshape(n, n + 1, N_LABELS)
     return JointDistribution(p)
 
 
@@ -100,8 +92,7 @@ def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
         if not 0 <= gold.head_of(t) <= n:
             raise ValueError(f"token {t}: gold head {gold.head_of(t)} out of range")
     idx = np.array([gold.head_of(t) * N_LABELS + gold.label_of(t) for t in range(1, n + 1)])
-    picked = nn.gather_pairs(rows, idx)
-    return nn.scale(nn.reduce_sum(nn.log(picked)), -1.0)
+    return nn.log_softmax_nll(rows, idx)
 
 
 class JointParser:

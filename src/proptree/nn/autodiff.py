@@ -215,18 +215,6 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): no overflow branch, and it
-    # saturates to exactly 0 and 1.  ``lstm_sequence`` uses the same identity.
-    y = 0.5 * np.tanh(0.5 * a.data) + 0.5
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(out, (a,), bwd)
-
-
 def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                   reverse: bool = False) -> Tensor:
     """One LSTM direction over a whole sequence, recorded as a single op.
@@ -289,13 +277,93 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     return _record(out, (x, wx, wh, b), bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
+# Rows per block in ``pair_mlp``: one (block, C, l) buffer is added to,
+# squashed and reduced while it is still in cache.
+PAIR_BLOCK = 16
+
+
+def pair_mlp(rows: Tensor, cols: Tensor, b: Tensor, v: Tensor) -> Tensor:
+    """Pairwise one-layer MLP scores, recorded as a single op.
+
+    ``rows`` is (R, l), ``cols`` (C, l), ``b`` and ``v`` (l,).  Returns the
+    (R, C) matrix out[r, c] = v . tanh((rows[r] + cols[c]) + b).
+
+    The forward pass adds and squashes PAIR_BLOCK rows at a time in place in
+    one (block, C, l) buffer; with no tape active nothing else is kept.  With
+    a tape the tanh values y are kept, one (R, C, l) array, and the backward
+    pass reads 1 - y^2 from them instead of recomputing tanh.
+    """
+    rd, cd, bd, vd = rows.data, cols.data, b.data, v.data
+    l = vd.shape[0]
+    if not (rd.ndim == cd.ndim == 2 and rd.shape[1] == cd.shape[1] == l
+            and bd.shape == vd.shape == (l,)):
+        raise ValueError(f"pair_mlp: rows {rd.shape} and cols {cd.shape} must be (*, {l}) "
+                         f"for b {bd.shape} and v {vd.shape}")
+    n_rows, n_cols = rd.shape[0], cd.shape[0]
+    taped = bool(_ACTIVE_TAPES)
+    y = np.empty((n_rows if taped else min(PAIR_BLOCK, n_rows), n_cols, l))
+    out = np.empty((n_rows, n_cols))
+    # cols[c] + rows[r] equals rows[r] + cols[c] exactly.  Copying cols and
+    # adding b as whole (C, l) slabs is faster than broadcasting along l.
+    b_cols = np.empty((n_cols, l))
+    b_cols[...] = bd
+    for r0 in range(0, n_rows, PAIR_BLOCK):
+        r1 = min(r0 + PAIR_BLOCK, n_rows)
+        blk = y[r0:r1] if taped else y[:r1 - r0]
+        blk[...] = cd
+        blk += rd[r0:r1, None, :]
+        blk += b_cols
+        np.tanh(blk, out=blk)
+        out[r0:r1] = (blk.reshape(-1, l) @ vd).reshape(r1 - r0, n_cols)
+    if not taped:
+        return Tensor(out)
 
     def bwd(g):
-        return (g / a.data,)
+        # dz = (g v) * (1 - y^2), one block of rows at a time.
+        dz = np.empty((min(PAIR_BLOCK, n_rows), n_cols, l))
+        slope = np.empty_like(dz)
+        drows = np.empty_like(rd)
+        dcols = np.zeros_like(cd)
+        dv = np.zeros(l)
+        for r0 in range(0, n_rows, PAIR_BLOCK):
+            r1 = min(r0 + PAIR_BLOCK, n_rows)
+            yb, gb = y[r0:r1], g[r0:r1]
+            d, s = dz[:r1 - r0], slope[:r1 - r0]
+            np.multiply(gb[:, :, None], vd, out=d)
+            np.multiply(yb, yb, out=s)
+            np.subtract(1.0, s, out=s)
+            d *= s
+            drows[r0:r1] = d.sum(axis=1)
+            dcols += d.sum(axis=0)
+            dv += gb.reshape(-1) @ yb.reshape(-1, l)
+        return drows, dcols, dcols.sum(axis=0), dv
 
-    return _record(out, (a,), bwd)
+    return _record(Tensor(out), (rows, cols, b, v), bwd)
+
+
+def log_softmax_nll(scores: Tensor, idx: np.ndarray) -> Tensor:
+    """Summed negative log-softmax of one entry per row of a 2-D tensor:
+    -sum_i log softmax(scores[i])[idx[i]].
+
+    Uses a max-shifted log-sum-exp, so a confidently wrong row gives a large
+    finite loss rather than -log(0); the gradient is softmax - onehot.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    s = scores.data
+    if s.ndim != 2 or idx.shape != (s.shape[0],):
+        raise ValueError(f"log_softmax_nll: got scores shape {s.shape} and index shape {idx.shape}")
+    rows = np.arange(s.shape[0])
+    shifted = s - s.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    out = Tensor(np.sum(np.log(total[:, 0]) - shifted[rows, idx]))
+
+    def bwd(g):
+        grad = e / total
+        grad[rows, idx] -= 1.0
+        return (grad * g,)
+
+    return _record(out, (scores,), bwd)
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
@@ -312,9 +380,9 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along ``axis``; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
@@ -387,22 +455,6 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        return (full,)
-
-    return _record(out, (a,), bwd)
-
-
-def gather_pairs(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor and integer index vector."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
-        raise ValueError(f"gather_pairs: got tensor shape {a.data.shape} and index shape {idx.shape}")
-    rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, idx])
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
         return (full,)
 
     return _record(out, (a,), bwd)

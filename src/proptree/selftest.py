@@ -13,7 +13,8 @@ import numpy as np
 
 from . import nn
 from .data import decode_heads_to_tree, encode_tree_to_heads, structure_signature
-from .joint import JointDistribution, LabelScorer, distribution_rows, loss_from_rows
+from .joint import (JointDistribution, LabelScorer, distribution_rows, loss_from_rows,
+                    rows_to_distribution)
 from .mst import WeightedDigraph, arborescence_weight, chu_liu_edmonds
 from .oracle import arborescence_log_z_and_marginals, best_arborescence_weight
 from .pipeline.crf import CrfModel
@@ -120,8 +121,8 @@ def check_normalization() -> str:
     rng = np.random.default_rng(9)
     scorer = LabelScorer(m=4, l=2, rng=rng)
     states = nn.Tensor(rng.normal(size=(5, 4)))
-    rows = distribution_rows(scorer, states)
-    if np.abs(rows.data.sum(axis=1) - 1.0).max() > 1e-6:
+    p = rows_to_distribution(distribution_rows(scorer, states)).p[1:]
+    if np.abs(p.sum(axis=(1, 2)) - 1.0).max() > 1e-6:
         raise AssertionError("joint distribution rows do not sum to 1")
     dist = JointDistribution(np.zeros((3, 3, 4)))
     dist.p[1:] = rng.random((2, 3, 4))

@@ -244,6 +244,10 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
                 loss = model.loss(doc.tokens, golds[idx], train=True, rng=drop_rng)
             opt.zero_grad()
             tape.backward(loss)
+            # A NaN or infinity anywhere makes this sum non-finite.
+            if not np.isfinite(loss.item() + sum(p.grad.sum() for p in params)):
+                raise FloatingPointError(
+                    f"non-finite loss or gradient in epoch {epoch}, document {doc.id!r}")
             opt.step()
             total += loss.item()
         val_f1 = runner.evaluate(val_docs).overall.f1

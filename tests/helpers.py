@@ -4,12 +4,16 @@ Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, and brute-force
 enumeration over small structured spaces (tag sequences here; arborescences
 come from ``proptree.oracle``, which ``proptree selftest`` shares).  Tests
-compare the package's analytic/algorithmic answers against these.
+compare the package's analytic/algorithmic answers against these.  It also
+holds the few small functions that only tests need.
 """
 
 import itertools
 
 import numpy as np
+
+from proptree import nn
+from proptree.data import EQUIVALENT, PART_OF
 
 
 def finite_difference(f, arrays, eps=1e-5):
@@ -78,3 +82,37 @@ def crf_enumerate(emit, trans):
     m = max(log_z_terms)
     log_z = m + np.log(sum(np.exp(t - m) for t in log_z_terms))
     return float(log_z), best_path, float(best_score)
+
+
+def sigmoid(a):
+    """sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 as tape ops: no overflow branch,
+    and it saturates to exactly 0 and 1.  ``nn.lstm_sequence`` uses the same
+    identity."""
+    return nn.scale(nn.tanh(nn.scale(a, 0.5)), 0.5) + 0.5
+
+
+def entity_by_id(doc, eid):
+    for e in doc.entities:
+        if e.id == eid:
+            return e
+    raise KeyError(f"no entity {eid!r} in document {doc.id!r}")
+
+
+def has_crossing_arcs(assignment):
+    """True if any two entity-level arcs cross when drawn above the sentence.
+
+    Only ``PART_OF`` and ``EQUIVALENT`` arcs participate; segment arcs live
+    inside single mentions and cannot cross anything meaningful.
+    """
+    arcs = []
+    for t in range(1, assignment.n + 1):
+        if assignment.labels[t - 1] in (PART_OF, EQUIVALENT):
+            h = assignment.heads[t - 1]
+            arcs.append((min(t, h), max(t, h)))
+    for i in range(len(arcs)):
+        a, b = arcs[i]
+        for j in range(i + 1, len(arcs)):
+            c, e = arcs[j]
+            if a < c < b < e or c < a < e < b:
+                return True
+    return False

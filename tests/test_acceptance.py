@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import crf_enumerate, finite_difference
+from helpers import crf_enumerate, finite_difference, has_crossing_arcs
 from proptree.attention import SCORE_VARIANTS, VARIANTS, attention_weights
 from proptree.corpus import read_corpus, split_corpus
 from proptree.data import (
@@ -30,7 +30,6 @@ from proptree.data import (
     TokenHeadAssignment,
     encode_tree_to_heads,
     decode_heads_to_tree,
-    has_crossing_arcs,
     structure_signature,
 )
 from proptree.embeddings import EmbeddingTable

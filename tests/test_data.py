@@ -25,10 +25,11 @@ from proptree.data import (
     bio_encode,
     decode_heads_to_tree,
     encode_tree_to_heads,
-    has_crossing_arcs,
     structure_signature,
 )
 from proptree.synthetic import SyntheticConfig, generate_corpus
+
+from helpers import entity_by_id, has_crossing_arcs
 
 
 def simple_doc():
@@ -86,9 +87,9 @@ def test_entity_main_mention_is_first_in_text_order():
 def test_document_lookup():
     doc = simple_doc()
     assert doc.n == 4
-    assert doc.entity_by_id("E2").type == "space"
+    assert entity_by_id(doc, "E2").type == "space"
     with pytest.raises(KeyError):
-        doc.entity_by_id("nope")
+        entity_by_id(doc, "nope")
 
 
 def test_assignment_basics():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from proptree import cli
+from proptree import train as train_module
 from proptree.corpus import read_corpus, write_corpus
 from proptree.data import EQUIVALENT, PART_OF, SEGMENT
 from proptree.embeddings import (
@@ -17,6 +18,7 @@ from proptree.embeddings import (
     load_word2vec_binary,
     load_word2vec_text,
 )
+from proptree.joint import JointParser
 from proptree.metrics import Counts, MetricsReport
 from proptree.nn import load_checkpoint, save_checkpoint
 from proptree.synthetic import SyntheticConfig, generate_corpus
@@ -119,6 +121,20 @@ def test_early_stopping_keeps_best_epoch(monkeypatch):
     assert log.best_f1 == 60.0
     for p, snap in zip(runner.model.params_named().values(), snapshots[1]):
         assert np.array_equal(p.data, snap)
+
+
+def test_training_stops_on_non_finite_values(monkeypatch):
+    docs = small_corpus(n=4)
+
+    class PoisonedParser(JointParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.scorer.w[2].data[0, 0] = np.nan
+
+    monkeypatch.setattr(train_module, "JointParser", PoisonedParser)
+    first = docs[np.random.default_rng(0).permutation(len(docs))[0]]
+    with pytest.raises(FloatingPointError, match=f"epoch 1, document '{first.id}'"):
+        train_joint(tiny_config(), docs, [])
 
 
 def test_training_is_deterministic():

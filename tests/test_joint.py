@@ -1,5 +1,7 @@
 """Joint head/label scoring, normalization, loss, greedy decode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from proptree import nn
 from proptree.data import PART_OF, SEGMENT, SKIP, TokenHeadAssignment
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import (
+    N_LABELS,
     JointDistribution,
     JointParser,
     LabelScorer,
@@ -14,6 +17,8 @@ from proptree.joint import (
     loss_from_rows,
     rows_to_distribution,
 )
+from proptree.mst import is_tree, repair
+from proptree.train import JointRunner
 
 from helpers import finite_difference, max_rel_err
 
@@ -39,7 +44,7 @@ def score_formula(scorer, h_j, h_i, k):
 
 def test_score_matrix_matches_per_triple_scores():
     scorer, states = scorer_and_states()
-    full = scorer.score_matrix(nn.Tensor(states)).data
+    full = scorer.score_matrix(nn.Tensor(states), nn.Tensor(states)).data
     assert full.shape == (4, 4, 4)
     for i in range(4):
         for j in range(4):
@@ -51,7 +56,7 @@ def test_score_matrix_matches_per_triple_scores():
 def test_score_triple_matches_formula():
     scorer, states = scorer_and_states()
     h_j, h_i = states[1], states[2]
-    full = scorer.score_matrix(nn.Tensor(states)).data
+    full = scorer.score_matrix(nn.Tensor(states), nn.Tensor(states)).data
     for k in range(4):
         assert full[2, 1, k] == pytest.approx(score_formula(scorer, h_j, h_i, k))
 
@@ -60,7 +65,7 @@ def test_distribution_rows_normalize():
     scorer, states = scorer_and_states(positions=5)
     rows = distribution_rows(scorer, nn.Tensor(states))
     assert rows.shape == (4, 20)
-    assert np.allclose(rows.data.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(nn.softmax(rows, axis=1).data.sum(axis=1), 1.0, atol=1e-12)
     dist = rows_to_distribution(rows)
     assert dist.n == 4
     assert np.all(dist.p[0] == 0.0)
@@ -168,3 +173,94 @@ def test_parser_named_params_cover_everything():
     named = parser.params_named()
     assert set(map(id, named.values())) == set(map(id, parser.params_named().values()))
     assert "enc.l0.fwd.wx" in named and "att.w_bil" in named and "scorer.v3" in named
+
+
+def reference_distribution(scorer, states):
+    """P[i][j][k] from the composed expression: every row scored with
+    tanh(dep + head + b) @ v per label, the root row dropped, then softmax."""
+    m_pos = states.shape[0]
+    scores = np.stack([
+        np.tanh((states @ scorer.w[k].data.T)[:, None, :]
+                + (states @ scorer.u[k].data.T)[None, :, :] + scorer.b[k].data)
+        @ scorer.v[k].data
+        for k in range(N_LABELS)
+    ], axis=2)
+    rows = scores[1:].reshape(m_pos - 1, -1)
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    p = np.zeros((m_pos, m_pos, N_LABELS))
+    p[1:] = (e / e.sum(axis=1, keepdims=True)).reshape(m_pos - 1, m_pos, N_LABELS)
+    return JointDistribution(p)
+
+
+@pytest.mark.parametrize("m_pos", [2, 3, 17, 40, 211])
+def test_distribution_matches_composed_reference(m_pos):
+    scorer = LabelScorer(12, 5, np.random.default_rng(0))
+    for b in scorer.b:
+        b.data[:] = np.random.default_rng(1).normal(size=5)
+    states = np.random.default_rng(m_pos).normal(size=(m_pos, 12))
+    got = rows_to_distribution(distribution_rows(scorer, nn.Tensor(states))).p
+    assert np.max(np.abs(got - reference_distribution(scorer, states).p)) <= 1e-12
+
+
+@pytest.mark.parametrize("tokens", [["villa"], ["never", "seen", "these", "words"]])
+def test_predict_doc_matches_composed_reference_on_edge_documents(tokens):
+    # a one-token document, and one made only of unknown tokens
+    table = EmbeddingTable.random(["villa", "garden"], 4, seed=0)
+    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=2), table)
+    model = runner.model
+    ref = reference_distribution(model.scorer, model.encoder.encode(tokens).data)
+    assert np.max(np.abs(model.distribution(tokens).p - ref.p)) <= 1e-12
+    greedy = ref.greedy()
+    assert runner.predict_doc(tokens) == (repair(ref, greedy), is_tree(greedy))
+
+
+def test_training_stays_finite_under_extreme_scores():
+    # saturated tanh and v0 = +-1e4 make label 0 dominate or vanish: gold
+    # probabilities underflow, and the gradient 1/p of log(softmax) overflows
+    table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
+    parser = JointParser(table, d=4, l=3, dropout=0.0, seed=1)
+    parser.scorer.u[0].data *= 1e3
+    parser.scorer.v[0].data[:] = [1e4, -1e4, 1e4]
+    tokens = ["a", "c", "b", "a"]
+    gold = TokenHeadAssignment([0, 1, 1, 3], [PART_OF, SEGMENT, PART_OF, SKIP])
+    probs = nn.softmax(parser.forward_rows(tokens), axis=1).data
+    assert np.any(probs[np.arange(4), [g * N_LABELS + k for g, k in
+                                       zip(gold.heads, gold.labels)]] < 1e-308)
+    params = list(parser.params_named().values())
+    opt = nn.Adam(params, lr=0.01)
+    for _ in range(3):
+        opt.zero_grad()
+        with nn.Tape() as tape:
+            loss = parser.loss(tokens, gold, train=False)
+        tape.backward(loss)
+        assert np.isfinite(loss.item()) and loss.item() > 100.0
+        assert all(np.all(np.isfinite(p.grad)) for p in params)
+        opt.step()
+    assert all(np.all(np.isfinite(p.data)) for p in params)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_scorer_memory_at_longest_benchmark_document(taped):
+    # 211 positions (210 tokens and the root) at the benchmark's d=64, l=32
+    m_pos, width, l = 211, 128, 32
+    scorer = LabelScorer(width, l, np.random.default_rng(0))
+    states = nn.Tensor(np.random.default_rng(1).normal(size=(m_pos, width)))
+    gold = TokenHeadAssignment([0] * (m_pos - 1), [PART_OF] * (m_pos - 1))
+    pair_tensor = (m_pos - 1) * m_pos * l * 8  # bytes of one (M-1, M, l) array
+    tracemalloc.start()
+    try:
+        if taped:
+            with nn.Tape() as tape:
+                loss = loss_from_rows(distribution_rows(scorer, states), gold)
+            tape.backward(loss)
+        else:
+            distribution_rows(scorer, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if taped:
+        # the four kept tanh arrays, plus less than one more of their size
+        assert peak < (N_LABELS + 1) * pair_tensor
+    else:
+        # row blocks only: never one whole pair tensor
+        assert peak < pair_tensor / 2

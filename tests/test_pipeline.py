@@ -35,7 +35,7 @@ from proptree.pipeline.predict import (
 from proptree.oracle import arborescence_log_z_and_marginals
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import crf_enumerate, finite_difference, max_rel_err
+from helpers import crf_enumerate, entity_by_id, finite_difference, max_rel_err
 
 
 def toy_docs():
@@ -349,7 +349,7 @@ def test_pipeline_predict_with_oracle_stages():
         # parent anchors line up entity by entity
         for e in pred.entities:
             child_a = e.main_mention().anchor
-            have = 0 if e.parent == "ROOT" else pred.entity_by_id(e.parent).main_mention().anchor
+            have = 0 if e.parent == "ROOT" else entity_by_id(pred, e.parent).main_mention().anchor
             assert have == anchor_parent[child_a]
 
 
