@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .attention import VARIANTS
-from .corpus import get_importer, list_importers, read_corpus, split_corpus, write_corpus
+from .corpus import read_corpus, split_corpus, write_corpus
 from .data import Document, TokenHeadAssignment, encode_tree_to_heads
 from .embeddings import load_embeddings
 from .mst import is_tree
@@ -29,11 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="import a dataset into canonical JSONL")
+    p = sub.add_parser("convert", help="validate a JSONL corpus and rewrite it canonically")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--from", dest="importer", default="jsonl",
-                   help=f"input format ({', '.join(list_importers())})")
 
     p = sub.add_parser("generate", help="write a synthetic corpus")
     p.add_argument("--out", required=True)
@@ -101,7 +99,7 @@ def _read_overrides(path: str | None) -> dict[str, str]:
 
 
 def cmd_convert(args) -> int:
-    docs = get_importer(args.importer)(args.input)
+    docs = read_corpus(args.input)
     write_corpus(args.output, docs)
     print(f"wrote {len(docs)} documents to {args.output}")
     return 0

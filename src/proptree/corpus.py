@@ -1,4 +1,4 @@
-"""Corpus serialization (JSONL), deterministic splitting, and import hooks.
+"""Corpus serialization (JSONL) and deterministic splitting.
 
 One document per line:
 
@@ -6,15 +6,13 @@ One document per line:
      "entities": [{"id": "T1", "type": "space",
                    "mentions": [{"start": 1, "end": 3}], "parent": "ROOT"}]}
 
-Token indices are 1-based and spans are half-open.  Other formats plug in via
-``register_importer``; an importer maps a file path to a list of documents.
+Token indices are 1-based and spans are half-open.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -115,26 +113,3 @@ def split_corpus(docs: list[Document], seed: int,
         shuffled[n_train:n_train + n_dev],
         shuffled[n_train + n_dev:],
     )
-
-
-Importer = Callable[[str], list[Document]]
-_IMPORTERS: dict[str, Importer] = {}
-
-
-def register_importer(name: str, fn: Importer) -> None:
-    """Expose a reader for an external annotation format under ``name``."""
-    _IMPORTERS[name] = fn
-
-
-def get_importer(name: str) -> Importer:
-    try:
-        return _IMPORTERS[name]
-    except KeyError:
-        raise KeyError(f"no importer {name!r}; known: {sorted(_IMPORTERS)}") from None
-
-
-def list_importers() -> list[str]:
-    return sorted(_IMPORTERS)
-
-
-register_importer("jsonl", lambda path: read_corpus(path))

@@ -5,12 +5,15 @@ Both score candidate parent->child arcs between detected entities (plus the
 root as parent) with sparse hand-built features.  LTM treats every pair as
 an independent binary decision; MTT normalizes over all spanning
 arborescences of the entity graph, with the partition function computed as
-a Laplacian minor determinant and marginals from its inverse.
+a Laplacian minor determinant and marginals from its inverse.  Training
+and prediction read each document's arc features from one ``ArcFeatures``
+table, built without per-arc strings.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +21,11 @@ from ..data import Document, Entity
 from ..nn import Adam, Module, Tensor
 
 ROOT_TOKEN = "<root>"
+
+
+def arc_grid(t: int) -> np.ndarray:
+    """``grid[m - 1, h]`` is True where h -> m is a candidate arc over nodes 0..t."""
+    return ~np.eye(t, t + 1, k=1, dtype=bool)
 
 
 def candidate_arcs(entities: Sequence[Entity]
@@ -31,11 +39,9 @@ def candidate_arcs(entities: Sequence[Entity]
     rule on the arc matrix, the greedy tie rule: the root beats every tied
     head and the smaller head beats a larger one.
     """
-    for m, child in enumerate(entities, start=1):
-        yield 0, m, None, child
-        for h, parent in enumerate(entities, start=1):
-            if h != m:
-                yield h, m, parent, child
+    nodes = [None, *entities]
+    for m, h in zip(*np.nonzero(arc_grid(len(entities)))):
+        yield int(h), int(m) + 1, nodes[h], nodes[m + 1]
 
 
 def _bucket(n: int) -> str:
@@ -74,6 +80,78 @@ def extract_edge_features(parent: Entity | None, child: Entity, tokens: list[str
     return feats
 
 
+class ArcFeatures(NamedTuple):
+    """One document's candidate arcs, ``heads[i] -> children[i]`` in
+    ``candidate_arcs`` order; arc i's known feature ids, in
+    ``extract_edge_features`` order, are ``ids[offsets[i]:offsets[i + 1]]``."""
+
+    heads: np.ndarray
+    children: np.ndarray
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        """(t+1, t+1) [head, child] matrix of summed arc weights, -inf off the arcs."""
+        t = math.isqrt(len(self.heads))  # t entities have t * t candidate arcs
+        # The 0 keeps every start in range; a featureless arc's sum is zeroed.
+        sums = np.add.reduceat(np.r_[w[self.ids], 0.0], self.offsets[:-1])
+        out = np.full((t + 1, t + 1), -np.inf)
+        out[self.heads, self.children] = np.where(np.diff(self.offsets) > 0, sums, 0.0)
+        return out
+
+
+def arc_features(entities: Sequence[Entity], tokens: list[str],
+                 feature_index: dict[str, int]) -> ArcFeatures:
+    """``extract_edge_features`` of every candidate arc, as known feature ids.
+
+    Strings are looked up per entity, per type pair and per distinct token,
+    never per arc.  A span's ``btw=`` features are its distinct tokens: with
+    ``prefix[k]`` counting each (sorted) token in ``tokens[:k]``, the span
+    ``[lo, hi)`` holds those with ``prefix[hi] > prefix[lo]``.
+    """
+    def lookup(names) -> np.ndarray:
+        return np.array([feature_index.get(f, -1) for f in names], dtype=np.int64)
+
+    t = len(entities)
+    start, end = np.array([(e.main_mention().start, e.main_mention().end)
+                           for e in entities], dtype=np.int64).reshape(t, 2).T
+    anchor_tok = [tokens[e - 2] for e in end]  # the anchor is end - 1, 1-based
+    kinds = list(dict.fromkeys(e.type for e in entities))
+    kind = np.array([kinds.index(e.type) for e in entities], dtype=np.int64)
+    vocab = [tok for tok in sorted(set(tokens)) if f"btw={tok}" in feature_index]
+    column = {tok: i for i, tok in enumerate(vocab)}
+    # Column -1 collects the tokens without a btw= feature; row 0 stays zero.
+    prefix = np.zeros((len(tokens) + 1, len(vocab) + 1), dtype=np.int32)
+    prefix[np.arange(1, len(tokens) + 1), [column.get(tok, -1) for tok in tokens]] = 1
+    prefix = prefix.cumsum(axis=0)[:, :-1]
+
+    # Grids are [child - 1, head]; head 0 is the root, whose own slots follow.
+    node_kind, p_start, p_end = np.r_[0, kind + 1], np.r_[0, start], np.r_[0, end]
+    cs, ce = start[:, None], end[:, None]
+    case = np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2))
+    lo = np.choose(case, (p_end - 1, ce - 1, 0))
+    hi = np.choose(case, (cs - 1, p_start - 1, 0))
+    grid = np.empty((t, t + 1, 9 + len(vocab)), dtype=np.int32)
+    grid[..., 0] = feature_index.get("bias", -1)
+    grid[..., 1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[:, None]
+    grid[..., 2] = lookup(f"c_type={k}" for k in kinds)[kind, None]
+    grid[..., 3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))
+    grid[..., 4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[node_kind]
+    grid[..., 5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
+                          ).reshape(len(kinds) + 1, len(kinds))[node_kind, kind[:, None]]
+    grid[..., 6] = lookup(["order=parent-first", "order=child-first", "order=overlap"])[case]
+    grid[..., 7] = lookup(f"dist={_bucket(n)}" for n in range(8))[np.minimum(abs(p_end - ce), 7)]
+    grid[..., 8] = lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)]
+    grid[..., 9:] = np.where(prefix[hi] > prefix[lo], lookup(f"btw={tok}" for tok in vocab), -1)
+    grid[:, 0, 6:] = -1
+    grid[:, 0, 6:8] = lookup(["dist=root", "order=root"])
+
+    children, heads = np.nonzero(arc_grid(t))
+    grid = grid[children, heads]
+    known = grid >= 0
+    return ArcFeatures(heads, children + 1, grid[known], np.r_[0, known.sum(axis=1).cumsum()])
+
+
 class _FeatureModel(Module):
     trainable = ("w",)
 
@@ -81,14 +159,9 @@ class _FeatureModel(Module):
         self.feature_index = dict(feature_index)
         self.w = Tensor(np.zeros(len(self.feature_index)), requires_grad=True)
 
-    def feature_ids(self, parent: Entity | None, child: Entity, tokens: list[str]) -> list[int]:
-        return [self.feature_index[f]
-                for f in extract_edge_features(parent, child, tokens)
-                if f in self.feature_index]
-
-    def raw_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
-        ids = self.feature_ids(parent, child, tokens)
-        return float(self.w.data[ids].sum())
+    def arc_matrix(self, entities: Sequence[Entity], tokens: list[str]) -> np.ndarray:
+        """(t+1, t+1) [head, child] weights of the candidate arcs, -inf elsewhere."""
+        return arc_features(entities, tokens, self.feature_index).scores(self.w.data)
 
 
 class LtmModel(_FeatureModel):
@@ -101,14 +174,11 @@ class LtmModel(_FeatureModel):
         # Single-class training degenerates to a constant prior probability.
         self.constant_p = constant_p
 
-    def probability(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
-        if self.constant_p is not None:
-            return self.constant_p
-        return float(1.0 / (1.0 + np.exp(-self.raw_score(parent, child, tokens))))
-
-    def arc_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
-        """log-probability weight for the spanning-tree stage."""
-        return float(np.log(max(self.probability(parent, child, tokens), 1e-300)))
+    def arc_matrix(self, entities: Sequence[Entity], tokens: list[str]) -> np.ndarray:
+        """Log-probability weights for the spanning-tree stage, -inf off the arcs."""
+        z = super().arc_matrix(entities, tokens)
+        p = self.constant_p if self.constant_p is not None else 1.0 / (1.0 + np.exp(-z))
+        return np.where(z > -np.inf, np.log(np.maximum(p, 1e-300)), -np.inf)
 
 
 class MttModel(_FeatureModel):
@@ -117,7 +187,11 @@ class MttModel(_FeatureModel):
     kind = "mtt"
 
     def arc_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
-        return self.raw_score(parent, child, tokens)
+        """One arc's log-potential from its feature strings: the per-arc
+        reference that ``arc_matrix`` matches.  Prediction does not call it."""
+        ids = [self.feature_index[f] for f in extract_edge_features(parent, child, tokens)
+               if f in self.feature_index]
+        return float(self.w.data[ids].sum())
 
 
 def mtt_log_partition_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -174,14 +248,6 @@ def _reachable_from_root(arcs: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _gold_parent_nodes(doc: Document) -> tuple[list[Entity], list[int]]:
-    """Entities in document order plus each one's gold parent node index."""
-    entities = doc.entities
-    index = {e.id: i + 1 for i, e in enumerate(entities)}
-    parents = [0 if e.parent not in index else index[e.parent] for e in entities]
-    return entities, parents
-
-
 def edge_feature_index(docs: list[Document]) -> dict[str, int]:
     feats = set()
     for doc in docs:
@@ -190,68 +256,66 @@ def edge_feature_index(docs: list[Document]) -> dict[str, int]:
     return {f: i for i, f in enumerate(sorted(feats))}
 
 
+def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
+    """The corpus's feature index, and per document with entities its arc
+    table and whether each arc is gold."""
+    index = edge_feature_index(docs)
+    cases = []
+    for doc in (d for d in docs if d.entities):
+        node = {e.id: i for i, e in enumerate(doc.entities, start=1)}
+        parents = np.array([node.get(e.parent, 0) for e in doc.entities])
+        table = arc_features(doc.entities, doc.tokens, index)
+        cases.append((table, table.heads == parents[table.children - 1]))
+    return index, cases
+
+
+def _fit(model: _FeatureModel, cases: list, add_grad, c: float, epochs: int,
+         lr: float, seed: int) -> _FeatureModel:
+    """Adam on the L2-regularized loss, one case at a time in a fresh random
+    order each epoch; ``add_grad(*case)`` adds a case's loss gradient."""
+    reg = (1.0 / c) / len(cases)
+    opt = Adam(model.params_named().values(), lr=lr)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for idx in rng.permutation(len(cases)):
+            opt.zero_grad()
+            model.w.grad += reg * model.w.data
+            add_grad(*cases[idx])
+            opt.step()
+    return model
+
+
 def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> LtmModel:
     """L2-regularized logistic regression over all ordered entity pairs."""
-    model = LtmModel(edge_feature_index(docs))
-    pairs: list[tuple[list[int], int]] = []
-    for doc in docs:
-        entities, parents = _gold_parent_nodes(doc)
-        for h, m, parent, child in candidate_arcs(entities):
-            ids = model.feature_ids(parent, child, doc.tokens)
-            pairs.append((ids, int(parents[m - 1] == h)))
+    index, cases = _training_cases(docs)
+    pairs = [(ids, int(y)) for table, gold in cases
+             for ids, y in zip(np.split(table.ids, table.offsets[1:-1]), gold)]
     if not pairs:
         raise ValueError("no candidate entity pairs in the training corpus")
     labels = {y for _, y in pairs}
     if len(labels) == 1:
-        return LtmModel(model.feature_index, constant_p=float(labels.pop()))
+        return LtmModel(index, constant_p=float(labels.pop()))
+    model = LtmModel(index)
 
-    lam = 1.0 / c
-    reg = lam / len(pairs)
-    opt = Adam(model.params_named().values(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        for idx in rng.permutation(len(pairs)):
-            ids, y = pairs[idx]
-            z = model.w.data[ids].sum()
-            p = 1.0 / (1.0 + np.exp(-z))
-            opt.zero_grad()
-            model.w.grad += reg * model.w.data
-            np.add.at(model.w.grad, ids, p - y)
-            opt.step()
-    return model
+    def add_grad(ids: np.ndarray, y: int) -> None:
+        p = 1.0 / (1.0 + np.exp(-model.w.data[ids].sum()))
+        np.add.at(model.w.grad, ids, p - y)
+
+    return _fit(model, pairs, add_grad, c, epochs, lr, seed)
 
 
 def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> MttModel:
     """Gradient training of the arborescence log-likelihood per document."""
-    model = MttModel(edge_feature_index(docs))
-    cases = []
-    for doc in docs:
-        entities, parents = _gold_parent_nodes(doc)
-        if not entities:
-            continue
-        ids = {(h, m): model.feature_ids(parent, child, doc.tokens)
-               for h, m, parent, child in candidate_arcs(entities)}
-        cases.append((len(entities), ids, parents))
+    index, cases = _training_cases(docs)
     if not cases:
         raise ValueError("no documents with entities in the training corpus")
+    model = MttModel(index)
 
-    lam = 1.0 / c
-    reg = lam / len(cases)
-    opt = Adam(model.params_named().values(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        for idx in rng.permutation(len(cases)):
-            t, ids, parents = cases[idx]
-            theta = np.full((t + 1, t + 1), -np.inf)
-            for (h, m), fid in ids.items():
-                theta[h][m] = model.w.data[fid].sum()
-            _, marg = mtt_log_partition_and_marginals(theta)
-            opt.zero_grad()
-            model.w.grad += reg * model.w.data
-            for (h, m), fid in ids.items():
-                coeff = marg[h][m] - (1.0 if parents[m - 1] == h else 0.0)
-                np.add.at(model.w.grad, fid, coeff)
-            opt.step()
-    return model
+    def add_grad(table: ArcFeatures, gold: np.ndarray) -> None:
+        _, marg = mtt_log_partition_and_marginals(table.scores(model.w.data))
+        coeff = marg[table.heads, table.children] - gold
+        np.add.at(model.w.grad, table.ids, np.repeat(coeff, np.diff(table.offsets)))
+
+    return _fit(model, cases, add_grad, c, epochs, lr, seed)

@@ -1,9 +1,10 @@
 """End-to-end pipeline inference: tag, build candidates, attach, enforce tree.
 
-Stages are injectable callables so oracle tags or oracle scores can replace
-trained models in tests.  Every detected mention becomes its own candidate
-entity; the edge stage picks each one's parent; Chu-Liu-Edmonds guarantees
-the result is a tree.
+Stages are injectable callables so oracle tags or an oracle arc matrix can
+replace trained models in tests.  Every detected mention becomes its own
+candidate entity; the edge stage weighs every candidate arc once, in one
+matrix; greedy heads and Chu-Liu-Edmonds, which guarantees a tree, both
+read that matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import numpy as np
 
 from ..data import Document, Entity, Mention, ROOT_ID, bio_decode_spans, first_cycle_node
 from ..mst import WeightedDigraph, chu_liu_edmonds
-from .edge_models import candidate_arcs
 
 Tagger = Callable[[list[str]], list[str]]
-ArcScorer = Callable[[Entity | None, Entity, list[str]], float]
+# (entities, tokens) -> (t+1, t+1) [head, child] arc weights, -inf off the
+# candidate arcs; node 0 is the root and node i is entities[i - 1].
+ArcMatrix = Callable[[Sequence[Entity], list[str]], np.ndarray]
 
 
 def entities_from_tags(tags: list[str]) -> list[Entity]:
@@ -29,20 +31,15 @@ def entities_from_tags(tags: list[str]) -> list[Entity]:
 
 
 def entity_graph(entities: Sequence[Entity], tokens: list[str],
-                 arc_score: ArcScorer) -> WeightedDigraph:
+                 arc_matrix: ArcMatrix) -> WeightedDigraph:
     """Dense arc weights over the root (node 0) and the entities (nodes 1..t)."""
-    k = len(entities) + 1
-    weights = np.full((k, k), -np.inf)
-    for h, m, parent, child in candidate_arcs(entities):
-        weights[h, m] = arc_score(parent, child, tokens)
-    return WeightedDigraph(list(range(k)), weights)
+    return WeightedDigraph(list(range(len(entities) + 1)), arc_matrix(entities, tokens))
 
 
-def greedy_entity_parents(entities: Sequence[Entity], tokens: list[str],
-                          arc_score: ArcScorer) -> list[int]:
+def greedy_entity_parents(weights: np.ndarray) -> list[int]:
     """Independent best head per entity (0 = root): the first maximum of each
     column, so the root wins ties and otherwise the smaller head does."""
-    return entity_graph(entities, tokens, arc_score).weights[:, 1:].argmax(axis=0).tolist()
+    return weights[:, 1:].argmax(axis=0).tolist()
 
 
 def parents_form_tree(parents: list[int]) -> bool:
@@ -51,17 +48,16 @@ def parents_form_tree(parents: list[int]) -> bool:
 
 
 def pipeline_predict(doc_id: str, tokens: list[str], tagger: Tagger,
-                     arc_score: ArcScorer) -> tuple[Document, bool]:
+                     arc_matrix: ArcMatrix) -> tuple[Document, bool]:
     """Predict a document tree; also report whether the greedy attachment
     already formed a tree before enforcement."""
     entities = entities_from_tags(tagger(tokens))
     if not entities:
         return Document(doc_id, list(tokens), []), True
 
-    greedy = greedy_entity_parents(entities, tokens, arc_score)
-    was_tree = parents_form_tree(greedy)
-
-    parent_of = chu_liu_edmonds(entity_graph(entities, tokens, arc_score))
+    graph = entity_graph(entities, tokens, arc_matrix)
+    was_tree = parents_form_tree(greedy_entity_parents(graph.weights))
+    parent_of = chu_liu_edmonds(graph)
     for m, entity in enumerate(entities, start=1):
         head = parent_of[m]
         entity.parent = ROOT_ID if head == 0 else entities[head - 1].id

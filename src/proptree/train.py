@@ -166,7 +166,7 @@ class PipelineRunner(Runner):
     def predict_doc(self, tokens: list[str], doc_id: str = "doc"
                     ) -> tuple[TokenHeadAssignment, bool]:
         tree, was_tree = pipeline_predict(doc_id, tokens, self.crf.tag,
-                                          self.edge_model.arc_score)
+                                          self.edge_model.arc_matrix)
         return encode_tree_to_heads(tree), was_tree
 
     def save(self, path: str | Path) -> None:

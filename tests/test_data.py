@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proptree.corpus import (
     doc_from_json,
     doc_to_json,
-    get_importer,
-    list_importers,
     read_corpus,
     split_corpus,
     write_corpus,
@@ -137,6 +137,42 @@ def test_roundtrip_on_generated_corpus():
         assert structure_signature(back) == structure_signature(doc)
 
 
+@st.composite
+def forests(draw):
+    """Disjoint mentions grouped into entities (a later mention may repeat an
+    earlier entity) under random parent links that never form a cycle."""
+    n = draw(st.integers(1, 14))
+    spans, pos = [], 1
+    while pos <= n:
+        length = draw(st.integers(0, min(3, n + 1 - pos)))
+        if length:
+            spans.append(Mention(pos, pos + length))
+        pos += max(length, 1)
+    groups: list[list[Mention]] = []
+    for span in spans:
+        k = draw(st.integers(0, 2 * len(groups)))
+        if k < len(groups):
+            groups[k].append(span)
+        else:
+            groups.append([span])
+    order = draw(st.permutations(range(len(groups))))
+    entities = [None] * len(groups)
+    for rank, g in enumerate(order):
+        above = draw(st.integers(-1, rank - 1))
+        parent = "ROOT" if above < 0 else f"E{order[above]}"
+        entities[g] = Entity(f"E{g}", "t", groups[g], parent)
+    return Document("d", [f"w{i}" for i in range(n)], entities)
+
+
+@given(forests())
+def test_decode_inverts_encode_on_random_forests(doc):
+    enc = encode_tree_to_heads(doc)
+    enc.validate_gold()
+    back = decode_heads_to_tree(enc, doc.tokens, doc_id=doc.id)
+    assert structure_signature(back) == structure_signature(doc)
+    assert encode_tree_to_heads(back) == enc
+
+
 def test_decode_rejects_gapped_segment_span():
     # tokens 1 and 3 both attach to anchor 4 but token 2 does not
     bad = TokenHeadAssignment([4, 2, 4, 0], [SEGMENT, SKIP, SEGMENT, PART_OF])
@@ -228,13 +264,6 @@ def test_split_corpus_partitions_without_overlap():
     # same seed reproduces the same split
     again = split_corpus(docs, seed=3, dev_frac=0.2, test_frac=0.2)
     assert [d.id for d in again[0]] == [d.id for d in train]
-
-
-def test_importer_registry():
-    assert "jsonl" in list_importers()
-    assert callable(get_importer("jsonl"))
-    with pytest.raises(KeyError):
-        get_importer("nope")
 
 
 def test_generator_hits_nonprojective_rate():

@@ -11,7 +11,7 @@ import pytest
 from proptree import cli
 from proptree import train as train_module
 from proptree.corpus import read_corpus, write_corpus
-from proptree.data import EQUIVALENT, PART_OF, SEGMENT
+from proptree.data import EQUIVALENT, PART_OF, SEGMENT, SKIP, decode_heads_to_tree
 from proptree.embeddings import (
     EmbeddingTable,
     load_embeddings,
@@ -20,6 +20,7 @@ from proptree.embeddings import (
 )
 from proptree.joint import JointParser
 from proptree.metrics import Counts, MetricsReport
+from proptree.mst import is_tree
 from proptree.nn import load_checkpoint, save_checkpoint
 from proptree.synthetic import SyntheticConfig, generate_corpus
 from proptree.train import (
@@ -186,6 +187,33 @@ def test_pipeline_checkpoint_roundtrip(tmp_path, kind):
         assert np.array_equal(named[name].data, named2[name].data), name
     for doc in docs[:3]:
         assert runner.predict_doc(doc.tokens, doc.id) == loaded.predict_doc(doc.tokens, doc.id)
+
+
+def force_all_skip(runner):
+    """Weights under which every token is predicted skip."""
+    if runner.kind == "joint":
+        runner.model.scorer.v[SKIP].data[:] = 10.0
+        runner.model.scorer.b[SKIP].data[:] = 10.0
+    else:
+        crf = runner.crf
+        crf.w_emit.data[:] = crf.w_trans.data[:] = 0.0
+        crf.w_emit.data[crf.feature_index["bias"], crf.tag_index["O"]] = 10.0
+
+
+@pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt"])
+def test_predict_doc_on_edge_documents(kind):
+    docs = small_corpus(n=6)
+    runner, _ = train_model(tiny_config(model=kind), docs, [])
+    # one token, only tokens never seen in training, and a training ad
+    for tokens in (["villa"], ["qqq", "zzz", "qqq"], docs[0].tokens):
+        assignment, _ = runner.predict_doc(tokens)
+        assert assignment.n == len(tokens) and is_tree(assignment)
+    force_all_skip(runner)
+    for tokens in (["villa"], docs[0].tokens):
+        assignment, _ = runner.predict_doc(tokens)
+        assert assignment.labels == [SKIP] * len(tokens)
+        assert assignment.heads == list(range(1, len(tokens) + 1))
+        assert decode_heads_to_tree(assignment, tokens).entities == []
 
 
 ENCODER_L0 = {f"enc.l0.{d}.{p}" for d in ("fwd", "bwd") for p in ("wx", "wh", "b")}
@@ -399,7 +427,7 @@ def test_cli_convert_roundtrip(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     write_corpus(src, docs)
     dst = tmp_path / "out.jsonl"
-    assert run_cli(["convert", src, dst, "--from", "jsonl"]) == 0
+    assert run_cli(["convert", src, dst]) == 0
     assert read_corpus(dst) == docs
     capsys.readouterr()
 

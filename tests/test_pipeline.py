@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from proptree.data import Document, Entity, Mention, bio_encode
@@ -17,6 +17,7 @@ from proptree.pipeline.crf import (
 from proptree.pipeline.edge_models import (
     LtmModel,
     MttModel,
+    arc_features,
     candidate_arcs,
     edge_feature_index,
     extract_edge_features,
@@ -155,19 +156,80 @@ def test_edge_feature_contents():
     assert extract_edge_features(e1, e2, tokens) == extract_edge_features(e1, e2, tokens)
 
 
+def arc_layout(tokens, entities, drop, seed, constant_p):
+    """A layout plus an index lacking about ``drop`` of its features (and
+    holding two it never uses), random weights, and LTM's ``constant_p``."""
+    rng = np.random.default_rng(seed)
+    full = sorted(edge_feature_index([Document("d", tokens, entities)]))
+    names = [f for f in full if rng.random() >= drop] + ["btw=zz", "c_tok=zz"]
+    index = {f: i for i, f in enumerate(rng.permutation(names).tolist())}
+    return tokens, entities, index, rng.normal(size=len(index)) * 3.0, constant_p, rng
+
+
+@st.composite
+def arc_layouts(draw):
+    """Entities over a few repeated tokens, with overlapping and multi-mention
+    spans."""
+    n = draw(st.integers(1, 12))
+    tokens = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+    spans = st.tuples(st.integers(1, n), st.integers(1, 3)).map(
+        lambda sl: Mention(sl[0], min(sl[0] + sl[1], n + 1)))
+    entities = [Entity(f"E{i}", draw(st.sampled_from(["x", "y", None])),
+                       draw(st.lists(spans, min_size=1, max_size=2)))
+                for i in range(draw(st.integers(1, 5)))]
+    return arc_layout(tokens, entities, draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+                      draw(st.integers(0, 2**32 - 1)),
+                      draw(st.sampled_from([None, None, 0.0, 0.25, 1.0])))
+
+
+# "a" and "b" each twice between E1 and E2; E3 overlaps E2.
+REPEATS = arc_layout(["x", "a", "b", "a", "b", "y", "a"],
+                     [Entity("E1", "x", [Mention(1, 2)]), Entity("E2", "y", [Mention(6, 8)]),
+                      Entity("E3", "x", [Mention(7, 8)])], 0.2, 3, None)
+
+
+@example(REPEATS)
+@given(arc_layouts())
+def test_arc_table_matches_the_string_features(layout):
+    tokens, entities, index, w, constant_p, rng = layout
+    table = arc_features(entities, tokens, index)
+    mtt, ltm = MttModel(index), LtmModel(index, constant_p)
+    mtt.w.data[:] = ltm.w.data[:] = w
+    theta, log_p = mtt.arc_matrix(entities, tokens), ltm.arc_matrix(entities, tokens)
+    t = len(entities)
+    assert np.isfinite(theta).sum() == np.isfinite(log_p).sum() == t * t
+
+    coeff = rng.normal(size=t * t)
+    loop_grad = np.zeros(len(w))
+    for i, (h, m, parent, child) in enumerate(candidate_arcs(entities)):
+        ids = [index[f] for f in extract_edge_features(parent, child, tokens) if f in index]
+        assert (table.heads[i], table.children[i]) == (h, m)
+        assert table.ids[table.offsets[i]:table.offsets[i + 1]].tolist() == ids
+        z = w[ids].sum()
+        assert abs(theta[h, m] - z) <= 1e-12
+        assert abs(theta[h, m] - mtt.arc_score(parent, child, tokens)) <= 1e-12
+        p = constant_p if constant_p is not None else 1.0 / (1.0 + np.exp(-z))
+        assert abs(log_p[h, m] - np.log(max(p, 1e-300))) <= 1e-12
+        np.add.at(loop_grad, ids, coeff[i])
+    table_grad = np.zeros(len(w))
+    np.add.at(table_grad, table.ids, np.repeat(coeff, np.diff(table.offsets)))
+    assert np.array_equal(table_grad, loop_grad)
+
+
 def test_ltm_probability_and_fallback():
     tokens, (e1, e2, _) = sample_entities()
     index = edge_feature_index([Document("d", tokens, [e1, e2])])
     model = LtmModel(index)
     model.w.data[:] = 0.0
-    assert model.probability(e1, e2, tokens) == pytest.approx(0.5)
-    assert model.arc_score(e1, e2, tokens) == pytest.approx(np.log(0.5))
+    weights = model.arc_matrix([e1, e2], tokens)
+    assert np.exp(weights[1, 2]) == pytest.approx(0.5)
+    assert weights[1, 2] == pytest.approx(np.log(0.5))
 
     # degenerate single-class training data falls back to a constant
     degenerate = [Document("d", ["a"], [Entity("E", "t", [Mention(1, 2)])])]
     fallback = train_ltm(degenerate, epochs=1)
     assert fallback.constant_p is not None
-    assert fallback.probability(None, degenerate[0].entities[0], ["a"]) > 0.5
+    assert np.exp(fallback.arc_matrix(degenerate[0].entities, ["a"])[0, 1]) > 0.5
 
 
 def test_ltm_learns_parent_preference():
@@ -176,7 +238,7 @@ def test_ltm_learns_parent_preference():
     correct = total = 0
     for doc in docs:
         ents = doc.entities
-        parents = greedy_entity_parents(ents, doc.tokens, model.arc_score)
+        parents = greedy_entity_parents(model.arc_matrix(ents, doc.tokens))
         index = {e.id: i + 1 for i, e in enumerate(ents)}
         gold = [index.get(e.parent, 0) for e in ents]
         correct += sum(g == p for g, p in zip(gold, parents))
@@ -265,7 +327,7 @@ def test_mtt_training_learns_attachments():
     correct = total = 0
     for doc in docs:
         ents = doc.entities
-        parent_map = chu_liu_edmonds(entity_graph(ents, doc.tokens, model.arc_score))
+        parent_map = chu_liu_edmonds(entity_graph(ents, doc.tokens, model.arc_matrix))
         index = {e.id: i + 1 for i, e in enumerate(ents)}
         gold = [index.get(e.parent, 0) for e in ents]
         tree = [parent_map[m] for m in range(1, len(ents) + 1)]
@@ -297,12 +359,8 @@ def test_greedy_parents_match_per_child_loop_on_ties():
     for _ in range(300):
         t = int(rng.integers(1, 7))
         scores = rng.integers(-2, 3, size=(t + 1, t + 1)).astype(float)
-        np.fill_diagonal(scores, 9.0)  # self-arcs are never candidates
+        np.fill_diagonal(scores, -np.inf)  # self-arcs are never candidates
         ents = entities_from_tags(["B-a"] * t)
-        node = {e.id: i for i, e in enumerate(ents, start=1)}
-
-        def arc_score(parent, child, _tokens):
-            return scores[0 if parent is None else node[parent.id], node[child.id]]
 
         want = []
         for m in range(1, t + 1):
@@ -315,7 +373,8 @@ def test_greedy_parents_match_per_child_loop_on_ties():
             root_ties += len(tied) > 1 and tied[0] == 0
             head_ties += len(tied) > 1 and tied[0] != 0
             want.append(best)
-        assert greedy_entity_parents(ents, ["x"] * t, arc_score) == want
+        graph = entity_graph(ents, ["x"] * t, lambda _ents, _tokens: scores)
+        assert greedy_entity_parents(graph.weights) == want
     assert root_ties > 50 and head_ties > 50
 
 
@@ -323,6 +382,17 @@ def test_parents_form_tree():
     assert parents_form_tree([0, 1, 1])
     assert not parents_form_tree([2, 1])
     assert parents_form_tree([])
+
+
+def matrix_of(arc_score):
+    """An arc-matrix callable from a per-arc ``arc_score(parent, child, tokens)``."""
+    def arc_matrix(entities, tokens):
+        weights = np.full((len(entities) + 1, len(entities) + 1), -np.inf)
+        for h, m, parent, child in candidate_arcs(entities):
+            weights[h, m] = arc_score(parent, child, tokens)
+        return weights
+
+    return arc_matrix
 
 
 def test_pipeline_predict_with_oracle_stages():
@@ -343,7 +413,7 @@ def test_pipeline_predict_with_oracle_stages():
             return 0.0 if want == have else -10.0
 
         pred, was_tree = pipeline_predict(doc.id, doc.tokens, lambda _: gold_tags,
-                                          oracle_score)
+                                          matrix_of(oracle_score))
         assert was_tree
         assert len(pred.entities) == len(doc.entities)
         # parent anchors line up entity by entity
@@ -355,5 +425,5 @@ def test_pipeline_predict_with_oracle_stages():
 
 def test_pipeline_predict_empty_tagging():
     pred, was_tree = pipeline_predict("d", ["a", "b"], lambda _: ["O", "O"],
-                                      lambda p, c, t: 0.0)
+                                      matrix_of(lambda p, c, t: 0.0))
     assert pred.entities == [] and was_tree
