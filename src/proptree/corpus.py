@@ -101,8 +101,10 @@ def split_corpus(docs: list[Document], seed: int,
     """Shuffle with ``seed`` and cut into train/dev/test.
 
     Dev and test sizes are floored; train takes the remainder, so small
-    corpora never lose documents to rounding.
+    corpora never lose documents to rounding.  No document is in two splits.
     """
+    if min(dev_frac, test_frac) < 0 or dev_frac + test_frac > 1:
+        raise ValueError("dev and test fractions must be non-negative and sum to at most 1")
     order = np.random.default_rng(seed).permutation(len(docs))
     shuffled = [docs[i] for i in order]
     n_dev = int(len(docs) * dev_frac)

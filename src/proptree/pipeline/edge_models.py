@@ -18,7 +18,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ..data import Document, Entity
-from ..nn import Adam, Module, Tensor
+from ..nn import Module, Tensor
+from .crf import FeatureTable, fit
 
 ROOT_TOKEN = "<root>"
 
@@ -82,21 +83,18 @@ def extract_edge_features(parent: Entity | None, child: Entity, tokens: list[str
 
 class ArcFeatures(NamedTuple):
     """One document's candidate arcs, ``heads[i] -> children[i]`` in
-    ``candidate_arcs`` order; arc i's known feature ids, in
-    ``extract_edge_features`` order, are ``ids[offsets[i]:offsets[i + 1]]``."""
+    ``candidate_arcs`` order; row i of ``feats`` holds arc i's known feature
+    ids in ``extract_edge_features`` order."""
 
     heads: np.ndarray
     children: np.ndarray
-    ids: np.ndarray
-    offsets: np.ndarray
+    feats: FeatureTable
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """(t+1, t+1) [head, child] matrix of summed arc weights, -inf off the arcs."""
         t = math.isqrt(len(self.heads))  # t entities have t * t candidate arcs
-        # The 0 keeps every start in range; a featureless arc's sum is zeroed.
-        sums = np.add.reduceat(np.r_[w[self.ids], 0.0], self.offsets[:-1])
         out = np.full((t + 1, t + 1), -np.inf)
-        out[self.heads, self.children] = np.where(np.diff(self.offsets) > 0, sums, 0.0)
+        out[self.heads, self.children] = self.feats.sums(w)
         return out
 
 
@@ -147,9 +145,7 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     grid[:, 0, 6:8] = lookup(["dist=root", "order=root"])
 
     children, heads = np.nonzero(arc_grid(t))
-    grid = grid[children, heads]
-    known = grid >= 0
-    return ArcFeatures(heads, children + 1, grid[known], np.r_[0, known.sum(axis=1).cumsum()])
+    return ArcFeatures(heads, children + 1, FeatureTable.from_grid(grid[children, heads]))
 
 
 class _FeatureModel(Module):
@@ -249,10 +245,8 @@ def _reachable_from_root(arcs: np.ndarray) -> np.ndarray:
 
 
 def edge_feature_index(docs: list[Document]) -> dict[str, int]:
-    feats = set()
-    for doc in docs:
-        for _, _, parent, child in candidate_arcs(doc.entities):
-            feats.update(extract_edge_features(parent, child, doc.tokens))
+    feats = {f for doc in docs for _, _, parent, child in candidate_arcs(doc.entities)
+             for f in extract_edge_features(parent, child, doc.tokens)}
     return {f: i for i, f in enumerate(sorted(feats))}
 
 
@@ -269,28 +263,12 @@ def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     return index, cases
 
 
-def _fit(model: _FeatureModel, cases: list, add_grad, c: float, epochs: int,
-         lr: float, seed: int) -> _FeatureModel:
-    """Adam on the L2-regularized loss, one case at a time in a fresh random
-    order each epoch; ``add_grad(*case)`` adds a case's loss gradient."""
-    reg = (1.0 / c) / len(cases)
-    opt = Adam(model.params_named().values(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        for idx in rng.permutation(len(cases)):
-            opt.zero_grad()
-            model.w.grad += reg * model.w.data
-            add_grad(*cases[idx])
-            opt.step()
-    return model
-
-
 def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> LtmModel:
     """L2-regularized logistic regression over all ordered entity pairs."""
     index, cases = _training_cases(docs)
-    pairs = [(ids, int(y)) for table, gold in cases
-             for ids, y in zip(np.split(table.ids, table.offsets[1:-1]), gold)]
+    pairs = [(ids, int(y)) for table, gold in cases for ids, y in zip(
+        np.split(table.feats.ids, np.searchsorted(table.feats.rows, range(1, len(gold)))), gold)]
     if not pairs:
         raise ValueError("no candidate entity pairs in the training corpus")
     labels = {y for _, y in pairs}
@@ -302,7 +280,7 @@ def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
         p = 1.0 / (1.0 + np.exp(-model.w.data[ids].sum()))
         np.add.at(model.w.grad, ids, p - y)
 
-    return _fit(model, pairs, add_grad, c, epochs, lr, seed)
+    return fit(model, pairs, add_grad, 1.0 / c, epochs, lr, seed)
 
 
 def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
@@ -315,7 +293,6 @@ def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
 
     def add_grad(table: ArcFeatures, gold: np.ndarray) -> None:
         _, marg = mtt_log_partition_and_marginals(table.scores(model.w.data))
-        coeff = marg[table.heads, table.children] - gold
-        np.add.at(model.w.grad, table.ids, np.repeat(coeff, np.diff(table.offsets)))
+        table.feats.scatter(model.w.grad, marg[table.heads, table.children] - gold)
 
-    return _fit(model, cases, add_grad, c, epochs, lr, seed)
+    return fit(model, cases, add_grad, 1.0 / c, epochs, lr, seed)

@@ -52,6 +52,10 @@ class TrainConfig:
             raise ValueError("d, l, p, lr, max_epochs, patience must be positive")
         if not self.l < 2 * self.d:
             raise ValueError(f"l={self.l} must be smaller than 2d={2 * self.d}")
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
+        if self.steps < 1 or (self.steps != 1 and self.attention != "edge"):
+            raise ValueError(f"steps={self.steps}: only edge attention takes steps, >= 1")
 
     @property
     def layers(self) -> int:
@@ -165,7 +169,7 @@ class PipelineRunner(Runner):
 
     def predict_doc(self, tokens: list[str], doc_id: str = "doc"
                     ) -> tuple[TokenHeadAssignment, bool]:
-        tree, was_tree = pipeline_predict(doc_id, tokens, self.crf.tag,
+        tree, was_tree = pipeline_predict(doc_id, tokens, self.crf.viterbi,
                                           self.edge_model.arc_matrix)
         return encode_tree_to_heads(tree), was_tree
 

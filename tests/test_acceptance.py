@@ -197,7 +197,7 @@ def test_crf_matches_enumeration():
             model.w_emit.data[:] = rng.normal(size=model.w_emit.data.shape)
             model.w_trans.data[:] = rng.normal(size=model.w_trans.data.shape)
 
-            log_z, best_path, _ = crf_enumerate(model.emissions(tokens),
+            log_z, best_path, _ = crf_enumerate(model.emissions(model.features(tokens)),
                                                 model.w_trans.data)
             assert model.log_partition(tokens) == pytest.approx(log_z, rel=1e-8)
             got = [model.tag_index[t] for t in model.viterbi(tokens)]

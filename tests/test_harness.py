@@ -57,6 +57,14 @@ def test_config_validation():
         TrainConfig(d=4, l=8)  # needs l < 2d
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)
+    for dropout in (1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            TrainConfig(dropout=dropout)
+    assert TrainConfig(dropout=0.0).resolved_dropout == 0.0
+    for steps, attention in ((0, None), (5, None), (2, "tensor"), (0, "edge")):
+        with pytest.raises(ValueError):
+            TrainConfig(steps=steps, attention=attention)
+    assert TrainConfig(attention="edge", steps=3).steps == 3
 
 
 def test_config_overrides():

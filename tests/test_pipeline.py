@@ -70,7 +70,7 @@ def test_crf_partition_and_viterbi_match_enumeration():
     tokens = ["big", "roof", "terrace", "pool"]
     for seed in range(8):
         model = random_crf(tokens, k=3, seed=seed)
-        emit = model.emissions(tokens)
+        emit = model.emissions(model.features(tokens))
         log_z, best_path, best_score = crf_enumerate(emit, model.w_trans.data)
         assert model.log_partition(tokens) == pytest.approx(log_z, rel=1e-10)
         got = model.viterbi(tokens)
@@ -82,7 +82,7 @@ def test_crf_zero_weights_partition_is_log_tagset_size():
     model = CrfModel(["a", "b", "c"], {"bias": 0})
     assert model.log_partition(["x"]) == pytest.approx(np.log(3.0))
     # per-sequence NLL of any single tag is then log 3
-    nll, _, _ = model.nll_and_grad(["x"], ["b"])
+    nll, _, _ = model.nll_and_grad(model.features(["x"]), ["b"])
     assert nll == pytest.approx(np.log(3.0))
 
 
@@ -92,6 +92,49 @@ def test_crf_rejects_empty_sequence():
         model.log_partition([])
     with pytest.raises(ValueError):
         model.viterbi([])
+
+
+@st.composite
+def crf_layouts(draw):
+    """Tokens over a few repeated words, and an index lacking about ``drop``
+    of their emission features, every feature of position ``blank`` (if
+    any), and holding one it never uses."""
+    tokens = draw(st.lists(st.sampled_from(["a", "ab", "Abc", "12"]), min_size=1, max_size=8))
+    blank = draw(st.integers(-1, len(tokens) - 1))
+    drop = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = sorted({f for i in range(len(tokens)) for f in emission_features(tokens, i)})
+    gone = set(emission_features(tokens, blank)) if blank >= 0 else set()
+    names = [f for f in full if f not in gone and rng.random() >= drop] + ["w=zz"]
+    return tokens, {f: i for i, f in enumerate(rng.permutation(names).tolist())}, rng
+
+
+@example((["a", "b", "a"], {"w=a": 0, "prev=<s>": 1, "next=</s>": 2},
+          np.random.default_rng(0)))
+@given(crf_layouts())
+def test_crf_table_matches_the_string_features(layout):
+    tokens, index, rng = layout
+    model = CrfModel(["t0", "t1", "t2"], index)
+    # Magnitudes from 1e-3 to 1e3, so that a different summation order shows.
+    model.w_emit.data[:] = (rng.normal(size=model.w_emit.shape)
+                            * 10.0 ** rng.integers(-3, 4, size=model.w_emit.shape))
+    table = model.features(tokens)
+    delta = rng.normal(size=(len(tokens), 3))
+    loop_emit = np.zeros((len(tokens), 3))
+    loop_grad = np.zeros_like(model.w_emit.data)
+    for i in range(len(tokens)):
+        ids = [index[f] for f in emission_features(tokens, i) if f in index]
+        assert table.ids[table.rows == i].tolist() == ids
+        if ids:
+            loop_emit[i] = model.w_emit.data[ids].sum(axis=0)
+        for f in ids:
+            loop_grad[f] += delta[i]
+    emit = model.emissions(table)
+    assert np.array_equal(emit, loop_emit)
+    assert not emit[np.bincount(table.rows, minlength=len(tokens)) == 0].any()
+    table_grad = np.zeros_like(model.w_emit.data)
+    table.scatter(table_grad, delta)
+    assert np.array_equal(table_grad, loop_grad)
 
 
 def test_crf_gradient_matches_finite_differences():
@@ -115,7 +158,7 @@ def test_crf_training_learns_toy_corpus():
     hits = total = 0
     for doc in docs:
         gold = bio_encode(doc)
-        pred = model.tag(doc.tokens)
+        pred = model.viterbi(doc.tokens)
         hits += sum(g == p for g, p in zip(gold, pred))
         total += len(gold)
     assert hits / total > 0.95
@@ -204,7 +247,7 @@ def test_arc_table_matches_the_string_features(layout):
     for i, (h, m, parent, child) in enumerate(candidate_arcs(entities)):
         ids = [index[f] for f in extract_edge_features(parent, child, tokens) if f in index]
         assert (table.heads[i], table.children[i]) == (h, m)
-        assert table.ids[table.offsets[i]:table.offsets[i + 1]].tolist() == ids
+        assert table.feats.ids[table.feats.rows == i].tolist() == ids
         z = w[ids].sum()
         assert abs(theta[h, m] - z) <= 1e-12
         assert abs(theta[h, m] - mtt.arc_score(parent, child, tokens)) <= 1e-12
@@ -212,7 +255,7 @@ def test_arc_table_matches_the_string_features(layout):
         assert abs(log_p[h, m] - np.log(max(p, 1e-300))) <= 1e-12
         np.add.at(loop_grad, ids, coeff[i])
     table_grad = np.zeros(len(w))
-    np.add.at(table_grad, table.ids, np.repeat(coeff, np.diff(table.offsets)))
+    table.feats.scatter(table_grad, coeff)
     assert np.array_equal(table_grad, loop_grad)
 
 
