@@ -77,16 +77,17 @@ class Document:
         return len(self.tokens)
 
 
+@dataclass(slots=True)
 class TokenHeadAssignment:
     """One (head, label) pair per token; index t-1 holds token t (1-based)."""
 
-    __slots__ = ("heads", "labels")
+    heads: list[int]
+    labels: list[int]
 
-    def __init__(self, heads: list[int], labels: list[int]):
-        if len(heads) != len(labels):
-            raise ValueError(f"length mismatch: {len(heads)} heads vs {len(labels)} labels")
-        self.heads = list(heads)
-        self.labels = list(labels)
+    def __post_init__(self):
+        if len(self.heads) != len(self.labels):
+            raise ValueError(f"length mismatch: {len(self.heads)} heads vs {len(self.labels)} labels")
+        self.heads, self.labels = list(self.heads), list(self.labels)
 
     @property
     def n(self) -> int:
@@ -120,16 +121,6 @@ class TokenHeadAssignment:
                 raise ValueError(f"token {t}: label {c} out of range 0..3")
             if (c == SKIP) != (h == t):
                 raise ValueError(f"token {t}: skip label and self-head must coincide (head={h}, label={c})")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TokenHeadAssignment)
-            and self.heads == other.heads
-            and self.labels == other.labels
-        )
-
-    def __repr__(self) -> str:
-        return f"TokenHeadAssignment(heads={self.heads}, labels={self.labels})"
 
 
 def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:

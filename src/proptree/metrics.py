@@ -86,15 +86,10 @@ class MetricsReport:
     def to_table(self) -> str:
         header = f"{'label':<12}{'P':>8}{'R':>8}{'F1':>8}"
         lines = [header, "-" * len(header)]
-        for label in (SEGMENT, PART_OF):
-            c = self.per_label[label]
-            lines.append(
-                f"{LABEL_NAMES[label]:<12}{c.precision:>8.2f}{c.recall:>8.2f}{c.f1:>8.2f}"
-            )
-        c = self.overall
-        lines.append(f"{'overall':<12}{c.precision:>8.2f}{c.recall:>8.2f}{c.f1:>8.2f}")
-        eq = self.per_label[EQUIVALENT]
-        lines.append(f"{'equivalent*':<12}{eq.precision:>8.2f}{eq.recall:>8.2f}{eq.f1:>8.2f}")
+        rows = [(LABEL_NAMES[k], self.per_label[k]) for k in (SEGMENT, PART_OF)]
+        rows += [("overall", self.overall), ("equivalent*", self.per_label[EQUIVALENT])]
+        for name, c in rows:
+            lines.append(f"{name:<12}{c.precision:>8.2f}{c.recall:>8.2f}{c.f1:>8.2f}")
         lines.append(f"{'trees %':<12}{self.tree_rate:>8.2f}  (docs: {self.n_docs})")
         lines.append("* diagnostic only; excluded from overall")
         return "\n".join(lines)

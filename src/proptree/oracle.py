@@ -1,7 +1,7 @@
-"""Brute-force oracles over tree spaces small enough to enumerate.
+"""Brute-force oracles over tree and tag-path spaces small enough to enumerate.
 
-``selftest`` and the test suite check the tree decoder and the matrix-tree
-model against these.
+``selftest`` and the test suite check the tree decoder, the matrix-tree
+model and the CRF against these.
 """
 
 from __future__ import annotations
@@ -50,3 +50,20 @@ def arborescence_log_z_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarr
         for v, h in parents.items():
             marginals[h, v] += np.exp(weight - log_z)
     return log_z, marginals
+
+
+def chain_log_z_marginals_and_best(emit: np.ndarray, trans: np.ndarray
+                                   ) -> tuple[float, np.ndarray, np.ndarray, list[int], float]:
+    """Over every tag path of a linear chain with (n, k) emission and (k, k)
+    transition scores: log Z, the (n, k) node marginals, the (k, k) transition
+    marginals summed over positions, and the first best path with its score."""
+    n, k = emit.shape
+    paths = np.array(list(itertools.product(range(k), repeat=n)))
+    scores = emit[range(n), paths].sum(axis=1) + trans[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    log_z = float(np.logaddexp.reduce(scores))
+    prob = np.exp(scores - log_z)
+    nodes = np.array([np.bincount(paths[:, i], prob, k) for i in range(n)])
+    pairs = np.zeros((k, k))
+    np.add.at(pairs, (paths[:, :-1], paths[:, 1:]), prob[:, None])
+    best = int(np.argmax(scores))
+    return log_z, nodes, pairs, paths[best].tolist(), float(scores[best])

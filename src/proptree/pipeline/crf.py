@@ -35,10 +35,9 @@ def emission_features(tokens: list[str], i: int) -> list[str]:
     ]
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
-    return out.squeeze(axis) if axis is not None else out.item()
+def _logsumexp(a: np.ndarray) -> float:
+    m = a.max()
+    return float(np.log(np.exp(a - m).sum()) + m)
 
 
 class FeatureTable(NamedTuple):
@@ -107,25 +106,36 @@ class CrfModel(Module):
         """(N, K) emission score matrix."""
         return table.sums(self.w_emit.data)
 
-    def _forward(self, emit: np.ndarray) -> np.ndarray:
-        """(N, K) log-space forward scores: alpha[i, k] sums the paths ending in tag k at i."""
-        alpha = np.zeros_like(emit)
-        alpha[0] = emit[0]
-        for i in range(1, len(emit)):
-            alpha[i] = _logsumexp(alpha[i - 1][:, None] + self.w_trans.data, axis=0) + emit[i]
-        return alpha
+    def _forward_backward(self, emit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, K) log-space scores of the paths up to i ending in tag k (alpha) and
+        after i following tag k (beta).  Step i advances alpha[i] and beta[n-1-i]
+        on one (2, K, K) stack of ``w_trans`` and its transpose, summing in order."""
+        n, k = emit.shape
+        w = self.w_trans.data
+        pair, ends = np.stack([w, w.T]), np.stack([emit, emit[::-1]])
+        alpha, beta = np.empty((n, k)), np.zeros((n, k))
+        alpha[0], carry = emit[0], ends[:, 0]
+        for i in range(1, n):
+            a = pair + carry[:, :, None]
+            m = a.max(axis=1)
+            out = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+            carry = out + ends[:, i]  # alpha[i], and emit + beta at n-1-i
+            alpha[i], beta[n - 1 - i] = carry[0], out[1]
+        return alpha, beta
 
-    def _path_score(self, emit: np.ndarray, y: list[int]) -> float:
-        score = sum(emit[i, y[i]] for i in range(len(y)))
-        score += sum(self.w_trans.data[y[i - 1], y[i]] for i in range(1, len(y)))
-        return score
+    def _gold(self, emit: np.ndarray, tags: list[str]) -> tuple[np.ndarray, float]:
+        """The tag ids of ``tags`` and their path score."""
+        if len(tags) != len(emit):
+            raise ValueError(f"{len(tags)} tags for {len(emit)} tokens")
+        y = np.array([self.tag_index[t] for t in tags])
+        score = sum(emit[np.arange(len(y)), y].tolist())
+        return y, score + sum(self.w_trans.data[y[:-1], y[1:]].tolist())
 
     def log_partition(self, tokens: list[str]) -> float:
-        return float(_logsumexp(self._forward(self.emissions(self.features(tokens)))[-1]))
+        return _logsumexp(self._forward_backward(self.emissions(self.features(tokens)))[0][-1])
 
     def sequence_score(self, tokens: list[str], tags: list[str]) -> float:
-        emit = self.emissions(self.features(tokens))
-        return float(self._path_score(emit, [self.tag_index[t] for t in tags]))
+        return self._gold(self.emissions(self.features(tokens)), tags)[1]
 
     def viterbi(self, tokens: list[str]) -> list[str]:
         emit = self.emissions(self.features(tokens))
@@ -143,30 +153,21 @@ class CrfModel(Module):
 
     def nll_and_grad(self, table: FeatureTable, tags: list[str]
                      ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Negative log-likelihood of one sequence and its exact gradient."""
+        """Negative log-likelihood of one sequence and its exact gradient:
+        expected feature and transition counts minus the gold ones."""
         emit = self.emissions(table)
-        n, k = emit.shape
-        y = [self.tag_index[t] for t in tags]
-
-        alpha = self._forward(emit)
-        beta = np.zeros((n, k))
-        for i in range(n - 2, -1, -1):
-            beta[i] = _logsumexp(self.w_trans.data + (emit[i + 1] + beta[i + 1])[None, :], axis=1)
-        log_z = float(_logsumexp(alpha[-1]))
-
-        delta = np.exp(alpha + beta - log_z)  # node marginals minus the gold tags
-        delta[np.arange(n), y] -= 1.0
+        y, score = self._gold(emit, tags)
+        alpha, beta = self._forward_backward(emit)
+        log_z = _logsumexp(alpha[-1])
+        delta = np.exp(alpha + beta - log_z)
+        delta[np.arange(len(y)), y] -= 1.0
         g_emit = np.zeros_like(self.w_emit.data)
         table.scatter(g_emit, delta)
-
-        g_trans = np.zeros_like(self.w_trans.data)
-        for i in range(1, n):
-            pair = (alpha[i - 1][:, None] + self.w_trans.data
-                    + (emit[i] + beta[i])[None, :]) - log_z
-            g_trans += np.exp(pair)
-            g_trans[y[i - 1], y[i]] -= 1.0
-
-        return float(log_z - self._path_score(emit, y)), g_emit, g_trans
+        # One (N-1, K, K) array of pair marginals, summed over positions.
+        pair = alpha[:-1, :, None] + self.w_trans.data + (emit[1:] + beta[1:])[:, None, :]
+        g_trans = np.exp(pair - log_z).sum(axis=0)
+        np.subtract.at(g_trans, (y[:-1], y[1:]), 1.0)
+        return log_z - score, g_emit, g_trans
 
 
 def tagset_from_corpus(docs: list[Document]) -> list[str]:

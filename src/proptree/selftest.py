@@ -7,8 +7,6 @@ small enough to enumerate.  Prints one line per check.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import nn
@@ -16,7 +14,8 @@ from .data import decode_heads_to_tree, encode_tree_to_heads, structure_signatur
 from .joint import (JointDistribution, LabelScorer, distribution_rows, loss_from_rows,
                     rows_to_distribution)
 from .mst import WeightedDigraph, arborescence_weight, chu_liu_edmonds
-from .oracle import arborescence_log_z_and_marginals, best_arborescence_weight
+from .oracle import (arborescence_log_z_and_marginals, best_arborescence_weight,
+                     chain_log_z_marginals_and_best)
 from .pipeline.crf import CrfModel
 from .pipeline.edge_models import mtt_log_partition_and_marginals
 from .synthetic import SyntheticConfig, generate_corpus
@@ -90,20 +89,27 @@ def check_mtt() -> str:
 
 
 def check_crf() -> str:
-    tags = ["O", "B-x", "I-x"]
-    tokens = ["a", "b", "c", "a"]
+    tags, tokens, gold = ["O", "B-x", "I-x"], ["a", "b", "c", "a"], [0, 1, 2, 0]
     model = CrfModel(tags, {f"w={w}": i for i, w in enumerate("abc")})
     rng = np.random.default_rng(5)
     model.w_emit.data[...] = rng.normal(size=model.w_emit.shape)
     model.w_trans.data[...] = rng.normal(size=model.w_trans.shape)
-    seqs = list(itertools.product(tags, repeat=len(tokens)))
-    scores = [model.sequence_score(tokens, list(s)) for s in seqs]
-    brute_z = float(np.log(np.exp(scores).sum()))
-    if abs(model.log_partition(tokens) - brute_z) > 1e-8 * max(1.0, abs(brute_z)):
+    table = model.features(tokens)
+    log_z, nodes, pairs, best, _ = chain_log_z_marginals_and_best(
+        model.emissions(table), model.w_trans.data)
+    if abs(model.log_partition(tokens) - log_z) > 1e-8 * max(1.0, abs(log_z)):
         raise AssertionError("forward log-partition disagrees with enumeration")
-    if list(model.viterbi(tokens)) != list(seqs[int(np.argmax(scores))]):
+    if [model.tag_index[t] for t in model.viterbi(tokens)] != best:
         raise AssertionError("viterbi path disagrees with enumeration")
-    return "crf partition and viterbi match enumeration"
+    # The NLL gradient is the expected counts minus the gold counts.
+    _, g_emit, g_trans = model.nll_and_grad(table, [tags[j] for j in gold])
+    nodes[range(len(gold)), gold] -= 1.0
+    np.subtract.at(pairs, (gold[:-1], gold[1:]), 1.0)
+    want = np.zeros_like(g_emit)
+    table.scatter(want, nodes)
+    if max(np.abs(g_emit - want).max(), np.abs(g_trans - pairs).max()) > 1e-8:
+        raise AssertionError("crf gradient disagrees with enumerated marginals")
+    return "crf partition, viterbi and gradient match enumeration"
 
 
 def check_roundtrip() -> str:

@@ -1,14 +1,12 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately independent of the package internals:
-finite differences on plain callables, a parent walk, and brute-force
-enumeration over small structured spaces (tag sequences here; arborescences
-come from ``proptree.oracle``, which ``proptree selftest`` shares).  Tests
+finite differences on plain callables, a parent walk, and a per-position
+CRF forward loop.  Brute-force enumeration over tag paths and arborescences
+comes from ``proptree.oracle``, which ``proptree selftest`` shares.  Tests
 compare the package's analytic/algorithmic answers against these.  It also
 holds the few small functions that only tests need.
 """
-
-import itertools
 
 import numpy as np
 
@@ -63,25 +61,23 @@ def reaches_root(parents, v):
     return True
 
 
-def crf_enumerate(emit, trans):
-    """Brute-force log-partition and best path for a linear-chain CRF.
+def crf_reference_nll(emit, trans, y):
+    """A linear-chain CRF's NLL of the tag ids ``y``, by one forward step per
+    position that sums over the previous tag in order, then log Z over the
+    last position and the path score added left to right.
 
     emit: (N, K) per-position tag scores; trans: (K, K) tag-to-tag scores.
-    Returns (log_Z, best_path, best_score).
     """
-    n, k = emit.shape
-    log_z_terms = []
-    best_path, best_score = None, None
-    for path in itertools.product(range(k), repeat=n):
-        s = emit[0, path[0]]
-        for i in range(1, n):
-            s += trans[path[i - 1], path[i]] + emit[i, path[i]]
-        log_z_terms.append(s)
-        if best_score is None or s > best_score:
-            best_score, best_path = s, list(path)
-    m = max(log_z_terms)
-    log_z = m + np.log(sum(np.exp(t - m) for t in log_z_terms))
-    return float(log_z), best_path, float(best_score)
+    alpha = emit[0]
+    for i in range(1, len(emit)):
+        a = alpha[:, None] + trans
+        m = a.max(axis=0)
+        alpha = np.log(np.exp(a - m).sum(axis=0)) + m + emit[i]
+    m = alpha.max()
+    log_z = np.log(np.exp(alpha - m).sum()) + m
+    score = sum(emit[i, y[i]] for i in range(len(y)))
+    score += sum(trans[y[i - 1], y[i]] for i in range(1, len(y)))
+    return float(log_z - score)
 
 
 def sigmoid(a):

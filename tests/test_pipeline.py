@@ -33,10 +33,10 @@ from proptree.pipeline.predict import (
     parents_form_tree,
     pipeline_predict,
 )
-from proptree.oracle import arborescence_log_z_and_marginals
+from proptree.oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import crf_enumerate, entity_by_id, finite_difference, max_rel_err
+from helpers import crf_reference_nll, entity_by_id, finite_difference, max_rel_err
 
 
 def toy_docs():
@@ -71,7 +71,8 @@ def test_crf_partition_and_viterbi_match_enumeration():
     for seed in range(8):
         model = random_crf(tokens, k=3, seed=seed)
         emit = model.emissions(model.features(tokens))
-        log_z, best_path, best_score = crf_enumerate(emit, model.w_trans.data)
+        log_z, _, _, best_path, best_score = chain_log_z_marginals_and_best(
+            emit, model.w_trans.data)
         assert model.log_partition(tokens) == pytest.approx(log_z, rel=1e-10)
         got = model.viterbi(tokens)
         assert [model.tag_index[t] for t in got] == best_path
@@ -84,6 +85,61 @@ def test_crf_zero_weights_partition_is_log_tagset_size():
     # per-sequence NLL of any single tag is then log 3
     nll, _, _ = model.nll_and_grad(model.features(["x"]), ["b"])
     assert nll == pytest.approx(np.log(3.0))
+
+
+def test_crf_rejects_mismatched_tag_lists():
+    tokens = ["big", "roof", "terrace"]
+    model = random_crf(tokens)
+    for tags in (["t0"], ["t0", "t1"], ["t0", "t1", "t2", "t0"]):
+        with pytest.raises(ValueError, match=f"{len(tags)} tags for 3 tokens"):
+            model.sequence_score(tokens, tags)
+        with pytest.raises(ValueError, match=f"{len(tags)} tags for 3 tokens"):
+            model.nll_and_grad(model.features(tokens), tags)
+
+
+@example(n=1, k=3, seed=0)
+@example(n=2, k=4, seed=1)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_crf_gradient_matches_enumerated_marginals(n, k, seed):
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(["a", "ab", "Abc", "12"], size=n).tolist()
+    model = random_crf(tokens, k=k, seed=seed)
+    # Weights of magnitude 1e-3 to 1e2: path scores up to about 1e3, marginals near 0 and 1.
+    for w in (model.w_emit.data, model.w_trans.data):
+        w *= 10.0 ** rng.integers(-3, 3, size=w.shape)
+    gold = rng.integers(0, k, size=n)
+    table = model.features(tokens)
+    emit = model.emissions(table)
+    nll, g_emit, g_trans = model.nll_and_grad(table, [model.tags[j] for j in gold])
+    assert nll == crf_reference_nll(emit, model.w_trans.data, gold)
+
+    _, nodes, pairs, _, _ = chain_log_z_marginals_and_best(emit, model.w_trans.data)
+    nodes[range(n), gold] -= 1.0
+    want_emit = np.zeros_like(g_emit)
+    for i in range(n):
+        for f in emission_features(tokens, i):
+            want_emit[model.feature_index[f]] += nodes[i]
+    for i in range(1, n):
+        pairs[gold[i - 1], gold[i]] -= 1.0
+    assert np.abs(g_emit - want_emit).max() <= 1e-10
+    assert np.abs(g_trans - pairs).max() <= 1e-10
+
+
+@given(st.integers(1, 20), st.sampled_from([9, 13, 16]), st.sampled_from([1e-3, 0.1, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_crf_nll_matches_the_forward_loop_bit_for_bit(n, k, scale, seed):
+    # From 8 terms on, numpy sums a contiguous axis pairwise, so only a tag
+    # set this large tells the in-order sum from another order, and only
+    # weights of one scale leave several terms of a sum to round.
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(["a", "ab", "Abc", "12"], size=n).tolist()
+    model = random_crf(tokens, k=k, seed=seed)
+    model.w_emit.data[:] *= scale
+    model.w_trans.data[:] *= scale
+    gold = rng.integers(0, k, size=n)
+    table = model.features(tokens)
+    nll, _, _ = model.nll_and_grad(table, [model.tags[j] for j in gold])
+    assert nll == crf_reference_nll(model.emissions(table), model.w_trans.data, gold)
 
 
 def test_crf_rejects_empty_sequence():
