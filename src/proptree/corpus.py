@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Document, Entity, Mention, ROOT_ID
+from .data import Document, Entity, Mention, ROOT_ID, encode_tree_to_heads, first_cycle_node
 
 
 def doc_to_json(doc: Document) -> dict:
@@ -68,11 +68,11 @@ def _validate(doc: Document) -> None:
             raise ValueError(f"document {doc.id!r}: entity {e.id!r} has no mentions")
         if e.parent != ROOT_ID and e.parent not in known:
             raise ValueError(f"document {doc.id!r}: entity {e.id!r} has unknown parent {e.parent!r}")
-        for m in e.mentions:
-            if m.end > doc.n + 1:
-                raise ValueError(
-                    f"document {doc.id!r}: mention [{m.start}, {m.end}) exceeds {doc.n} tokens"
-                )
+    looped = first_cycle_node({e.id: e.parent for e in doc.entities}, root=ROOT_ID)
+    if looped is not None:
+        raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
+    # Rejects mentions past the last token and overlapping mentions.
+    encode_tree_to_heads(doc).validate_gold()
 
 
 def read_corpus(path: str | Path) -> list[Document]:
@@ -84,7 +84,7 @@ def read_corpus(path: str | Path) -> list[Document]:
                 continue
             try:
                 docs.append(doc_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return docs
 

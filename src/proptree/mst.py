@@ -106,17 +106,18 @@ def chu_liu_edmonds(graph: WeightedDigraph) -> dict[int, int]:
         active[cycle] = False
         live = np.flatnonzero(active)
         deps = live[1:]
-        w[c, deps] = w[np.ix_(cycle, deps)].max(axis=0)
-        w[live, c] = sum(score.tolist()) + (w[np.ix_(live, cycle)] - score).max(axis=1)
+        w[c, deps] = w[cycle[:, None], deps].max(axis=0)
+        w[live, c] = sum(score.tolist()) + (w[live[:, None], cycle] - score).max(axis=1)
         if w[live, c].max() == -np.inf:
             raise ValueError(f"cycle {[node_id(u) for u in cycle]} cannot be entered "
                              "from outside; tree impossible")
         active[c] = True
         contracted.append((c, cycle))
-        # Only c and nodes whose head was on the cycle can change head.
-        redo = np.append(deps[np.isin(parent[deps], cycle)], c)
+        # Only c and nodes whose head was on the cycle can change head; live
+        # nodes have live heads, so those heads are the ones just made inactive.
+        redo = np.append(deps[~active[parent[deps]]], c)
         heads = np.append(live, c)
-        parent[redo] = heads[w[np.ix_(heads, redo)].argmax(axis=0)]
+        parent[redo] = heads[w[heads[:, None], redo].argmax(axis=0)]
 
     # Expand, innermost cycle first: keep cycle arcs except at the entry
     # target, and give arcs that leave c their best concrete source.
@@ -124,7 +125,7 @@ def chu_liu_edmonds(graph: WeightedDigraph) -> dict[int, int]:
         head = parent[c]
         parent[cycle[(w[head, cycle] - w[parent[cycle], cycle]).argmax()]] = head
         leaving = np.flatnonzero(parent[:c] == c)
-        parent[leaving] = cycle[w[np.ix_(cycle, leaving)].argmax(axis=0)]
+        parent[leaving] = cycle[w[cycle[:, None], leaving].argmax(axis=0)]
     return {graph.nodes[v]: graph.nodes[parent[v]] for v in range(1, k)}
 
 

@@ -18,18 +18,15 @@ from ..data import Document, bio_encode
 from ..nn import Adam, Module, Tensor
 
 
+def token_features(w: str) -> list[str]:
+    """Feature strings of the token ``w`` itself."""
+    return ["bias", f"w={w}", f"lc={w.lower()}", f"p2={w[:2]}", f"p3={w[:3]}",
+            f"s2={w[-2:]}", f"s3={w[-3:]}", f"dig={int(w.isdigit())}"]
+
+
 def emission_features(tokens: list[str], i: int) -> list[str]:
     """Feature strings for position i (0-based within tokens)."""
-    w = tokens[i]
-    return [
-        "bias",
-        f"w={w}",
-        f"lc={w.lower()}",
-        f"p2={w[:2]}",
-        f"p3={w[:3]}",
-        f"s2={w[-2:]}",
-        f"s3={w[-3:]}",
-        f"dig={int(w.isdigit())}",
+    return token_features(tokens[i]) + [
         f"prev={tokens[i - 1] if i > 0 else '<s>'}",
         f"next={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}",
     ]
@@ -95,11 +92,16 @@ class CrfModel(Module):
         self.w_trans = Tensor(np.zeros((k, k)), requires_grad=True)
 
     def features(self, tokens: list[str]) -> FeatureTable:
-        """The document's table: one row of known feature ids per position."""
+        """The document's table: one row of known feature ids per position,
+        the ids of ``emission_features``, each looked up once per distinct token."""
         if not tokens:
             raise ValueError("cannot score an empty sequence")
-        grid = [[self.feature_index.get(f, -1) for f in emission_features(tokens, i)]
-                for i in range(len(tokens))]
+        get = self.feature_index.get
+        own = {w: [get(f, -1) for f in token_features(w)] for w in set(tokens)}
+        prev = {w: get(f"prev={w}", -1) for w in {"<s>", *tokens[:-1]}}
+        after = {w: get(f"next={w}", -1) for w in {*tokens[1:], "</s>"}}
+        grid = [own[w] + [prev[a], after[b]]
+                for a, w, b in zip(["<s>", *tokens], tokens, [*tokens[1:], "</s>"])]
         return FeatureTable.from_grid(np.array(grid))
 
     def emissions(self, table: FeatureTable) -> np.ndarray:
@@ -142,10 +144,13 @@ class CrfModel(Module):
         n, k = emit.shape
         delta = emit[0]
         back = np.zeros((n, k), dtype=int)
+        # cand[j, i] = delta[i] + w[i, j]; the max is read at its argmax, the
+        # first one, so the smaller previous tag wins a tie.
+        w_in, rows = np.ascontiguousarray(self.w_trans.data.T), np.arange(k)
         for i in range(1, n):
-            cand = delta[:, None] + self.w_trans.data
-            back[i] = cand.argmax(axis=0)
-            delta = cand.max(axis=0) + emit[i]
+            cand = w_in + delta
+            b = back[i] = cand.argmax(axis=1)
+            delta = cand[rows, b] + emit[i]
         path = [int(delta.argmax())]
         for i in range(n - 1, 0, -1):
             path.append(int(back[i, path[-1]]))

@@ -1,11 +1,12 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately independent of the package internals:
-finite differences on plain callables, a parent walk, and a per-position
-CRF forward loop.  Brute-force enumeration over tag paths and arborescences
-comes from ``proptree.oracle``, which ``proptree selftest`` shares.  Tests
-compare the package's analytic/algorithmic answers against these.  It also
-holds the few small functions that only tests need.
+finite differences on plain callables, a parent walk, per-position CRF
+forward and Viterbi loops, and a frozen Chu-Liu-Edmonds.  Brute-force
+enumeration over tag paths and arborescences comes from ``proptree.oracle``,
+which ``proptree selftest`` shares.  Tests compare the package's
+analytic/algorithmic answers against these.  It also holds the few small
+functions that only tests need.
 """
 
 import numpy as np
@@ -78,6 +79,85 @@ def crf_reference_nll(emit, trans, y):
     score = sum(emit[i, y[i]] for i in range(len(y)))
     score += sum(trans[y[i - 1], y[i]] for i in range(1, len(y)))
     return float(log_z - score)
+
+
+def viterbi_reference(emit, trans):
+    """The best tag path of a linear-chain CRF, one step per position over a
+    (previous, next) array.  Ties: at each step the smaller previous tag wins,
+    and at the end the smaller last tag wins (numpy's first argmax).
+
+    emit: (N, K) per-position tag scores; trans: (K, K) tag-to-tag scores.
+    """
+    n, k = emit.shape
+    delta = emit[0]
+    back = np.zeros((n, k), dtype=int)
+    for i in range(1, n):
+        cand = delta[:, None] + trans
+        back[i] = cand.argmax(axis=0)
+        delta = cand.max(axis=0) + emit[i]
+    path = [int(delta.argmax())]
+    for i in range(n - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1]
+
+
+def cle_reference(graph):
+    """A frozen copy of ``proptree.mst.chu_liu_edmonds`` with its tie rules:
+    the reference for that function's parent dicts and error messages."""
+    k = len(graph.nodes)
+    size = 2 * k - 1
+    w = np.full((size, size), -np.inf)
+    w[:k, :k] = graph.weights
+    w[:, 0] = -np.inf
+    np.fill_diagonal(w, -np.inf)
+
+    def node_id(pos):
+        return graph.nodes[pos] if pos < k else graph.nodes[-1] + pos - k + 1
+
+    parent = np.zeros(size, dtype=int)
+    parent[1:k] = w[:k, 1:k].argmax(axis=0)
+    for v in range(1, k):
+        if w[parent[v], v] == -np.inf:
+            raise ValueError(f"node {node_id(v)} has no incoming arcs; tree impossible")
+
+    active = np.arange(size) < k
+    rooted = np.arange(size) == 0
+    contracted = []
+    start = 1
+    while start < k + len(contracted):
+        if not active[start] or rooted[start]:
+            start += 1
+            continue
+        path, v = {}, start
+        while not rooted[v] and v not in path:
+            path[v] = len(path)
+            v = parent[v]
+        if rooted[v]:
+            rooted[list(path)] = True
+            continue
+        cycle = np.array(sorted(u for u, step in path.items() if step >= path[v]))
+        c = k + len(contracted)
+        score = w[parent[cycle], cycle]
+        active[cycle] = False
+        live = np.flatnonzero(active)
+        deps = live[1:]
+        w[c, deps] = w[np.ix_(cycle, deps)].max(axis=0)
+        w[live, c] = sum(score.tolist()) + (w[np.ix_(live, cycle)] - score).max(axis=1)
+        if w[live, c].max() == -np.inf:
+            raise ValueError(f"cycle {[node_id(u) for u in cycle]} cannot be entered "
+                             "from outside; tree impossible")
+        active[c] = True
+        contracted.append((c, cycle))
+        redo = np.append(deps[np.isin(parent[deps], cycle)], c)
+        heads = np.append(live, c)
+        parent[redo] = heads[w[np.ix_(heads, redo)].argmax(axis=0)]
+
+    for c, cycle in reversed(contracted):
+        head = parent[c]
+        parent[cycle[(w[head, cycle] - w[parent[cycle], cycle]).argmax()]] = head
+        leaving = np.flatnonzero(parent[:c] == c)
+        parent[leaving] = cycle[w[np.ix_(cycle, leaving)].argmax(axis=0)]
+    return {graph.nodes[v]: graph.nodes[parent[v]] for v in range(1, k)}
 
 
 def sigmoid(a):

@@ -1,5 +1,8 @@
 """Data model: spans, head encoding, BIO tags, corpus IO."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -245,13 +248,41 @@ def test_json_roundtrip_and_validation():
 
 
 def test_corpus_file_roundtrip(tmp_path):
-    docs = generate_corpus(SyntheticConfig(n_docs=8, seed=1))
     path = tmp_path / "corpus.jsonl"
-    write_corpus(path, docs)
-    assert read_corpus(path) == docs
+    for cfg in (SyntheticConfig(n_docs=8, seed=1),
+                SyntheticConfig(n_docs=60, seed=5, equivalent_rate=0.3),
+                SyntheticConfig(n_docs=60, seed=6, ambiguous=True, nonprojective_rate=0.5)):
+        docs = generate_corpus(cfg)
+        write_corpus(path, docs)
+        assert read_corpus(path) == docs
 
     path.write_text('{"id": "x", "tokens": []}\n')
     with pytest.raises(ValueError, match="corpus.jsonl:1"):
+        read_corpus(path)
+
+
+def entity_json(eid, start, end, parent="ROOT"):
+    return {"id": eid, "type": "space", "mentions": [{"start": start, "end": end}],
+            "parent": parent}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"id": "o", "tokens": ["a", "b", "c"],
+      "entities": [entity_json("A", 1, 3), entity_json("B", 2, 4)]},
+     "token 2 assigned twice"),
+    ({"id": "s", "tokens": ["a"], "entities": [entity_json("A", 1, 2, parent="A")]},
+     "parent links form a cycle through 'A'"),
+    ({"id": "c", "tokens": ["a", "b"],
+      "entities": [entity_json("A", 1, 2, parent="B"), entity_json("B", 2, 3, parent="A")]},
+     "parent links form a cycle through 'A'"),
+    (["x"], "list indices must be integers"),
+    ({"id": "t", "tokens": 5}, "'int' object is not iterable"),
+])
+def test_read_corpus_rejects_what_cannot_be_encoded_with_its_line(tmp_path, obj, message):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(doc_to_json(simple_doc()))
+    path.write_text(f"{good}\n\n{json.dumps(obj)}\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:3: .*" + re.escape(message)):
         read_corpus(path)
 
 

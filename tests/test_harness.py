@@ -1,9 +1,13 @@
 """Training loop, checkpoints, CLI."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +479,12 @@ def test_cli_error_paths(tmp_path, capsys):
     assert run_cli(["train", "--train", corpus, "--config", bad_cfg,
                     "--out", tmp_path / "x"]) == 1
     capsys.readouterr()
+
+
+def test_python_m_proptree_runs_from_a_source_checkout(tmp_path):
+    out = tmp_path / "c.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "proptree", "generate", "--out", str(out),
+                           "--n-docs", "2"], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(read_corpus(out)) == 2

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proptree.data import (
@@ -27,7 +27,7 @@ from proptree.mst import (
 from proptree.oracle import best_arborescence_weight, enumerate_arborescences
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import reaches_root
+from helpers import cle_reference, reaches_root
 
 
 def arcs_graph(n, arcs):
@@ -232,6 +232,32 @@ def test_cle_matches_enumeration_on_graphs_with_ties_and_missing_arcs(g):
     assert set(parent) == set(range(1, n))
     assert all(reaches_root(parent, v) for v in parent)
     assert arborescence_weight(g, parent) == best
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Up to 12 nodes with gaps in their ids, integer weights in -2..2 and a
+    drawn share of missing arcs, so that ties are common and cycles nest."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.integers(-2, 3, size=(n, n)).astype(float)
+    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = -np.inf
+    nodes = [0] + sorted(rng.choice(np.arange(1, 2 * n), n - 1, replace=False).tolist())
+    return WeightedDigraph(nodes, w)
+
+
+def outcome(decode, g):
+    """The decoder's parent dict, or the message of the ValueError it raised."""
+    try:
+        return decode(g)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(tie_heavy_graphs())
+def test_cle_output_and_errors_match_the_reference(g):
+    assert outcome(chu_liu_edmonds, g) == outcome(cle_reference, g)
 
 
 @st.composite

@@ -36,7 +36,8 @@ from proptree.pipeline.predict import (
 from proptree.oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import crf_reference_nll, entity_by_id, finite_difference, max_rel_err
+from helpers import (crf_reference_nll, entity_by_id, finite_difference, max_rel_err,
+                     viterbi_reference)
 
 
 def toy_docs():
@@ -77,6 +78,20 @@ def test_crf_partition_and_viterbi_match_enumeration():
         got = model.viterbi(tokens)
         assert [model.tag_index[t] for t in got] == best_path
         assert model.sequence_score(tokens, got) == pytest.approx(best_score)
+
+
+@given(st.integers(1, 40), st.sampled_from([1, 2, 13]), st.integers(0, 2**32 - 1))
+def test_viterbi_keeps_the_reference_tie_rule(n, k, seed):
+    """Weights in {-1, 0, 1} make tied paths common.  The path must be the
+    reference loop's: at each step the smaller previous tag wins, and at the
+    end the smaller last tag wins."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(["a", "ab", "Abc", "12"], size=n).tolist()
+    model = random_crf(tokens, k=k)
+    for w in (model.w_emit.data, model.w_trans.data):
+        w[:] = rng.integers(-1, 2, size=w.shape)
+    got = [model.tag_index[t] for t in model.viterbi(tokens)]
+    assert got == viterbi_reference(model.emissions(model.features(tokens)), model.w_trans.data)
 
 
 def test_crf_zero_weights_partition_is_log_tagset_size():
