@@ -136,9 +136,6 @@ class CrfModel(Module):
     def log_partition(self, tokens: list[str]) -> float:
         return _logsumexp(self._forward_backward(self.emissions(self.features(tokens)))[0][-1])
 
-    def sequence_score(self, tokens: list[str], tags: list[str]) -> float:
-        return self._gold(self.emissions(self.features(tokens)), tags)[1]
-
     def viterbi(self, tokens: list[str]) -> list[str]:
         emit = self.emissions(self.features(tokens))
         n, k = emit.shape

@@ -13,7 +13,7 @@ table, built without per-arc strings.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,24 +25,12 @@ ROOT_TOKEN = "<root>"
 
 
 def arc_grid(t: int) -> np.ndarray:
-    """``grid[m - 1, h]`` is True where h -> m is a candidate arc over nodes 0..t."""
+    """``grid[m - 1, h]`` is True where h -> m is a candidate arc over nodes 0..t:
+    the root 0 is only a parent and no entity heads itself.  ``np.nonzero``
+    reads the arcs child-major, the root first and then heads ascending.  This
+    fixes LTM's training pairs and, through argmax's first maximum, the greedy
+    tie rule: the root beats every tied head and a smaller head a larger one."""
     return ~np.eye(t, t + 1, k=1, dtype=bool)
-
-
-def candidate_arcs(entities: Sequence[Entity]
-                   ) -> Iterator[tuple[int, int, Entity | None, Entity]]:
-    """Every candidate arc ``(h, m, parent, child)`` over nodes 0..t.
-
-    Node 0 is the root (``parent`` None) and node i is ``entities[i - 1]``.
-    The root is only ever a parent and no entity heads itself.  Arcs come
-    child-major: for m = 1..t the root first, then heads 1..t ascending.
-    This order fixes LTM's training pairs and, through argmax's first-max
-    rule on the arc matrix, the greedy tie rule: the root beats every tied
-    head and the smaller head beats a larger one.
-    """
-    nodes = [None, *entities]
-    for m, h in zip(*np.nonzero(arc_grid(len(entities)))):
-        yield int(h), int(m) + 1, nodes[h], nodes[m + 1]
 
 
 def _bucket(n: int) -> str:
@@ -51,40 +39,10 @@ def _bucket(n: int) -> str:
     return "4-6" if n <= 6 else "7+"
 
 
-def extract_edge_features(parent: Entity | None, child: Entity, tokens: list[str]) -> list[str]:
-    """Sparse feature strings for one candidate parent->child arc."""
-    cm = child.main_mention()
-    c_tok = tokens[cm.anchor - 1]
-    feats = ["bias", f"c_tok={c_tok}", f"c_type={child.type}"]
-    if parent is None:
-        feats += [
-            f"p_tok={ROOT_TOKEN}", f"p_type={ROOT_TOKEN}",
-            f"pair={ROOT_TOKEN}>{child.type}", "dist=root", "order=root",
-        ]
-        return feats
-    pm = parent.main_mention()
-    p_tok = tokens[pm.anchor - 1]
-    feats += [f"p_tok={p_tok}", f"p_type={parent.type}", f"pair={parent.type}>{child.type}"]
-    if pm.end <= cm.start:
-        between = tokens[pm.end - 1:cm.start - 1]
-        feats.append("order=parent-first")
-    elif cm.end <= pm.start:
-        between = tokens[cm.end - 1:pm.start - 1]
-        feats.append("order=child-first")
-    else:
-        between = []
-        feats.append("order=overlap")
-    feats.append(f"dist={_bucket(abs(pm.anchor - cm.anchor))}")
-    feats.append(f"btw_n={_bucket(len(between))}")
-    for tok in sorted(set(between)):
-        feats.append(f"btw={tok}")
-    return feats
-
-
 class ArcFeatures(NamedTuple):
     """One document's candidate arcs, ``heads[i] -> children[i]`` in
-    ``candidate_arcs`` order; row i of ``feats`` holds arc i's known feature
-    ids in ``extract_edge_features`` order."""
+    ``arc_grid`` order; row i of ``feats`` holds arc i's known feature ids
+    in template order."""
 
     heads: np.ndarray
     children: np.ndarray
@@ -100,7 +58,7 @@ class ArcFeatures(NamedTuple):
 
 def arc_features(entities: Sequence[Entity], tokens: list[str],
                  feature_index: dict[str, int]) -> ArcFeatures:
-    """``extract_edge_features`` of every candidate arc, as known feature ids.
+    """The edge-feature template: every candidate arc's sparse features, as known ids.
 
     Strings are looked up per entity, per type pair and per distinct token,
     never per arc.  A span's ``btw=`` features are its distinct tokens: with
@@ -116,10 +74,10 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     anchor_tok = [tokens[e - 2] for e in end]  # the anchor is end - 1, 1-based
     kinds = list(dict.fromkeys(e.type for e in entities))
     kind = np.array([kinds.index(e.type) for e in entities], dtype=np.int64)
-    vocab = [tok for tok in sorted(set(tokens)) if f"btw={tok}" in feature_index]
-    column = {tok: i for i, tok in enumerate(vocab)}
+    btw = {tok: i for tok in sorted(set(tokens)) if (i := feature_index.get(f"btw={tok}", -1)) >= 0}
+    column = {tok: c for c, tok in enumerate(btw)}
     # Column -1 collects the tokens without a btw= feature; row 0 stays zero.
-    prefix = np.zeros((len(tokens) + 1, len(vocab) + 1), dtype=np.int32)
+    prefix = np.zeros((len(tokens) + 1, len(btw) + 1), dtype=np.int32)
     prefix[np.arange(1, len(tokens) + 1), [column.get(tok, -1) for tok in tokens]] = 1
     prefix = prefix.cumsum(axis=0)[:, :-1]
 
@@ -129,7 +87,7 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     case = np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2))
     lo = np.choose(case, (p_end - 1, ce - 1, 0))
     hi = np.choose(case, (cs - 1, p_start - 1, 0))
-    grid = np.empty((t, t + 1, 9 + len(vocab)), dtype=np.int32)
+    grid = np.empty((t, t + 1, 9 + len(btw)), dtype=np.int32)
     grid[..., 0] = feature_index.get("bias", -1)
     grid[..., 1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[:, None]
     grid[..., 2] = lookup(f"c_type={k}" for k in kinds)[kind, None]
@@ -140,7 +98,7 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     grid[..., 6] = lookup(["order=parent-first", "order=child-first", "order=overlap"])[case]
     grid[..., 7] = lookup(f"dist={_bucket(n)}" for n in range(8))[np.minimum(abs(p_end - ce), 7)]
     grid[..., 8] = lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)]
-    grid[..., 9:] = np.where(prefix[hi] > prefix[lo], lookup(f"btw={tok}" for tok in vocab), -1)
+    grid[..., 9:] = np.where(prefix[hi] > prefix[lo], list(btw.values()), -1)
     grid[:, 0, 6:] = -1
     grid[:, 0, 6:8] = lookup(["dist=root", "order=root"])
 
@@ -183,11 +141,9 @@ class MttModel(_FeatureModel):
     kind = "mtt"
 
     def arc_score(self, parent: Entity | None, child: Entity, tokens: list[str]) -> float:
-        """One arc's log-potential from its feature strings: the per-arc
-        reference that ``arc_matrix`` matches.  Prediction does not call it."""
-        ids = [self.feature_index[f] for f in extract_edge_features(parent, child, tokens)
-               if f in self.feature_index]
-        return float(self.w.data[ids].sum())
+        """One arc's log-potential, from ``arc_matrix`` over the pair alone; unused in prediction."""
+        pair = [child] if parent is None else [parent, child]
+        return float(self.arc_matrix(pair, tokens)[len(pair) - 1, len(pair)])
 
 
 def mtt_log_partition_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -244,22 +200,33 @@ def _reachable_from_root(arcs: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+class _Recorder(dict):
+    """A feature index that knows every name: ``get`` gives a new one the next id."""
+
+    def get(self, name: str, default=None) -> int:
+        return self.setdefault(name, len(self))
+
+
 def edge_feature_index(docs: list[Document]) -> dict[str, int]:
-    feats = {f for doc in docs for _, _, parent, child in candidate_arcs(doc.entities)
-             for f in extract_edge_features(parent, child, doc.tokens)}
-    return {f: i for i, f in enumerate(sorted(feats))}
+    return _training_cases(docs)[0]
 
 
 def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     """The corpus's feature index, and per document with entities its arc
-    table and whether each arc is gold."""
-    index = edge_feature_index(docs)
-    cases = []
+    table and whether each arc is gold.  The index holds the features that
+    some arc has, numbered in name order."""
+    recorder, cases, used = _Recorder(), [], set()
     for doc in (d for d in docs if d.entities):
         node = {e.id: i for i, e in enumerate(doc.entities, start=1)}
         parents = np.array([node.get(e.parent, 0) for e in doc.entities])
-        table = arc_features(doc.entities, doc.tokens, index)
+        table = arc_features(doc.entities, doc.tokens, recorder)
         cases.append((table, table.heads == parents[table.children - 1]))
+        used.update(table.feats.ids.tolist())
+    names = list(recorder)
+    index = {f: i for i, f in enumerate(sorted(names[i] for i in used))}
+    renumber = np.array([index.get(f, -1) for f in names], dtype=np.int64)
+    for table, _ in cases:
+        table.feats.ids[:] = renumber[table.feats.ids]
     return index, cases
 
 

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
         if self.steps < 1 or (self.steps != 1 and self.attention != "edge"):
             raise ValueError(f"steps={self.steps}: only edge attention takes steps, >= 1")
+        if self.attention is not None and not self.model.startswith("joint"):
+            raise ValueError(f"attention={self.attention!r}: {self.model} takes no attention")
 
     @property
     def layers(self) -> int:
@@ -295,6 +297,8 @@ def train_model(config: TrainConfig, train_docs: list[Document],
                 table: EmbeddingTable | None = None):
     if config.model.startswith("joint"):
         return train_joint(config, train_docs, dev_docs, table)
+    if table is not None:
+        raise ValueError(f"{config.model} takes no embedding table")
     return train_pipeline(config, train_docs, dev_docs)
 
 

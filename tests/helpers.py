@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
-forward and Viterbi loops, and a frozen Chu-Liu-Edmonds.  Brute-force
-enumeration over tag paths and arborescences comes from ``proptree.oracle``,
-which ``proptree selftest`` shares.  Tests compare the package's
-analytic/algorithmic answers against these.  It also holds the few small
-functions that only tests need.
+forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, and
+the pipeline's earlier per-arc edge features as strings with the candidate
+arcs they were read over.  Brute-force enumeration over tag paths and
+arborescences comes from ``proptree.oracle``, which ``proptree selftest``
+shares.  Tests compare the package's analytic/algorithmic answers against
+these.  It also holds the few small functions that only tests need.
 """
 
 import numpy as np
@@ -99,6 +100,75 @@ def viterbi_reference(emit, trans):
     for i in range(n - 1, 0, -1):
         path.append(int(back[i, path[-1]]))
     return path[::-1]
+
+
+def sequence_score(model, tokens, tags):
+    """A CRF's score of the tag path ``tags`` over ``tokens``: the emissions
+    position by position, then the transitions, each added left to right."""
+    emit = model.emissions(model.features(tokens))
+    y = [model.tag_index[t] for t in tags]
+    score = sum(float(emit[i, y[i]]) for i in range(len(y)))
+    return score + sum(float(model.w_trans.data[a, b]) for a, b in zip(y, y[1:]))
+
+
+def candidate_arcs(entities):
+    """Every candidate arc ``(h, m, parent, child)`` over nodes 0..t.
+
+    Node 0 is the root (``parent`` None) and node i is ``entities[i - 1]``.
+    The root is only ever a parent and no entity heads itself.  Arcs come
+    child-major: for m = 1..t the root first, then heads 1..t ascending.
+    """
+    nodes = [None, *entities]
+    for m in range(1, len(nodes)):
+        for h in range(len(nodes)):
+            if h != m:
+                yield h, m, nodes[h], nodes[m]
+
+
+def _bucket(n):
+    if n <= 3:
+        return str(n)
+    return "4-6" if n <= 6 else "7+"
+
+
+def extract_edge_features(parent, child, tokens):
+    """A frozen copy of the pipeline's edge-feature strings for one candidate
+    parent->child arc (``parent`` None for the root), in template order: the
+    reference for ``edge_models.arc_features`` and the training index."""
+    cm = child.main_mention()
+    c_tok = tokens[cm.anchor - 1]
+    feats = ["bias", f"c_tok={c_tok}", f"c_type={child.type}"]
+    if parent is None:
+        feats += [
+            "p_tok=<root>", "p_type=<root>",
+            f"pair=<root>>{child.type}", "dist=root", "order=root",
+        ]
+        return feats
+    pm = parent.main_mention()
+    p_tok = tokens[pm.anchor - 1]
+    feats += [f"p_tok={p_tok}", f"p_type={parent.type}", f"pair={parent.type}>{child.type}"]
+    if pm.end <= cm.start:
+        between = tokens[pm.end - 1:cm.start - 1]
+        feats.append("order=parent-first")
+    elif cm.end <= pm.start:
+        between = tokens[cm.end - 1:pm.start - 1]
+        feats.append("order=child-first")
+    else:
+        between = []
+        feats.append("order=overlap")
+    feats.append(f"dist={_bucket(abs(pm.anchor - cm.anchor))}")
+    feats.append(f"btw_n={_bucket(len(between))}")
+    for tok in sorted(set(between)):
+        feats.append(f"btw={tok}")
+    return feats
+
+
+def edge_index_reference(docs):
+    """The edge models' training index as the strings built it: every feature
+    of every candidate arc of ``docs``, numbered in name order."""
+    feats = {f for doc in docs for _, _, parent, child in candidate_arcs(doc.entities)
+             for f in extract_edge_features(parent, child, doc.tokens)}
+    return {f: i for i, f in enumerate(sorted(feats))}
 
 
 def cle_reference(graph):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proptree import cli
+from proptree import cli, nn, pipeline
 from proptree import train as train_module
 from proptree.corpus import read_corpus, write_corpus
 from proptree.data import EQUIVALENT, PART_OF, SEGMENT, SKIP, decode_heads_to_tree
@@ -26,7 +26,7 @@ from proptree.joint import JointParser
 from proptree.metrics import Counts, MetricsReport
 from proptree.mst import is_tree
 from proptree.nn import load_checkpoint, save_checkpoint
-from proptree.synthetic import SyntheticConfig, generate_corpus
+from proptree.synthetic import SyntheticConfig, generate_corpus, vocabulary
 from proptree.train import (
     JointRunner,
     TrainConfig,
@@ -83,6 +83,29 @@ def test_config_overrides():
         cfg.apply_overrides({"banana": "1"})
 
 
+@pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
+def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
+    with pytest.raises(ValueError, match=f"attention='tensor': {re.escape(kind)} takes no"):
+        TrainConfig(model=kind, attention="tensor")
+    with pytest.raises(ValueError, match="takes no attention"):
+        TrainConfig(attention="additive").apply_overrides({"model": kind})
+    docs = small_corpus(n=3)
+    table = EmbeddingTable.random(vocabulary(docs), 8)
+    with pytest.raises(ValueError, match=f"{re.escape(kind)} takes no embedding table"):
+        train_model(tiny_config(model=kind, max_epochs=1), docs, [], table)
+
+    corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.txt"
+    write_corpus(corpus, docs)
+    vectors.write_text("1 2\nhuis 0.5 0.5\n")
+    train = ["train", "--train", corpus, "--model", kind, "--max-epochs", "1"]
+    for extra, message in ((["--embeddings", vectors], "takes no embedding table"),
+                           (["--attention", "tensor"], "takes no attention")):
+        assert run_cli([*train, *extra, "--out", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_batch_size_is_not_a_config_key():
     with pytest.raises(KeyError, match="batch_size"):
         TrainConfig().apply_overrides({"batch_size": "1"})
@@ -94,6 +117,11 @@ def test_cli_train_defaults_come_from_config():
     for key in ("model", "attention", "steps", "seed", "d", "l", "lr", "dropout",
                 "max_epochs", "patience"):
         assert getattr(args, key) == getattr(cfg, key), key
+
+
+@pytest.mark.parametrize("package", [nn, pipeline], ids=lambda p: p.__name__)
+def test_every_exported_name_resolves(package):
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_trainlog_csv():

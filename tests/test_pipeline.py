@@ -17,10 +17,9 @@ from proptree.pipeline.crf import (
 from proptree.pipeline.edge_models import (
     LtmModel,
     MttModel,
+    _training_cases,
     arc_features,
-    candidate_arcs,
     edge_feature_index,
-    extract_edge_features,
     mtt_log_partition_and_marginals,
     train_ltm,
     train_mtt,
@@ -36,7 +35,8 @@ from proptree.pipeline.predict import (
 from proptree.oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import (crf_reference_nll, entity_by_id, finite_difference, max_rel_err,
+from helpers import (candidate_arcs, crf_reference_nll, edge_index_reference, entity_by_id,
+                     extract_edge_features, finite_difference, max_rel_err, sequence_score,
                      viterbi_reference)
 
 
@@ -77,7 +77,7 @@ def test_crf_partition_and_viterbi_match_enumeration():
         assert model.log_partition(tokens) == pytest.approx(log_z, rel=1e-10)
         got = model.viterbi(tokens)
         assert [model.tag_index[t] for t in got] == best_path
-        assert model.sequence_score(tokens, got) == pytest.approx(best_score)
+        assert sequence_score(model, tokens, got) == pytest.approx(best_score)
 
 
 @given(st.integers(1, 40), st.sampled_from([1, 2, 13]), st.integers(0, 2**32 - 1))
@@ -106,8 +106,6 @@ def test_crf_rejects_mismatched_tag_lists():
     tokens = ["big", "roof", "terrace"]
     model = random_crf(tokens)
     for tags in (["t0"], ["t0", "t1"], ["t0", "t1", "t2", "t0"]):
-        with pytest.raises(ValueError, match=f"{len(tags)} tags for 3 tokens"):
-            model.sequence_score(tokens, tags)
         with pytest.raises(ValueError, match=f"{len(tags)} tags for 3 tokens"):
             model.nll_and_grad(model.features(tokens), tags)
 
@@ -281,7 +279,7 @@ def arc_layout(tokens, entities, drop, seed, constant_p):
 
 
 @st.composite
-def arc_layouts(draw):
+def entity_layouts(draw):
     """Entities over a few repeated tokens, with overlapping and multi-mention
     spans."""
     n = draw(st.integers(1, 12))
@@ -291,6 +289,13 @@ def arc_layouts(draw):
     entities = [Entity(f"E{i}", draw(st.sampled_from(["x", "y", None])),
                        draw(st.lists(spans, min_size=1, max_size=2)))
                 for i in range(draw(st.integers(1, 5)))]
+    return tokens, entities
+
+
+@st.composite
+def arc_layouts(draw):
+    """An entity layout with a partial index, weights and LTM's ``constant_p``."""
+    tokens, entities = draw(entity_layouts())
     return arc_layout(tokens, entities, draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
                       draw(st.integers(0, 2**32 - 1)),
                       draw(st.sampled_from([None, None, 0.0, 0.25, 1.0])))
@@ -328,6 +333,43 @@ def test_arc_table_matches_the_string_features(layout):
     table_grad = np.zeros(len(w))
     table.feats.scatter(table_grad, coeff)
     assert np.array_equal(table_grad, loop_grad)
+
+
+def check_training_cases(docs):
+    """``_training_cases`` numbers the features that some candidate arc has
+    in name order, as the string reference does, and its tables are
+    ``arc_features`` over that index."""
+    index, cases = _training_cases(docs)
+    assert list(index.items()) == list(edge_index_reference(docs).items())
+    assert edge_feature_index(docs) == index
+    with_entities = [doc for doc in docs if doc.entities]
+    assert len(cases) == len(with_entities)
+    for doc, (table, gold) in zip(with_entities, cases):
+        want = arc_features(doc.entities, doc.tokens, index)
+        for got, expected in ((table.heads, want.heads), (table.children, want.children),
+                              (table.feats.ids, want.feats.ids),
+                              (table.feats.rows, want.feats.rows)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert table.feats.n == want.feats.n
+        ids = {e.id for e in doc.entities}
+        assert gold.tolist() == [getattr(parent, "id", None) == (child.parent if child.parent in ids
+                                                                 else None)
+                                 for _, _, parent, child in candidate_arcs(doc.entities)]
+
+
+@example(docs=[Document("d0", REPEATS[0], REPEATS[1])])
+@given(st.lists(entity_layouts(), min_size=1, max_size=3).map(
+    lambda layouts: [Document(f"d{i}", tokens, entities)
+                     for i, (tokens, entities) in enumerate(layouts)]))
+def test_training_index_matches_the_string_features(docs):
+    check_training_cases(docs + [Document("empty", ["a"], [])])
+
+
+@pytest.mark.parametrize("config", [
+    dict(nonprojective_rate=0.0), dict(ambiguous=True), dict(nonprojective_rate=0.6)],
+    ids=["plain", "ambiguous", "nonprojective"])
+def test_training_index_matches_the_string_features_on_synthetic_corpora(config):
+    check_training_cases(generate_corpus(SyntheticConfig(n_docs=30, seed=5, **config)))
 
 
 def test_ltm_probability_and_fallback():
