@@ -59,12 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="word2vec file; random vectors when omitted")
     p.add_argument("--config", help="key=value override file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--d", type=int, default=cfg.d)
-    p.add_argument("--l", type=int, default=cfg.l)
+    # Pipelines reject these four, so they stay None unless given and the
+    # config's own defaults apply.
+    p.add_argument("--d", type=int)
+    p.add_argument("--l", type=int)
     p.add_argument("--lr", type=float, default=cfg.lr)
-    p.add_argument("--dropout", type=float, default=cfg.dropout)
+    p.add_argument("--dropout", type=float)
     p.add_argument("--max-epochs", type=int, default=cfg.max_epochs)
-    p.add_argument("--patience", type=int, default=cfg.patience)
+    p.add_argument("--patience", type=int)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
     source = p.add_mutually_exclusive_group(required=True)
@@ -128,13 +130,15 @@ def cmd_split(args) -> int:
     return 0
 
 
+def train_config(args) -> TrainConfig:
+    """The flags given to ``train`` and then the ``--config`` file, over the defaults."""
+    flags = {key: str(value) for key in TrainConfig.__dataclass_fields__
+             if (value := getattr(args, key, None)) is not None}
+    return TrainConfig().apply_overrides(flags | _read_overrides(args.config))
+
+
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        model=args.model, attention=args.attention, steps=args.steps,
-        d=args.d, l=args.l, lr=args.lr, dropout=args.dropout,
-        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-    )
-    config = config.apply_overrides(_read_overrides(args.config))
+    config = train_config(args)
     train_docs = read_corpus(args.train_path)
     dev_docs = read_corpus(args.dev_path) if args.dev_path else []
     table = load_embeddings(args.embeddings) if args.embeddings else None

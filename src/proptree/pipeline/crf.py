@@ -5,11 +5,14 @@ weight matrix, plus a tag-transition matrix.  The partition function uses
 the log-space forward algorithm; training follows the exact gradient
 (forward-backward expectations minus empirical counts) of the L2-regularized
 conditional log-likelihood.  BIO validity is learned, never hard-constrained.
-The edge models share the sparse ``FeatureTable`` and the Adam loop ``fit``.
+Feature ids sit in a ``FeatureTable``, one slot grid with -1 for an unknown
+feature: sums add each row left to right, and gradients scatter row-major.
+The edge models share it and the Adam loop ``fit``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,28 +41,28 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 class FeatureTable(NamedTuple):
-    """The known feature ids of ``n`` rows, in template order: ``ids[j]``
-    belongs to row ``rows[j]``.  Sums and gradients visit them in that order."""
+    """The known feature ids of ``n`` rows as one slot-major (width, n) grid:
+    ``slots[s, r]`` is row r's feature in template slot s, -1 for an unknown one."""
 
-    ids: np.ndarray
-    rows: np.ndarray
-    n: int
-
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "FeatureTable":
-        """The table of an (n, width) id grid in which -1 marks an unknown feature."""
-        rows, cols = np.nonzero(grid >= 0)
-        return cls(grid[rows, cols], rows, len(grid))
+    slots: np.ndarray
 
     def sums(self, w: np.ndarray) -> np.ndarray:
-        """Each row's sum of ``w[id]`` over its ids, left to right; 0 for a row without ids."""
-        out = np.zeros((self.n, *w.shape[1:]))
-        np.add.at(out, self.rows, w[self.ids])
-        return out
+        """Each row's sum of ``w[id]`` over its ids, left to right; 0 for a row without ids.
+        The gather reads -1 as a zero row appended to ``w``."""
+        x = np.concatenate([w, np.zeros((1, *w.shape[1:]))])[np.ascontiguousarray(self.slots)]
+        # numpy adds pairwise along its inner loop, so the slots must not form it:
+        # they would in a gather through a Fortran-ordered grid, or for one row of scalars.
+        return x.sum(axis=0) if x[0].size > 1 else x.cumsum(axis=0)[-1]
 
     def scatter(self, grad: np.ndarray, coeff: np.ndarray) -> None:
-        """Add ``coeff[r]`` to ``grad[id]`` for every id of every row r."""
-        np.add.at(grad, self.ids, coeff[self.rows])
+        """Add ``coeff[r]`` to ``grad[id]`` for every id of every row r, row by row
+        and each row left to right, into the C-contiguous ``grad``.  One 1-D
+        ``np.add.at`` over ``grad``'s flat view adds them all, in that order."""
+        ids = self.slots.T
+        known = ids >= 0
+        k = math.prod(grad.shape[1:])
+        flat = (ids[known][:, None] * k + np.arange(k)).ravel()
+        np.add.at(grad.reshape(-1), flat, coeff.repeat(known.sum(axis=1), axis=0).ravel())
 
 
 def fit(model: Module, cases: list, add_grad, lam: float, epochs: int,
@@ -102,7 +105,7 @@ class CrfModel(Module):
         after = {w: get(f"next={w}", -1) for w in {*tokens[1:], "</s>"}}
         grid = [own[w] + [prev[a], after[b]]
                 for a, w, b in zip(["<s>", *tokens], tokens, [*tokens[1:], "</s>"])]
-        return FeatureTable.from_grid(np.array(grid))
+        return FeatureTable(np.array(grid).T.copy())
 
     def emissions(self, table: FeatureTable) -> np.ndarray:
         """(N, K) emission score matrix."""

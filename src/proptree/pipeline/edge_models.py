@@ -24,15 +24,6 @@ from .crf import FeatureTable, fit
 ROOT_TOKEN = "<root>"
 
 
-def arc_grid(t: int) -> np.ndarray:
-    """``grid[m - 1, h]`` is True where h -> m is a candidate arc over nodes 0..t:
-    the root 0 is only a parent and no entity heads itself.  ``np.nonzero``
-    reads the arcs child-major, the root first and then heads ascending.  This
-    fixes LTM's training pairs and, through argmax's first maximum, the greedy
-    tie rule: the root beats every tied head and a smaller head a larger one."""
-    return ~np.eye(t, t + 1, k=1, dtype=bool)
-
-
 def _bucket(n: int) -> str:
     if n <= 3:
         return str(n)
@@ -40,9 +31,12 @@ def _bucket(n: int) -> str:
 
 
 class ArcFeatures(NamedTuple):
-    """One document's candidate arcs, ``heads[i] -> children[i]`` in
-    ``arc_grid`` order; row i of ``feats`` holds arc i's known feature ids
-    in template order."""
+    """One document's candidate arcs over nodes 0..t, ``heads[i] -> children[i]``:
+    the root 0 is only a parent and no entity heads itself.  They run
+    child-major, the root first and then heads ascending.  This fixes LTM's
+    training pairs and, through argmax's first maximum, the greedy tie rule:
+    the root beats every tied head and a smaller head a larger one.  Row i
+    of ``feats`` holds arc i's feature ids in template order."""
 
     heads: np.ndarray
     children: np.ndarray
@@ -58,12 +52,12 @@ class ArcFeatures(NamedTuple):
 
 def arc_features(entities: Sequence[Entity], tokens: list[str],
                  feature_index: dict[str, int]) -> ArcFeatures:
-    """The edge-feature template: every candidate arc's sparse features, as known ids.
+    """The edge-feature template: every candidate arc's feature ids, in one slot grid.
 
     Strings are looked up per entity, per type pair and per distinct token,
     never per arc.  A span's ``btw=`` features are its distinct tokens: with
-    ``prefix[k]`` counting each (sorted) token in ``tokens[:k]``, the span
-    ``[lo, hi)`` holds those with ``prefix[hi] > prefix[lo]``.
+    ``prefix[:, k]`` counting each (sorted) token in ``tokens[:k]``, the span
+    ``[lo, hi)`` holds those with ``prefix[:, hi] > prefix[:, lo]``.
     """
     def lookup(names) -> np.ndarray:
         return np.array([feature_index.get(f, -1) for f in names], dtype=np.int64)
@@ -76,34 +70,36 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     kind = np.array([kinds.index(e.type) for e in entities], dtype=np.int64)
     btw = {tok: i for tok in sorted(set(tokens)) if (i := feature_index.get(f"btw={tok}", -1)) >= 0}
     column = {tok: c for c, tok in enumerate(btw)}
-    # Column -1 collects the tokens without a btw= feature; row 0 stays zero.
-    prefix = np.zeros((len(tokens) + 1, len(btw) + 1), dtype=np.int32)
-    prefix[np.arange(1, len(tokens) + 1), [column.get(tok, -1) for tok in tokens]] = 1
-    prefix = prefix.cumsum(axis=0)[:, :-1]
+    # Row -1 collects the tokens without a btw= feature; column 0 stays zero.
+    prefix = np.zeros((len(btw) + 1, len(tokens) + 1), dtype=np.int32)
+    prefix[[column.get(tok, -1) for tok in tokens], np.arange(1, len(tokens) + 1)] = 1
+    prefix = prefix.cumsum(axis=1)[:-1]
 
-    # Grids are [child - 1, head]; head 0 is the root, whose own slots follow.
+    # The grid is [slot, child - 1, head]; head 0 is the root, whose own slots follow.
     node_kind, p_start, p_end = np.r_[0, kind + 1], np.r_[0, start], np.r_[0, end]
     cs, ce = start[:, None], end[:, None]
     case = np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2))
     lo = np.choose(case, (p_end - 1, ce - 1, 0))
     hi = np.choose(case, (cs - 1, p_start - 1, 0))
-    grid = np.empty((t, t + 1, 9 + len(btw)), dtype=np.int32)
-    grid[..., 0] = feature_index.get("bias", -1)
-    grid[..., 1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[:, None]
-    grid[..., 2] = lookup(f"c_type={k}" for k in kinds)[kind, None]
-    grid[..., 3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))
-    grid[..., 4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[node_kind]
-    grid[..., 5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
-                          ).reshape(len(kinds) + 1, len(kinds))[node_kind, kind[:, None]]
-    grid[..., 6] = lookup(["order=parent-first", "order=child-first", "order=overlap"])[case]
-    grid[..., 7] = lookup(f"dist={_bucket(n)}" for n in range(8))[np.minimum(abs(p_end - ce), 7)]
-    grid[..., 8] = lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)]
-    grid[..., 9:] = np.where(prefix[hi] > prefix[lo], list(btw.values()), -1)
-    grid[:, 0, 6:] = -1
-    grid[:, 0, 6:8] = lookup(["dist=root", "order=root"])
+    grid = np.empty((9 + len(btw), t, t + 1), dtype=np.int64)
+    grid[0] = feature_index.get("bias", -1)
+    grid[1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[:, None]
+    grid[2] = lookup(f"c_type={k}" for k in kinds)[kind, None]
+    grid[3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))
+    grid[4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[node_kind]
+    grid[5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
+                     ).reshape(len(kinds) + 1, len(kinds))[node_kind, kind[:, None]]
+    grid[6] = lookup(["order=parent-first", "order=child-first", "order=overlap"])[case]
+    grid[7] = lookup(f"dist={_bucket(n)}" for n in range(8))[np.minimum(abs(p_end - ce), 7)]
+    grid[8] = lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)]
+    grid[9:] = np.where(prefix[:, hi] > prefix[:, lo], np.reshape([*btw.values()], (-1, 1, 1)), -1)
+    grid[6:, :, 0] = -1
+    grid[6:8, :, 0] = lookup(["dist=root", "order=root"])[:, None]
 
-    children, heads = np.nonzero(arc_grid(t))
-    return ArcFeatures(heads, children + 1, FeatureTable.from_grid(grid[children, heads]))
+    child, j = np.divmod(np.arange(t * t), t)
+    heads = j + (j > child)  # the child's own node is skipped
+    arcs = grid.reshape(len(grid), -1).take(child * (t + 1) + heads, axis=1)
+    return ArcFeatures(heads, child + 1, FeatureTable(arcs))
 
 
 class _FeatureModel(Module):
@@ -173,8 +169,9 @@ def mtt_log_partition_and_marginals(theta: np.ndarray) -> tuple[float, np.ndarra
 
     lap = np.diag(a[:, 1:].sum(axis=0)) - a[1:, 1:]
     sign, logdet = np.linalg.slogdet(lap)
-    # With no arborescence det L is 0, but rounding can leave it positive.
-    isolated = ~_reachable_from_root(a > 0)[1:]
+    # With no arborescence det L is 0, but rounding can leave it positive.  The
+    # root reaches every node by itself unless one of its arcs underflowed to 0.
+    isolated = ~_reachable_from_root(a > 0)[1:] if (a[0, 1:] == 0).any() else np.zeros(t, bool)
     if isolated.any() or sign <= 0 or not np.isfinite(logdet):
         diag = np.where(isolated, lap.diagonal(), np.inf) if isolated.any() else lap.diagonal()
         worst = int(np.argmin(diag)) + 1
@@ -221,12 +218,12 @@ def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
         parents = np.array([node.get(e.parent, 0) for e in doc.entities])
         table = arc_features(doc.entities, doc.tokens, recorder)
         cases.append((table, table.heads == parents[table.children - 1]))
-        used.update(table.feats.ids.tolist())
+        used.update(table.feats.slots.ravel().tolist())
     names = list(recorder)
-    index = {f: i for i, f in enumerate(sorted(names[i] for i in used))}
-    renumber = np.array([index.get(f, -1) for f in names], dtype=np.int64)
+    index = {f: i for i, f in enumerate(sorted(names[i] for i in used - {-1}))}
+    renumber = np.array([*(index.get(f, -1) for f in names), -1], dtype=np.int64)
     for table, _ in cases:
-        table.feats.ids[:] = renumber[table.feats.ids]
+        table.feats.slots[:] = renumber[table.feats.slots]
     return index, cases
 
 
@@ -234,8 +231,8 @@ def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> LtmModel:
     """L2-regularized logistic regression over all ordered entity pairs."""
     index, cases = _training_cases(docs)
-    pairs = [(ids, int(y)) for table, gold in cases for ids, y in zip(
-        np.split(table.feats.ids, np.searchsorted(table.feats.rows, range(1, len(gold)))), gold)]
+    pairs = [(ids[ids >= 0], int(y)) for table, gold in cases
+             for ids, y in zip(table.feats.slots.T, gold)]
     if not pairs:
         raise ValueError("no candidate entity pairs in the training corpus")
     labels = {y for _, y in pairs}

@@ -70,6 +70,10 @@ class TrainConfig:
         return 0.3 if self.layers == 2 else 0.5
 
     def apply_overrides(self, overrides: dict[str, str]) -> "TrainConfig":
+        """A copy with ``overrides`` parsed in.  A pipeline reads only
+        ``max_epochs``, ``lr`` and ``seed``; setting a network size, dropout or
+        patience for one raises, where a plain constructor cannot tell a set
+        value from its default."""
         kwargs = {k: getattr(self, k) for k in self.__dataclass_fields__}
         for key, raw in overrides.items():
             if key not in kwargs:
@@ -80,7 +84,11 @@ class TrainConfig:
                 kwargs[key] = float(raw)
             else:
                 kwargs[key] = int(raw)
-        return TrainConfig(**kwargs)
+        config = TrainConfig(**kwargs)
+        ignored = [k for k in overrides if k in ("d", "l", "p", "dropout", "patience")]
+        if ignored and not config.model.startswith("joint"):
+            raise ValueError(f"{', '.join(ignored)}: {config.model} reads only max_epochs, lr, seed")
+        return config
 
 
 @dataclass

@@ -2,13 +2,16 @@
 
 Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
-forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, and
-the pipeline's earlier per-arc edge features as strings with the candidate
-arcs they were read over.  Brute-force enumeration over tag paths and
-arborescences comes from ``proptree.oracle``, which ``proptree selftest``
-shares.  Tests compare the package's analytic/algorithmic answers against
-these.  It also holds the few small functions that only tests need.
+forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
+pipeline's earlier sparse feature table, and its earlier per-arc edge
+features as strings with the candidate arcs they were read over.
+Brute-force enumeration over tag paths and arborescences comes from
+``proptree.oracle``, which ``proptree selftest`` shares.  Tests compare the
+package's analytic/algorithmic answers against these.  It also holds the
+few small functions that only tests need.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +112,34 @@ def sequence_score(model, tokens, tags):
     y = [model.tag_index[t] for t in tags]
     score = sum(float(emit[i, y[i]]) for i in range(len(y)))
     return score + sum(float(model.w_trans.data[a, b]) for a, b in zip(y, y[1:]))
+
+
+class SparseFeatureTable(NamedTuple):
+    """A frozen copy of the pipeline's earlier sparse feature table: the known
+    feature ids of ``n`` rows in template order, ``ids[j]`` belonging to row
+    ``rows[j]``, summed and scattered with ``np.add.at``.  The reference for
+    ``crf.FeatureTable``."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    n: int
+
+    @classmethod
+    def from_slots(cls, slots):
+        """The table of a (width, n) slot grid in which -1 marks an unknown feature."""
+        grid = slots.T
+        rows, cols = np.nonzero(grid >= 0)
+        return cls(grid[rows, cols], rows, len(grid))
+
+    def sums(self, w):
+        """Each row's sum of ``w[id]`` over its ids, left to right; 0 for a row without ids."""
+        out = np.zeros((self.n, *w.shape[1:]))
+        np.add.at(out, self.rows, w[self.ids])
+        return out
+
+    def scatter(self, grad, coeff):
+        """Add ``coeff[r]`` to ``grad[id]`` for every id of every row r."""
+        np.add.at(grad, self.ids, coeff[self.rows])
 
 
 def candidate_arcs(entities):

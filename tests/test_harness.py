@@ -94,16 +94,37 @@ def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
     with pytest.raises(ValueError, match=f"{re.escape(kind)} takes no embedding table"):
         train_model(tiny_config(model=kind, max_epochs=1), docs, [], table)
 
+    # Network sizes, dropout and patience: a pipeline reads none of them.
+    for key, value in (("d", "64"), ("l", "4"), ("p", "4"), ("dropout", "0.0"),
+                       ("patience", "3")):
+        with pytest.raises(ValueError, match=f"{key}: {re.escape(kind)} reads only"):
+            TrainConfig().apply_overrides({"model": kind, key: value})
+        with pytest.raises(ValueError, match=f"{key}: {re.escape(kind)} reads only"):
+            TrainConfig(model=kind).apply_overrides({key: value})
+    assert TrainConfig(model=kind, d=64, dropout=0.0).apply_overrides(
+        {"lr": "0.5", "max_epochs": "2", "seed": "3"}) == TrainConfig(
+        model=kind, d=64, dropout=0.0, lr=0.5, max_epochs=2, seed=3)
+
     corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.txt"
+    cfg = tmp_path / "cfg.txt"
     write_corpus(corpus, docs)
     vectors.write_text("1 2\nhuis 0.5 0.5\n")
+    cfg.write_text("patience = 2\n")
     train = ["train", "--train", corpus, "--model", kind, "--max-epochs", "1"]
     for extra, message in ((["--embeddings", vectors], "takes no embedding table"),
-                           (["--attention", "tensor"], "takes no attention")):
+                           (["--attention", "tensor"], "takes no attention"),
+                           (["--d", "64"], f"d: {kind} reads only"),
+                           (["--l", "4"], f"l: {kind} reads only"),
+                           (["--dropout", "0"], f"dropout: {kind} reads only"),
+                           (["--patience", "2"], f"patience: {kind} reads only"),
+                           (["--config", cfg], f"patience: {kind} reads only")):
         assert run_cli([*train, *extra, "--out", tmp_path / "run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and message in err
     assert not (tmp_path / "run").exists()
+    assert run_cli([*train, "--lr", "0.05", "--seed", "2", "--out", tmp_path / "run"]) == 0
+    assert (tmp_path / "run" / "checkpoint.zip").exists()
+    capsys.readouterr()
 
 
 def test_batch_size_is_not_a_config_key():
@@ -114,9 +135,12 @@ def test_batch_size_is_not_a_config_key():
 def test_cli_train_defaults_come_from_config():
     args = cli.build_parser().parse_args(["train", "--train", "t.jsonl", "--out", "o"])
     cfg = TrainConfig()
-    for key in ("model", "attention", "steps", "seed", "d", "l", "lr", "dropout",
-                "max_epochs", "patience"):
+    for key in ("model", "attention", "steps", "seed", "lr", "max_epochs"):
         assert getattr(args, key) == getattr(cfg, key), key
+    # Pipelines reject these, so an absent flag is None and the config's default applies.
+    for key in ("d", "l", "dropout", "patience"):
+        assert getattr(args, key) is None, key
+    assert cli.train_config(args) == cfg
 
 
 @pytest.mark.parametrize("package", [nn, pipeline], ids=lambda p: p.__name__)

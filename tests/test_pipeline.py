@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from proptree.data import Document, Entity, Mention, bio_encode
 from proptree.pipeline.crf import (
     CrfModel,
+    FeatureTable,
     crf_objective,
     emission_features,
     feature_index_from_corpus,
@@ -35,13 +36,18 @@ from proptree.pipeline.predict import (
 from proptree.oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import (candidate_arcs, crf_reference_nll, edge_index_reference, entity_by_id,
-                     extract_edge_features, finite_difference, max_rel_err, sequence_score,
-                     viterbi_reference)
+from helpers import (SparseFeatureTable, candidate_arcs, crf_reference_nll, edge_index_reference,
+                     entity_by_id, extract_edge_features, finite_difference, max_rel_err,
+                     sequence_score, viterbi_reference)
 
 
 def toy_docs():
     return generate_corpus(SyntheticConfig(n_docs=12, seed=4))
+
+
+def known_ids(table, i):
+    """Row i's known feature ids, in slot order."""
+    return [f for f in table.slots[:, i].tolist() if f >= 0]
 
 
 def random_crf(tokens, k=3, seed=0):
@@ -164,6 +170,43 @@ def test_crf_rejects_empty_sequence():
 
 
 @st.composite
+def slot_grids(draw):
+    """A slot grid over ``f`` ids with -1 holes, in C or Fortran order, with
+    random weights (1-D, or one column per tag) of magnitudes 1e-3 to 1e3,
+    row coefficients and a gradient that need not start at zero."""
+    width, n, f = draw(st.integers(1, 24)), draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    slots = np.array(draw(st.lists(st.integers(-1, f - 1), min_size=width * n,
+                                   max_size=width * n)), dtype=np.int64).reshape(width, n)
+    if draw(st.booleans()):
+        slots = np.asfortranarray(slots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (f, *draw(st.sampled_from([(), (1,), (3,)])))
+    w = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    start = draw(st.sampled_from([0.0, 1.0])) * rng.normal(size=shape)
+    coeff = rng.normal(size=(n, *shape[1:])) * 10.0 ** rng.integers(-3, 4, size=(n, *shape[1:]))
+    return slots, w, coeff, start
+
+
+# Three rows of 20 slots: row 0 holds id 1 twice, row 1 no known id.  The second
+# example below is row 0 alone, a single row of scalars.
+HOLES = (np.array([[1, -1, 0], [1, -1, 2]] + [[0, -1, 1]] * 18, dtype=np.int64),
+         10.0 ** np.arange(-3, 0), np.array([1e3, -2.0, 1e-3]), np.array([0.5, 0.0, -0.25]))
+
+
+@example(HOLES)
+@example((HOLES[0][:, :1], HOLES[1], HOLES[2][:1], HOLES[3]))
+@given(slot_grids())
+def test_feature_table_matches_the_sparse_reference(grid):
+    slots, w, coeff, start = grid
+    table, ref = FeatureTable(slots), SparseFeatureTable.from_slots(slots)
+    assert np.array_equal(table.sums(w), ref.sums(w))
+    got, want = start.copy(), start.copy()
+    table.scatter(got, coeff)
+    ref.scatter(want, coeff)
+    assert np.array_equal(got, want)
+
+
+@st.composite
 def crf_layouts(draw):
     """Tokens over a few repeated words, and an index lacking about ``drop``
     of their emission features, every feature of position ``blank`` (if
@@ -193,14 +236,14 @@ def test_crf_table_matches_the_string_features(layout):
     loop_grad = np.zeros_like(model.w_emit.data)
     for i in range(len(tokens)):
         ids = [index[f] for f in emission_features(tokens, i) if f in index]
-        assert table.ids[table.rows == i].tolist() == ids
+        assert known_ids(table, i) == ids
         if ids:
             loop_emit[i] = model.w_emit.data[ids].sum(axis=0)
         for f in ids:
             loop_grad[f] += delta[i]
     emit = model.emissions(table)
     assert np.array_equal(emit, loop_emit)
-    assert not emit[np.bincount(table.rows, minlength=len(tokens)) == 0].any()
+    assert not emit[(table.slots < 0).all(axis=0)].any()
     table_grad = np.zeros_like(model.w_emit.data)
     table.scatter(table_grad, delta)
     assert np.array_equal(table_grad, loop_grad)
@@ -323,7 +366,7 @@ def test_arc_table_matches_the_string_features(layout):
     for i, (h, m, parent, child) in enumerate(candidate_arcs(entities)):
         ids = [index[f] for f in extract_edge_features(parent, child, tokens) if f in index]
         assert (table.heads[i], table.children[i]) == (h, m)
-        assert table.feats.ids[table.feats.rows == i].tolist() == ids
+        assert known_ids(table.feats, i) == ids
         z = w[ids].sum()
         assert abs(theta[h, m] - z) <= 1e-12
         assert abs(theta[h, m] - mtt.arc_score(parent, child, tokens)) <= 1e-12
@@ -346,11 +389,13 @@ def check_training_cases(docs):
     assert len(cases) == len(with_entities)
     for doc, (table, gold) in zip(with_entities, cases):
         want = arc_features(doc.entities, doc.tokens, index)
+        # The training grid keeps a slot for every btw= name it recorded, so
+        # the rows' known ids are compared, as the sparse table holds them.
+        feats, want_feats = (SparseFeatureTable.from_slots(t.feats.slots) for t in (table, want))
         for got, expected in ((table.heads, want.heads), (table.children, want.children),
-                              (table.feats.ids, want.feats.ids),
-                              (table.feats.rows, want.feats.rows)):
+                              (feats.ids, want_feats.ids), (feats.rows, want_feats.rows)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert table.feats.n == want.feats.n
+        assert feats.n == want_feats.n
         ids = {e.id for e in doc.entities}
         assert gold.tolist() == [getattr(parent, "id", None) == (child.parent if child.parent in ids
                                                                  else None)
@@ -449,6 +494,24 @@ def test_mtt_singular_laplacian_reports_node():
     theta[1, 2] = theta[1, 3] = 2.0
     theta[2, 1], theta[3, 2] = -1.0, -2.0
     with pytest.raises(ValueError, match="node 1"):
+        mtt_log_partition_and_marginals(theta)
+
+
+def test_mtt_walks_from_the_root_when_a_root_arc_underflows():
+    # Root arcs of -1000 underflow to 0 after the column shift, so the root
+    # alone no longer reaches every node.  Node 1 is still reached via node 2.
+    theta = np.full((3, 3), -np.inf)
+    theta[0, 1], theta[2, 1], theta[0, 2] = -1000.0, 0.0, 0.0
+    log_z, marg = mtt_log_partition_and_marginals(theta)
+    brute_z, brute = arborescence_log_z_and_marginals(theta)
+    assert log_z == pytest.approx(brute_z, abs=1e-8)
+    np.testing.assert_allclose(marg, brute, rtol=0, atol=1e-8)
+    # Nodes 1-3 reach each other but the root only through underflowed arcs;
+    # node 4 has the smallest Laplacian diagonal but is not cut off.
+    theta = np.full((5, 5), -np.inf)
+    theta[1:4, 1:4] = 0.0
+    theta[0, 1:4], theta[0, 4] = -1000.0, 0.0
+    with pytest.raises(ValueError, match="node 1 is effectively isolated"):
         mtt_log_partition_and_marginals(theta)
 
 
