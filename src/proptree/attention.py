@@ -20,7 +20,6 @@ VARIANTS = SCORE_VARIANTS + ("edge",)
 
 
 class AdditiveAttention(nn.Module):
-    name = "additive"
     trainable = ("u", "w", "v", "b")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
@@ -35,7 +34,6 @@ class AdditiveAttention(nn.Module):
 
 
 class BilinearAttention(nn.Module):
-    name = "bilinear"
     trainable = ("w_bil",)
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
@@ -46,8 +44,6 @@ class BilinearAttention(nn.Module):
 
 
 class MultiplicativeAttention(nn.Module):
-    name = "multiplicative"
-
     def __init__(self, d: int, l: int, rng: np.random.Generator):
         pass
 
@@ -58,7 +54,6 @@ class MultiplicativeAttention(nn.Module):
 class BiaffineAttention(nn.Module):
     """Reduce each state with a dense+tanh bottleneck, then score biaffinely."""
 
-    name = "biaffine"
     trainable = ("u_dep", "u_head", "v_dep", "v_head", "w_bil", "b_lin", "b_dep", "b_head")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator, p: int = 32):
@@ -85,7 +80,6 @@ class BiaffineAttention(nn.Module):
 class TensorAttention(nn.Module):
     """Bilinear slice per hidden unit plus a linear term, squashed and mixed."""
 
-    name = "tensor"
     trainable = ("w_t", "v_t", "u_t", "b_t")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator):
@@ -109,7 +103,6 @@ class TensorAttention(nn.Module):
 class EdgeAttention(nn.Module):
     """Message passing: aggregate edge vectors into new node states, T rounds."""
 
-    name = "edge"
     trainable = ("u_e", "w_e", "b_e", "a_src", "a_dst")
 
     def __init__(self, d: int, l: int, rng: np.random.Generator, steps: int = 1):

@@ -59,14 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="word2vec file; random vectors when omitted")
     p.add_argument("--config", help="key=value override file")
     p.add_argument("--out", required=True, help="output directory")
-    # Pipelines reject these four, so they stay None unless given and the
-    # config's own defaults apply.
-    p.add_argument("--d", type=int)
-    p.add_argument("--l", type=int)
+    # Every default is TrainConfig's own, which any model kind accepts: a kind
+    # rejects only a value it does not read that differs from the default.
+    p.add_argument("--d", type=int, default=cfg.d)
+    p.add_argument("--l", type=int, default=cfg.l)
     p.add_argument("--lr", type=float, default=cfg.lr)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=float, default=cfg.dropout)
     p.add_argument("--max-epochs", type=int, default=cfg.max_epochs)
-    p.add_argument("--patience", type=int)
+    p.add_argument("--patience", type=int, default=cfg.patience)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
     source = p.add_mutually_exclusive_group(required=True)

@@ -36,9 +36,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, token: str) -> np.ndarray:
-        return self.matrix[self.index.get(token, self.index[UNK])]
-
     def lookup(self, tokens: list[str]) -> np.ndarray:
         """(len(tokens), dim) matrix; unknown tokens share the UNK row."""
         idx = [self.index.get(t, self.index[UNK]) for t in tokens]

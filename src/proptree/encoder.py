@@ -24,8 +24,6 @@ class LstmDirection(nn.Module):
     trainable = ("wx", "wh", "b")
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.wx = nn.uniform_param((4 * hidden_dim, input_dim), rng)
         self.wh = nn.uniform_param((4 * hidden_dim, hidden_dim), rng)
         bias = np.zeros(4 * hidden_dim)
@@ -61,15 +59,11 @@ class Encoder:
         if table.dim != hidden_dim:
             raise ValueError(f"embedding width {table.dim} != hidden width {hidden_dim}")
         self.table = table
-        self.hidden_dim = hidden_dim
+        self.out_dim = 2 * hidden_dim
         self.dropout = dropout
         self.layers = [BiLstmLayer(hidden_dim, hidden_dim, rng)]
         if layers == 2:
             self.layers.append(BiLstmLayer(2 * hidden_dim, hidden_dim, rng))
-
-    @property
-    def out_dim(self) -> int:
-        return 2 * self.hidden_dim
 
     def params_named(self, prefix: str = "") -> dict[str, nn.Tensor]:
         named = {}

@@ -48,26 +48,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 # Stack of active tapes; ops record onto the innermost one.
 _ACTIVE_TAPES: list["Tape"] = []
@@ -185,22 +165,19 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands (vector cases included)."""
+    """Matrix product of a 2-D ``a`` and a 1-D or 2-D ``b``."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim not in (1, 2):
+        raise ValueError(f"matmul: needs a 2-D left and a 1-D or 2-D right operand, "
+                         f"got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: inner dimensions of {ad.shape} and {bd.shape} do not match")
     out = Tensor(ad @ bd)
 
     def bwd(g):
-        if ad.ndim == 2 and bd.ndim == 2:
+        if bd.ndim == 2:
             return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad
+        return np.outer(g, bd), ad.T @ g
 
     return _record(out, (a, b), bwd)
 
@@ -475,9 +452,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def uniform_param(shape, rng: np.random.Generator, scale: float = 0.05) -> Tensor:
-    """Trainable leaf initialized uniform(-scale, +scale)."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+def uniform_param(shape, rng: np.random.Generator) -> Tensor:
+    """Trainable leaf initialized uniform(-0.05, +0.05)."""
+    return Tensor(rng.uniform(-0.05, 0.05, size=shape), requires_grad=True)
 
 
 def zeros_param(shape) -> Tensor:

@@ -204,14 +204,12 @@ class _Recorder(dict):
         return self.setdefault(name, len(self))
 
 
-def edge_feature_index(docs: list[Document]) -> dict[str, int]:
-    return _training_cases(docs)[0]
-
-
 def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     """The corpus's feature index, and per document with entities its arc
     table and whether each arc is gold.  The index holds the features that
-    some arc has, numbered in name order."""
+    some arc has, numbered in name order.  A table keeps only the slots where
+    some arc has a known id: the recording index gives every distinct token a
+    ``btw=`` slot, which stays empty when the token lies between no two spans."""
     recorder, cases, used = _Recorder(), [], set()
     for doc in (d for d in docs if d.entities):
         node = {e.id: i for i, e in enumerate(doc.entities, start=1)}
@@ -222,14 +220,15 @@ def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     names = list(recorder)
     index = {f: i for i, f in enumerate(sorted(names[i] for i in used - {-1}))}
     renumber = np.array([*(index.get(f, -1) for f in names), -1], dtype=np.int64)
-    for table, _ in cases:
-        table.feats.slots[:] = renumber[table.feats.slots]
+    for i, (table, gold) in enumerate(cases):
+        slots = renumber[table.feats.slots]
+        cases[i] = table._replace(feats=FeatureTable(slots[(slots >= 0).any(axis=1)])), gold
     return index, cases
 
 
-def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
+def train_ltm(docs: list[Document], epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> LtmModel:
-    """L2-regularized logistic regression over all ordered entity pairs."""
+    """L2-regularized logistic regression (weight 1) over all ordered entity pairs."""
     index, cases = _training_cases(docs)
     pairs = [(ids[ids >= 0], int(y)) for table, gold in cases
              for ids, y in zip(table.feats.slots.T, gold)]
@@ -244,12 +243,13 @@ def train_ltm(docs: list[Document], c: float = 1.0, epochs: int = 50,
         p = 1.0 / (1.0 + np.exp(-model.w.data[ids].sum()))
         np.add.at(model.w.grad, ids, p - y)
 
-    return fit(model, pairs, add_grad, 1.0 / c, epochs, lr, seed)
+    return fit(model, pairs, add_grad, 1.0, epochs, lr, seed)
 
 
-def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
+def train_mtt(docs: list[Document], epochs: int = 50,
               lr: float = 1e-3, seed: int = 0) -> MttModel:
-    """Gradient training of the arborescence log-likelihood per document."""
+    """Gradient training of the L2-regularized (weight 1) arborescence
+    log-likelihood per document."""
     index, cases = _training_cases(docs)
     if not cases:
         raise ValueError("no documents with entities in the training corpus")
@@ -259,4 +259,4 @@ def train_mtt(docs: list[Document], c: float = 1.0, epochs: int = 50,
         _, marg = mtt_log_partition_and_marginals(table.scores(model.w.data))
         table.feats.scatter(model.w.grad, marg[table.heads, table.children] - gold)
 
-    return fit(model, cases, add_grad, 1.0 / c, epochs, lr, seed)
+    return fit(model, cases, add_grad, 1.0, epochs, lr, seed)

@@ -61,7 +61,6 @@ class SyntheticConfig:
     nonprojective_rate: float = 0.3
     equivalent_rate: float = 0.15
     ambiguous: bool = False
-    id_prefix: str = "syn"
 
 
 class _Builder:
@@ -176,7 +175,7 @@ def generate_corpus(cfg: SyntheticConfig) -> list[Document]:
             _add_repeat_mention(rng, b)
         b.filler(rng, 0, 1)
         b.tokens.append(".")
-        docs.append(Document(f"{cfg.id_prefix}-{i:04d}", b.tokens, b.entities))
+        docs.append(Document(f"syn-{i:04d}", b.tokens, b.entities))
     return docs
 
 

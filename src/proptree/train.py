@@ -47,17 +47,24 @@ class TrainConfig:
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model!r}; choose from {MODEL_KINDS}")
-        if not all(v > 0 for v in (self.d, self.l, self.p, self.lr,
+        if not all(v > 0 for v in (self.steps, self.d, self.l, self.p, self.lr,
                                    self.max_epochs, self.patience)):
-            raise ValueError("d, l, p, lr, max_epochs, patience must be positive")
+            raise ValueError("steps, d, l, p, lr, max_epochs, patience must be positive")
         if not self.l < 2 * self.d:
             raise ValueError(f"l={self.l} must be smaller than 2d={2 * self.d}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
-        if self.steps < 1 or (self.steps != 1 and self.attention != "edge"):
-            raise ValueError(f"steps={self.steps}: only edge attention takes steps, >= 1")
-        if self.attention is not None and not self.model.startswith("joint"):
-            raise ValueError(f"attention={self.attention!r}: {self.model} takes no attention")
+        # An option the model kind does not read must keep its field default.
+        if self.model.startswith("joint"):
+            unread = {"p": "only biaffine attention reads p",
+                      "steps": "only edge attention reads steps"}
+            unread.pop({"biaffine": "p", "edge": "steps"}.get(self.attention), None)
+        else:
+            unread = dict.fromkeys(("attention", "steps", "d", "l", "p", "dropout", "patience"),
+                                   f"{self.model} reads only model, lr, max_epochs, seed")
+        for key, reason in unread.items():
+            if getattr(self, key) != self.__dataclass_fields__[key].default:
+                raise ValueError(f"{key}={getattr(self, key)!r}: {reason}")
 
     @property
     def layers(self) -> int:
@@ -70,10 +77,7 @@ class TrainConfig:
         return 0.3 if self.layers == 2 else 0.5
 
     def apply_overrides(self, overrides: dict[str, str]) -> "TrainConfig":
-        """A copy with ``overrides`` parsed in.  A pipeline reads only
-        ``max_epochs``, ``lr`` and ``seed``; setting a network size, dropout or
-        patience for one raises, where a plain constructor cannot tell a set
-        value from its default."""
+        """A copy with ``overrides`` parsed in."""
         kwargs = {k: getattr(self, k) for k in self.__dataclass_fields__}
         for key, raw in overrides.items():
             if key not in kwargs:
@@ -84,11 +88,7 @@ class TrainConfig:
                 kwargs[key] = float(raw)
             else:
                 kwargs[key] = int(raw)
-        config = TrainConfig(**kwargs)
-        ignored = [k for k in overrides if k in ("d", "l", "p", "dropout", "patience")]
-        if ignored and not config.model.startswith("joint"):
-            raise ValueError(f"{', '.join(ignored)}: {config.model} reads only max_epochs, lr, seed")
-        return config
+        return TrainConfig(**kwargs)
 
 
 @dataclass
@@ -141,11 +141,10 @@ class Runner:
 
 
 class JointRunner(Runner):
-    """A trained joint parser plus its frozen embedding table."""
+    """A trained joint parser; its encoder holds the frozen embedding table."""
 
-    def __init__(self, model: JointParser, table: EmbeddingTable):
+    def __init__(self, model: JointParser):
         self.model = model
-        self.table = table
         self.kind = "joint"
 
     def params_named(self) -> dict[str, Tensor]:
@@ -157,12 +156,13 @@ class JointRunner(Runner):
         return repair(dist, greedy), is_tree(greedy)
 
     def save(self, path: str | Path) -> None:
+        table = self.model.encoder.table
         manifest = {
             "kind": self.kind,
             "config": self.model.config,
-            "vocab": self.table.vocab,
+            "vocab": table.vocab,
         }
-        save_checkpoint(str(path), manifest, _arrays(self) | {"emb.matrix": self.table.matrix})
+        save_checkpoint(str(path), manifest, _arrays(self) | {"emb.matrix": table.matrix})
 
 
 class PipelineRunner(Runner):
@@ -232,7 +232,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         dropout=config.resolved_dropout, attention=config.attention,
         steps=config.steps, p=config.p, seed=config.seed,
     )
-    runner = JointRunner(model, table)
+    runner = JointRunner(model)
     golds = [encode_tree_to_heads(doc) for doc in train_docs]
     for g in golds:
         g.validate_gold()
@@ -290,7 +290,7 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
     crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
                     lr=config.lr, seed=config.seed)
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt
-    edge_model = trainer(train_docs, c=1.0, epochs=config.max_epochs,
+    edge_model = trainer(train_docs, epochs=config.max_epochs,
                          lr=config.lr, seed=config.seed)
     runner = PipelineRunner(crf, edge_model)
     log = TrainLog()
@@ -318,11 +318,7 @@ def load_runner(path: str | Path):
         cfg = manifest["config"]
         table = EmbeddingTable(manifest["vocab"],
                                _pop(arrays, "emb.matrix", (len(manifest["vocab"]), cfg["d"])))
-        model = JointParser(
-            table, d=cfg["d"], l=cfg["l"], layers=cfg["layers"], dropout=cfg["dropout"],
-            attention=cfg["attention"], steps=cfg["steps"], p=cfg["p"], seed=cfg["seed"],
-        )
-        return _restore(JointRunner(model, table), arrays)
+        return _restore(JointRunner(JointParser(table, **cfg)), arrays)
     if kind.startswith("pipeline-crf+"):
         crf = CrfModel(manifest["tags"], {f: i for i, f in enumerate(manifest["crf_features"])})
         edge_index = {f: i for i, f in enumerate(manifest["edge_features"])}

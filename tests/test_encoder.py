@@ -83,7 +83,7 @@ def test_backward_direction_mirrors_forward_on_reversed_input():
 
 def reference_lstm(direction, xs, reverse=False):
     """The per-step LSTM recurrence from the closed form, one position at a time."""
-    d = direction.hidden_dim
+    d = direction.wh.shape[1]
     wx, wh, b = direction.wx.data, direction.wh.data, direction.b.data
     h, c = np.zeros(d), np.zeros(d)
     out = np.zeros((len(xs), d))

@@ -44,8 +44,10 @@ def small_corpus(n=12, seed=4, **kw):
 
 
 def tiny_config(**kw):
-    base = dict(model="joint", d=8, l=4, lr=0.01, dropout=0.0,
-                max_epochs=2, patience=5, seed=0)
+    """A small config; a pipeline gets only the options it reads."""
+    base = dict(model="joint", lr=0.01, max_epochs=2, seed=0)
+    if kw.get("model", "joint").startswith("joint"):
+        base.update(d=8, l=4, dropout=0.0, patience=5)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -85,25 +87,32 @@ def test_config_overrides():
 
 @pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
 def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
-    with pytest.raises(ValueError, match=f"attention='tensor': {re.escape(kind)} takes no"):
-        TrainConfig(model=kind, attention="tensor")
-    with pytest.raises(ValueError, match="takes no attention"):
-        TrainConfig(attention="additive").apply_overrides({"model": kind})
     docs = small_corpus(n=3)
     table = EmbeddingTable.random(vocabulary(docs), 8)
     with pytest.raises(ValueError, match=f"{re.escape(kind)} takes no embedding table"):
         train_model(tiny_config(model=kind, max_epochs=1), docs, [], table)
 
-    # Network sizes, dropout and patience: a pipeline reads none of them.
-    for key, value in (("d", "64"), ("l", "4"), ("p", "4"), ("dropout", "0.0"),
-                       ("patience", "3")):
-        with pytest.raises(ValueError, match=f"{key}: {re.escape(kind)} reads only"):
-            TrainConfig().apply_overrides({"model": kind, key: value})
-        with pytest.raises(ValueError, match=f"{key}: {re.escape(kind)} reads only"):
-            TrainConfig(model=kind).apply_overrides({key: value})
-    assert TrainConfig(model=kind, d=64, dropout=0.0).apply_overrides(
-        {"lr": "0.5", "max_epochs": "2", "seed": "3"}) == TrainConfig(
-        model=kind, d=64, dropout=0.0, lr=0.5, max_epochs=2, seed=3)
+    # A pipeline reads only model, lr, max_epochs and seed: any other option
+    # set away from its default raises, in the constructor or as an override.
+    reads_only = f"{kind} reads only model, lr, max_epochs, seed"
+    for key, value in (("attention", "tensor"), ("steps", 2), ("d", 64), ("l", 4), ("p", 4),
+                       ("dropout", 0.0), ("patience", 3)):
+        message = re.escape(f"{key}={value!r}: {reads_only}")
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(model=kind, **{key: value})
+        with pytest.raises(ValueError, match=message):
+            TrainConfig().apply_overrides({"model": kind, key: str(value)})
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(model=kind).apply_overrides({key: str(value)})
+    with pytest.raises(ValueError, match=re.escape(f"attention='additive': {reads_only}")):
+        TrainConfig(attention="additive").apply_overrides({"model": kind})
+    with pytest.raises(ValueError, match=re.escape(f"d=64: {reads_only}")):
+        TrainConfig(model=kind, d=64, dropout=0.0)
+    # Options at their defaults are accepted.
+    defaults = TrainConfig(model=kind, attention=None, steps=1, d=128, l=32, p=32,
+                           dropout=None, patience=10)
+    assert defaults.apply_overrides({"lr": "0.5", "max_epochs": "2", "seed": "3"}) == TrainConfig(
+        model=kind, lr=0.5, max_epochs=2, seed=3)
 
     corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.txt"
     cfg = tmp_path / "cfg.txt"
@@ -112,17 +121,48 @@ def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
     cfg.write_text("patience = 2\n")
     train = ["train", "--train", corpus, "--model", kind, "--max-epochs", "1"]
     for extra, message in ((["--embeddings", vectors], "takes no embedding table"),
-                           (["--attention", "tensor"], "takes no attention"),
-                           (["--d", "64"], f"d: {kind} reads only"),
-                           (["--l", "4"], f"l: {kind} reads only"),
-                           (["--dropout", "0"], f"dropout: {kind} reads only"),
-                           (["--patience", "2"], f"patience: {kind} reads only"),
-                           (["--config", cfg], f"patience: {kind} reads only")):
+                           (["--attention", "tensor"], f"attention='tensor': {reads_only}"),
+                           (["--steps", "2"], f"steps=2: {reads_only}"),
+                           (["--d", "64"], f"d=64: {reads_only}"),
+                           (["--l", "4"], f"l=4: {reads_only}"),
+                           (["--dropout", "0"], f"dropout=0.0: {reads_only}"),
+                           (["--patience", "2"], f"patience=2: {reads_only}"),
+                           (["--config", cfg], f"patience=2: {reads_only}")):
         assert run_cli([*train, *extra, "--out", tmp_path / "run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and message in err
     assert not (tmp_path / "run").exists()
-    assert run_cli([*train, "--lr", "0.05", "--seed", "2", "--out", tmp_path / "run"]) == 0
+    assert run_cli([*train, "--lr", "0.05", "--seed", "2", "--d", "128", "--patience", "10",
+                    "--out", tmp_path / "run"]) == 0
+    assert (tmp_path / "run" / "checkpoint.zip").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value, reader", [("p", 4, "biaffine"), ("steps", 2, "edge")])
+def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, capsys,
+                                                                   key, value, reader):
+    message = f"{key}={value}: only {reader} attention reads {key}"
+    for model, attention in (("joint", None), ("joint", "additive"), ("joint-2layer", "tensor"),
+                             ("joint", "edge" if reader == "biaffine" else "biaffine")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(model=model, attention=attention, **{key: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(model=model).apply_overrides({"attention": attention or "none",
+                                                      key: str(value)})
+        # Left at its default, the option is accepted.
+        assert TrainConfig(model=model, attention=attention, p=32, steps=1).attention == attention
+    assert getattr(TrainConfig(attention=reader, **{key: value}), key) == value
+
+    corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
+    write_corpus(corpus, small_corpus(n=3))
+    cfg.write_text(f"{key} = {value}\n")
+    train = ["train", "--train", corpus, "--max-epochs", "1", "--d", "8", "--l", "4",
+             "--config", cfg]
+    assert run_cli([*train, "--attention", "tensor", "--out", tmp_path / "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and message in err
+    assert not (tmp_path / "run").exists()
+    assert run_cli([*train, "--attention", reader, "--out", tmp_path / "run"]) == 0
     assert (tmp_path / "run" / "checkpoint.zip").exists()
     capsys.readouterr()
 
@@ -135,11 +175,9 @@ def test_batch_size_is_not_a_config_key():
 def test_cli_train_defaults_come_from_config():
     args = cli.build_parser().parse_args(["train", "--train", "t.jsonl", "--out", "o"])
     cfg = TrainConfig()
-    for key in ("model", "attention", "steps", "seed", "lr", "max_epochs"):
+    for key in ("model", "attention", "steps", "seed", "lr", "max_epochs", "d", "l",
+                "dropout", "patience"):
         assert getattr(args, key) == getattr(cfg, key), key
-    # Pipelines reject these, so an absent flag is None and the config's default applies.
-    for key in ("d", "l", "dropout", "patience"):
-        assert getattr(args, key) is None, key
     assert cli.train_config(args) == cfg
 
 
@@ -229,7 +267,7 @@ def test_joint_checkpoint_roundtrip(tmp_path):
     assert set(named) == set(named2)
     for name in named:
         assert np.array_equal(named[name].data, named2[name].data), name
-    assert np.array_equal(runner.table.matrix, loaded.table.matrix)
+    assert np.array_equal(runner.model.encoder.table.matrix, loaded.model.encoder.table.matrix)
     for doc in docs[:3]:
         a, at = runner.predict_doc(doc.tokens)
         b, bt = loaded.predict_doc(doc.tokens)
@@ -397,23 +435,23 @@ def test_embedding_table_basics():
     table = EmbeddingTable.random(["a", "b"], 4, seed=0)
     assert table.vocab[-1] == "<unk>"
     assert table.matrix.shape == (3, 4)
-    assert np.array_equal(table.row("zzz"), table.row("<unk>"))
+    assert np.array_equal(table.lookup(["zzz"])[0], table.lookup(["<unk>"])[0])
     looked = table.lookup(["b", "a", "zzz"])
     assert looked.shape == (3, 4)
-    assert np.array_equal(looked[0], table.row("b"))
+    assert np.array_equal(looked[0], table.matrix[table.index["b"]])
 
 
 def test_word2vec_text_loader(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("2 3\nhuis 0.1 0.2 0.3\ntuin -1 0 1\n")
     table = load_word2vec_text(path)
-    assert np.allclose(table.row("huis"), [0.1, 0.2, 0.3])
-    assert np.allclose(table.row("tuin"), [-1.0, 0.0, 1.0])
+    assert np.allclose(table.lookup(["huis"])[0], [0.1, 0.2, 0.3])
+    assert np.allclose(table.lookup(["tuin"])[0], [-1.0, 0.0, 1.0])
 
     # headerless variant
     bare = tmp_path / "bare.txt"
     bare.write_text("huis 0.5 0.5\n")
-    assert load_word2vec_text(bare).row("huis").tolist() == [0.5, 0.5]
+    assert load_word2vec_text(bare).lookup(["huis"])[0].tolist() == [0.5, 0.5]
 
 
 def test_word2vec_binary_loader(tmp_path):
@@ -423,9 +461,9 @@ def test_word2vec_binary_loader(tmp_path):
         fh.write(b"huis " + struct.pack("<2f", 1.0, 2.0))
         fh.write(b"tuin " + struct.pack("<2f", 3.0, 4.0))
     table = load_word2vec_binary(path)
-    assert np.allclose(table.row("huis"), [1.0, 2.0])
-    assert np.allclose(table.row("tuin"), [3.0, 4.0])
-    assert np.allclose(load_embeddings(path).row("huis"), [1.0, 2.0])
+    assert np.allclose(table.lookup(["huis"])[0], [1.0, 2.0])
+    assert np.allclose(table.lookup(["tuin"])[0], [3.0, 4.0])
+    assert np.allclose(load_embeddings(path).lookup(["huis"])[0], [1.0, 2.0])
 
 
 def run_cli(argv):

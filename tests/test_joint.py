@@ -206,7 +206,7 @@ def test_distribution_matches_composed_reference(m_pos):
 def test_predict_doc_matches_composed_reference_on_edge_documents(tokens):
     # a one-token document, and one made only of unknown tokens
     table = EmbeddingTable.random(["villa", "garden"], 4, seed=0)
-    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=2), table)
+    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=2))
     model = runner.model
     ref = reference_distribution(model.scorer, model.encoder.encode(tokens).data)
     assert np.max(np.abs(model.distribution(tokens).p - ref.p)) <= 1e-12

@@ -20,7 +20,6 @@ from proptree.pipeline.edge_models import (
     MttModel,
     _training_cases,
     arc_features,
-    edge_feature_index,
     mtt_log_partition_and_marginals,
     train_ltm,
     train_mtt,
@@ -315,7 +314,7 @@ def arc_layout(tokens, entities, drop, seed, constant_p):
     """A layout plus an index lacking about ``drop`` of its features (and
     holding two it never uses), random weights, and LTM's ``constant_p``."""
     rng = np.random.default_rng(seed)
-    full = sorted(edge_feature_index([Document("d", tokens, entities)]))
+    full = sorted(_training_cases([Document("d", tokens, entities)])[0])
     names = [f for f in full if rng.random() >= drop] + ["btw=zz", "c_tok=zz"]
     index = {f: i for i, f in enumerate(rng.permutation(names).tolist())}
     return tokens, entities, index, rng.normal(size=len(index)) * 3.0, constant_p, rng
@@ -384,13 +383,12 @@ def check_training_cases(docs):
     ``arc_features`` over that index."""
     index, cases = _training_cases(docs)
     assert list(index.items()) == list(edge_index_reference(docs).items())
-    assert edge_feature_index(docs) == index
     with_entities = [doc for doc in docs if doc.entities]
     assert len(cases) == len(with_entities)
     for doc, (table, gold) in zip(with_entities, cases):
         want = arc_features(doc.entities, doc.tokens, index)
-        # The training grid keeps a slot for every btw= name it recorded, so
-        # the rows' known ids are compared, as the sparse table holds them.
+        # The training grid keeps only the slots where some arc has a known id,
+        # so the rows' known ids are compared, as the sparse table holds them.
         feats, want_feats = (SparseFeatureTable.from_slots(t.feats.slots) for t in (table, want))
         for got, expected in ((table.heads, want.heads), (table.children, want.children),
                               (feats.ids, want_feats.ids), (feats.rows, want_feats.rows)):
@@ -417,9 +415,17 @@ def test_training_index_matches_the_string_features_on_synthetic_corpora(config)
     check_training_cases(generate_corpus(SyntheticConfig(n_docs=30, seed=5, **config)))
 
 
+def test_training_tables_have_no_empty_slot():
+    """A slot where no arc has a known id would only add zeros."""
+    for config in (dict(nonprojective_rate=0.0), dict(ambiguous=True)):
+        _, cases = _training_cases(generate_corpus(SyntheticConfig(n_docs=30, seed=5, **config)))
+        for table, _ in cases:
+            assert (table.feats.slots >= 0).any(axis=1).all()
+
+
 def test_ltm_probability_and_fallback():
     tokens, (e1, e2, _) = sample_entities()
-    index = edge_feature_index([Document("d", tokens, [e1, e2])])
+    index = _training_cases([Document("d", tokens, [e1, e2])])[0]
     model = LtmModel(index)
     model.w.data[:] = 0.0
     weights = model.arc_matrix([e1, e2], tokens)
@@ -435,7 +441,7 @@ def test_ltm_probability_and_fallback():
 
 def test_ltm_learns_parent_preference():
     docs = generate_corpus(SyntheticConfig(n_docs=40, seed=6))
-    model = train_ltm(docs, c=1.0, epochs=40, lr=0.05, seed=0)
+    model = train_ltm(docs, epochs=40, lr=0.05, seed=0)
     correct = total = 0
     for doc in docs:
         ents = doc.entities
@@ -541,7 +547,7 @@ def test_mtt_training_learns_attachments():
     # scores are trained for the global tree distribution, so decode with
     # the tree decoder rather than local argmax
     docs = generate_corpus(SyntheticConfig(n_docs=40, seed=8, equivalent_rate=0.0))
-    model = train_mtt(docs, c=1.0, epochs=40, lr=0.05, seed=0)
+    model = train_mtt(docs, epochs=40, lr=0.05, seed=0)
     assert isinstance(model, MttModel)
     correct = total = 0
     for doc in docs:
