@@ -56,7 +56,7 @@ class BiaffineAttention(nn.Module):
 
     trainable = ("u_dep", "u_head", "v_dep", "v_head", "w_bil", "b_lin", "b_dep", "b_head")
 
-    def __init__(self, d: int, l: int, rng: np.random.Generator, p: int = 32):
+    def __init__(self, d: int, l: int, rng: np.random.Generator, p: int):
         self.u_dep = nn.uniform_param((l, 2 * d), rng)
         self.u_head = nn.uniform_param((l, 2 * d), rng)
         self.v_dep = nn.uniform_param((p, l), rng)
@@ -105,7 +105,7 @@ class EdgeAttention(nn.Module):
 
     trainable = ("u_e", "w_e", "b_e", "a_src", "a_dst")
 
-    def __init__(self, d: int, l: int, rng: np.random.Generator, steps: int = 1):
+    def __init__(self, d: int, l: int, rng: np.random.Generator, steps: int):
         if steps < 1:
             raise ValueError(f"edge attention needs steps >= 1, got {steps}")
         self.steps = steps
@@ -143,15 +143,34 @@ _CLASSES = {
 }
 
 
-def make_attention(variant: str, d: int, l: int, rng: np.random.Generator,
-                   p: int = 32, steps: int = 1):
-    if variant not in _CLASSES:
+# Each option beyond d and l: the one variant that reads it, and its default.
+_OPTIONS = {"p": ("biaffine", 32), "steps": ("edge", 1)}
+
+
+def attention_options(variant: str | None, **given: int) -> dict[str, int]:
+    """The keyword arguments of ``variant``'s class: each option it reads,
+    as given or at its default.  ``None`` is no attention.
+
+    Raises ValueError for an unknown variant and for an option that the
+    variant does not read given away from its default, and KeyError for a
+    name that is not an option.
+    """
+    if variant is not None and variant not in _CLASSES:
         raise ValueError(f"unknown attention variant {variant!r}; choose from {VARIANTS}")
-    if variant == "biaffine":
-        return BiaffineAttention(d, l, rng, p=p)
-    if variant == "edge":
-        return EdgeAttention(d, l, rng, steps=steps)
-    return _CLASSES[variant](d, l, rng)
+    options = {key: default for key, (reader, default) in _OPTIONS.items() if reader == variant}
+    for key, value in given.items():
+        reader, default = _OPTIONS[key]
+        if reader == variant:
+            options[key] = value
+        elif value != default:
+            raise ValueError(f"{key}={value!r}: only {reader} attention reads {key}")
+    return options
+
+
+def make_attention(variant: str, d: int, l: int, rng: np.random.Generator, **given: int):
+    """A ``variant`` layer; ``given`` holds ``p`` or ``steps`` (see ``attention_options``)."""
+    options = attention_options(variant, **given)
+    return _CLASSES[variant](d, l, rng, **options)
 
 
 def attention_weights(scores: nn.Tensor) -> nn.Tensor:

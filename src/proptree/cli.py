@@ -33,13 +33,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
 
+    syn = SyntheticConfig()
     p = sub.add_parser("generate", help="write a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-docs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nonprojective-rate", type=float, default=0.3)
-    p.add_argument("--equivalent-rate", type=float, default=0.15)
-    p.add_argument("--ambiguous", action="store_true")
+    p.add_argument("--n-docs", type=int, default=syn.n_docs)
+    p.add_argument("--seed", type=int, default=syn.seed)
+    p.add_argument("--nonprojective-rate", type=float, default=syn.nonprojective_rate)
+    p.add_argument("--equivalent-rate", type=float, default=syn.equivalent_rate)
+    p.add_argument("--ambiguous", action="store_true", default=syn.ambiguous)
 
     p = sub.add_parser("split", help="shuffle and cut a corpus into train/dev/test")
     p.add_argument("input")
@@ -108,12 +109,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = SyntheticConfig(
-        n_docs=args.n_docs, seed=args.seed,
-        nonprojective_rate=args.nonprojective_rate,
-        equivalent_rate=args.equivalent_rate, ambiguous=args.ambiguous,
-    )
-    docs = generate_corpus(cfg)
+    fields = SyntheticConfig.__dataclass_fields__
+    docs = generate_corpus(SyntheticConfig(**{key: getattr(args, key) for key in fields}))
     write_corpus(args.out, docs)
     print(f"wrote {len(docs)} documents to {args.out}")
     return 0

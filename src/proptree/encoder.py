@@ -3,7 +3,8 @@
 The encoder maps a token sequence to one width-2d vector per position,
 position 0 being the dummy root.  The root is represented by a zero vector
 that never passes through the LSTM and never receives dropout.  Embeddings
-are frozen; only LSTM weights train.
+are frozen; only LSTM weights train.  In training, ``nn.dropout`` is applied
+to the input of every LSTM layer, the embeddings included.
 """
 
 from __future__ import annotations
@@ -76,15 +77,9 @@ class Encoder:
                rng: np.random.Generator | None = None) -> nn.Tensor:
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
-        embedded = self.table.lookup(tokens)
-        if train and self.dropout > 0.0:
-            # Frozen embeddings carry no gradient, so the input mask can be
-            # applied outside the tape.
-            mask = (rng.random(embedded.shape) >= self.dropout) / (1.0 - self.dropout)
-            embedded = embedded * mask
-        states = nn.Tensor(embedded)
-        for depth, layer in enumerate(self.layers):
-            if depth > 0 and train and self.dropout > 0.0:
+        states = nn.Tensor(self.table.lookup(tokens))
+        for layer in self.layers:
+            if train:
                 states = nn.dropout(states, self.dropout, rng)
             states = layer.run(states)
         root = nn.Tensor(np.zeros((1, self.out_dim)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .attention import augment, make_attention, scorer_input_width
+from .attention import attention_options, augment, make_attention, scorer_input_width
 from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
@@ -102,15 +102,14 @@ class JointParser:
                  layers: int = 1, dropout: float = 0.5,
                  attention: str | None = None, steps: int = 1, p: int = 32,
                  seed: int = 0):
+        options = attention_options(attention, p=p, steps=steps)
         rng = np.random.default_rng(seed)
         self.config = {
             "d": d, "l": l, "layers": layers, "dropout": dropout,
             "attention": attention, "steps": steps, "p": p, "seed": seed,
         }
         self.encoder = Encoder(table, d, layers, dropout, rng)
-        self.attention = (
-            make_attention(attention, d, l, rng, p=p, steps=steps) if attention else None
-        )
+        self.attention = make_attention(attention, d, l, rng, **options) if attention else None
         self.scorer = LabelScorer(scorer_input_width(d, attention), l, rng)
 
     def params_named(self) -> dict[str, nn.Tensor]:

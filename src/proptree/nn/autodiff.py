@@ -142,19 +142,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError:
-        raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _record(out, (a, b), bwd)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .attention import attention_options
 from .corpus import doc_to_json
 from .data import Document, TokenHeadAssignment, decode_heads_to_tree, encode_tree_to_heads
 from .embeddings import EmbeddingTable
@@ -54,17 +55,14 @@ class TrainConfig:
             raise ValueError(f"l={self.l} must be smaller than 2d={2 * self.d}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
-        # An option the model kind does not read must keep its field default.
+        # An option the model kind does not read must keep its default.
         if self.model.startswith("joint"):
-            unread = {"p": "only biaffine attention reads p",
-                      "steps": "only edge attention reads steps"}
-            unread.pop({"biaffine": "p", "edge": "steps"}.get(self.attention), None)
+            attention_options(self.attention, p=self.p, steps=self.steps)
         else:
-            unread = dict.fromkeys(("attention", "steps", "d", "l", "p", "dropout", "patience"),
-                                   f"{self.model} reads only model, lr, max_epochs, seed")
-        for key, reason in unread.items():
-            if getattr(self, key) != self.__dataclass_fields__[key].default:
-                raise ValueError(f"{key}={getattr(self, key)!r}: {reason}")
+            for key in ("attention", "steps", "d", "l", "p", "dropout", "patience"):
+                if getattr(self, key) != self.__dataclass_fields__[key].default:
+                    raise ValueError(f"{key}={getattr(self, key)!r}: "
+                                     f"{self.model} reads only model, lr, max_epochs, seed")
 
     @property
     def layers(self) -> int:

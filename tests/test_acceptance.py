@@ -64,6 +64,9 @@ def criterion(name):
 
 
 VOCAB = ["huis", "tuin", "dak", "zwembad", "ruime", "garage"]
+# The attention options away from their defaults, each given only to the
+# variant that reads it.
+READ_OPTIONS = {"biaffine": {"p": 2}, "edge": {"steps": 2}}
 
 
 def random_joint_case(seed, variant):
@@ -73,7 +76,7 @@ def random_joint_case(seed, variant):
     tokens = [VOCAB[i] for i in rng.integers(0, len(VOCAB), n)]
     table = EmbeddingTable.random(VOCAB, 2, seed=seed)
     model = JointParser(table, d=2, l=3, dropout=0.0, attention=variant,
-                        steps=2, p=2, seed=seed)
+                        **READ_OPTIONS.get(variant, {}), seed=seed)
     heads, labels = [], []
     for i in range(1, n + 1):
         h = int(rng.integers(0, n + 1))
@@ -217,7 +220,7 @@ def test_distribution_and_attention_normalization():
             d = int(rng.integers(2, 4))
             table = EmbeddingTable.random(VOCAB, d, seed=seed)
             model = JointParser(table, d=d, l=2 * d - 1, dropout=0.0,
-                                attention=variant, steps=2, p=2, seed=seed)
+                                attention=variant, **READ_OPTIONS.get(variant, {}), seed=seed)
             dist = model.distribution(tokens)
             assert np.all(dist.p[0] == 0.0)
             sums = dist.p[1:].reshape(n, -1).sum(axis=1)

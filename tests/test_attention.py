@@ -1,5 +1,7 @@
 """Attention variants vs direct per-pair numpy computations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from proptree.attention import (
     SCORE_VARIANTS,
     VARIANTS,
     EdgeAttention,
+    attention_options,
     attention_weights,
     augment,
     context_vectors,
@@ -33,6 +36,25 @@ def test_factory_rejects_unknown_variant():
         layer_for("fancy")
     with pytest.raises(ValueError):
         layer_for("edge", steps=0)
+
+
+def test_factory_passes_each_option_only_to_its_reader():
+    assert attention_options(None) == {}
+    assert attention_options("tensor", p=32, steps=1) == {}
+    assert attention_options("biaffine") == {"p": 32}
+    assert attention_options("edge", p=32, steps=3) == {"steps": 3}
+    assert layer_for("biaffine", p=2).w_bil.shape == (2, 2)
+    assert layer_for("edge", steps=3).steps == 3
+    with pytest.raises(ValueError, match=re.escape("p=4: only biaffine attention reads p")):
+        layer_for("additive", p=4)
+    with pytest.raises(ValueError, match=re.escape("steps=2: only edge attention reads steps")):
+        layer_for("biaffine", steps=2)
+    with pytest.raises(ValueError, match="unknown attention variant 'bogus'"):
+        attention_options("bogus")
+    with pytest.raises(KeyError):
+        layer_for("tensor", heads=2)
+    for variant in VARIANTS:
+        layer_for(variant, p=32, steps=1)
 
 
 @pytest.mark.parametrize("variant", SCORE_VARIANTS)

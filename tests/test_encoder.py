@@ -165,6 +165,28 @@ def test_dropout_only_in_training():
     assert np.all(dropped[0] == 0.0)  # root row untouched by dropout
 
 
+def test_dropout_masks_each_layer_input_in_order():
+    # The reference draws the embeddings' mask first and layer 2's input mask
+    # second from one generator, and scales the kept entries by hand.
+    rate, tokens = 0.3, ["villa", "garden", "pool", "roof"]
+    enc = make_encoder(d=3, layers=2, dropout=rate)
+    got = enc.encode(tokens, train=True, rng=np.random.default_rng(5)).data
+
+    rng = np.random.default_rng(5)
+    states = enc.table.lookup(tokens)
+    for layer in enc.layers:
+        mask = (rng.random(states.shape) >= rate) / (1.0 - rate)
+        states = layer.run(nn.Tensor(states * mask)).data
+    assert np.array_equal(got[1:], states)
+    assert np.all(got[0] == 0.0)
+
+    # At rate 0 training draws nothing and changes nothing.
+    enc = make_encoder(d=3, layers=2, dropout=0.0)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(enc.encode(tokens, train=True, rng=rng).data, enc.encode(tokens).data)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
 def test_encoder_gradients_match_finite_differences():
     # layer 2 also checks the gradient with respect to the LSTM's input,
     # which layer 1 cannot: its inputs are frozen embeddings

