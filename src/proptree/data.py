@@ -168,7 +168,8 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
     heads, labels = assignment.heads, assignment.labels
 
     def resolve_anchor(t: int) -> int:
-        """Follow segment arcs from token t to its mention anchor."""
+        """Follow segment arcs from token t to its mention anchor; any other
+        token is its own anchor."""
         seen = []
         while labels[t - 1] == SEGMENT:
             seen.append(t)
@@ -218,7 +219,7 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
         if h == 0:
             parent = ROOT_ID
         else:
-            p = resolve_anchor(h) if labels[h - 1] == SEGMENT else h
+            p = resolve_anchor(h)
             if p not in ids:
                 raise ValueError(f"token {a}: parent arc points at {h}, which anchors no entity")
             parent = ids[p]

@@ -4,14 +4,14 @@ Greedy head selection can produce cycles or multiple roots.  This module
 rebuilds a legal structure: every non-skip token becomes a node, each
 candidate arc j->i is weighted with the log-probability of the best
 non-skip label for that pair, and the maximum spanning arborescence rooted
-at node 0 replaces the greedy heads.  Skip decisions are taken from the
-greedy output and never revisited.
+at node 0 replaces the greedy heads, each kept arc with that best label.
+Skip decisions are taken from the greedy output and never revisited.
 
 A graph over k nodes is one (k, k) array ``weights[head, dependent]`` of
-node positions, with -inf for a missing arc; self-arcs and arcs into the
-root are never used.  The decoder contracts cycles one at a time in a single
-preallocated (2k - 1, 2k - 1) array, so memory stays O(k^2) however deeply
-cycles nest.
+node positions, with -inf for a missing arc.  Self-arcs and arcs into the
+root are never used: the decoder masks them, whatever they weigh.  It
+contracts cycles one at a time in a single preallocated (2k - 1, 2k - 1)
+array, so memory stays O(k^2) however deeply cycles nest.
 
 Ties are broken deterministically, which makes the output a function of the
 weights alone:
@@ -41,14 +41,13 @@ _P_FLOOR = 1e-300
 
 
 class WeightedDigraph:
-    """Arc weights (and optional arc labels) over ascending node ids, root first."""
+    """Arc weights over ascending node ids, root first."""
 
-    def __init__(self, nodes: list[int], weights: np.ndarray, labels: np.ndarray | None = None):
+    def __init__(self, nodes: list[int], weights: np.ndarray):
         if not nodes or nodes[0] != 0:
             raise ValueError("node 0 (the root) must be present")
         self.nodes = list(nodes)
         self.weights = weights
-        self.labels = labels
 
 
 def build_graph(dist: JointDistribution, greedy: TokenHeadAssignment) -> WeightedDigraph:
@@ -59,10 +58,7 @@ def build_graph(dist: JointDistribution, greedy: TokenHeadAssignment) -> Weighte
     probs = dist.p[np.ix_(keep, nodes)][..., ARC_LABELS].transpose(1, 0, 2)
     weights = np.full((len(nodes), len(nodes)), -np.inf)
     weights[:, 1:] = np.log(np.maximum(probs.max(axis=2), _P_FLOOR))
-    np.fill_diagonal(weights, -np.inf)
-    labels = np.zeros(weights.shape, dtype=int)
-    labels[:, 1:] = np.array(ARC_LABELS)[probs.argmax(axis=2)]
-    return WeightedDigraph(nodes, weights, labels)
+    return WeightedDigraph(nodes, weights)
 
 
 def chu_liu_edmonds(graph: WeightedDigraph) -> dict[int, int]:
@@ -157,12 +153,13 @@ def repair(dist: JointDistribution, greedy: TokenHeadAssignment) -> TokenHeadAss
     """Replace non-skip arcs with the maximum spanning arborescence's arcs."""
     graph = build_graph(dist, greedy)
     parent = chu_liu_edmonds(graph)
-    pos = {v: i for i, v in enumerate(graph.nodes)}
+    # Each kept arc's best label: the first maximum, as build_graph weighs it.
+    best = dist.p[list(parent), list(parent.values())][:, ARC_LABELS].argmax(axis=1)
     heads = list(greedy.heads)
     labels = list(greedy.labels)
-    for dep, head in parent.items():
+    for (dep, head), label in zip(parent.items(), best.tolist()):
         heads[dep - 1] = head
-        labels[dep - 1] = int(graph.labels[pos[head], pos[dep]])
+        labels[dep - 1] = ARC_LABELS[label]
     for t in range(1, greedy.n + 1):
         if labels[t - 1] == SKIP:
             heads[t - 1] = t

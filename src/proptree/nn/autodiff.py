@@ -90,8 +90,6 @@ class Tape:
             if g is None:
                 continue
             for t, gt in zip(inputs, bwd(g)):
-                if gt is None:
-                    continue
                 key = id(t)
                 if key in grads:
                     grads[key] = grads[key] + gt

@@ -119,15 +119,10 @@ class LtmModel(_FeatureModel):
 
     kind = "ltm"
 
-    def __init__(self, feature_index: dict[str, int], constant_p: float | None = None):
-        super().__init__(feature_index)
-        # Single-class training degenerates to a constant prior probability.
-        self.constant_p = constant_p
-
     def arc_matrix(self, entities: Sequence[Entity], tokens: list[str]) -> np.ndarray:
         """Log-probability weights for the spanning-tree stage, -inf off the arcs."""
         z = super().arc_matrix(entities, tokens)
-        p = self.constant_p if self.constant_p is not None else 1.0 / (1.0 + np.exp(-z))
+        p = 1.0 / (1.0 + np.exp(-z))
         return np.where(z > -np.inf, np.log(np.maximum(p, 1e-300)), -np.inf)
 
 
@@ -234,9 +229,6 @@ def train_ltm(docs: list[Document], epochs: int = 50,
              for ids, y in zip(table.feats.slots.T, gold)]
     if not pairs:
         raise ValueError("no candidate entity pairs in the training corpus")
-    labels = {y for _, y in pairs}
-    if len(labels) == 1:
-        return LtmModel(index, constant_p=float(labels.pop()))
     model = LtmModel(index)
 
     def add_grad(ids: np.ndarray, y: int) -> None:

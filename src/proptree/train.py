@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import attention_options
+from .attention import attention_options, scorer_input_width
 from .corpus import doc_to_json
 from .data import Document, TokenHeadAssignment, decode_heads_to_tree, encode_tree_to_heads
 from .embeddings import EmbeddingTable
@@ -51,8 +51,8 @@ class TrainConfig:
         if not all(v > 0 for v in (self.steps, self.d, self.l, self.p, self.lr,
                                    self.max_epochs, self.patience)):
             raise ValueError("steps, d, l, p, lr, max_epochs, patience must be positive")
-        if not self.l < 2 * self.d:
-            raise ValueError(f"l={self.l} must be smaller than 2d={2 * self.d}")
+        if not self.l < (width := scorer_input_width(self.d, self.attention)):
+            raise ValueError(f"l={self.l} must be smaller than the scorer's input width {width}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
         # An option the model kind does not read must keep its default.
@@ -187,7 +187,6 @@ class PipelineRunner(Runner):
             "tags": self.crf.tags,
             "crf_features": _names_in_order(self.crf.feature_index),
             "edge_features": _names_in_order(self.edge_model.feature_index),
-            "constant_p": getattr(self.edge_model, "constant_p", None),
         }
         save_checkpoint(str(path), manifest, _arrays(self))
 
@@ -285,6 +284,7 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
                    dev_docs: list[Document] | None = None) -> tuple[PipelineRunner, TrainLog]:
     if not train_docs:
         raise ValueError("empty training split")
+    started = time.perf_counter()
     crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
                     lr=config.lr, seed=config.seed)
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt
@@ -293,7 +293,10 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
     runner = PipelineRunner(crf, edge_model)
     log = TrainLog()
     val = dev_docs if dev_docs else train_docs
-    log.add(config.max_epochs, 0.0, runner.evaluate(val).overall.f1, 0.0)
+    # A two-stage pipeline has no single training loss; the seconds cover
+    # both stages and the validation pass, as a joint epoch's do.
+    log.add(config.max_epochs, float("nan"), runner.evaluate(val).overall.f1,
+            time.perf_counter() - started)
     log.best_epoch = config.max_epochs
     return runner, log
 
@@ -321,7 +324,7 @@ def load_runner(path: str | Path):
         crf = CrfModel(manifest["tags"], {f: i for i, f in enumerate(manifest["crf_features"])})
         edge_index = {f: i for i, f in enumerate(manifest["edge_features"])}
         if kind.endswith("ltm"):
-            edge_model = LtmModel(edge_index, constant_p=manifest.get("constant_p"))
+            edge_model = LtmModel(edge_index)
         else:
             edge_model = MttModel(edge_index)
         return _restore(PipelineRunner(crf, edge_model), arrays)

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 
@@ -14,9 +15,9 @@ import pytest
 
 from proptree import cli, nn, pipeline
 from proptree import train as train_module
-from proptree.attention import make_attention
+from proptree.attention import VARIANTS, make_attention
 from proptree.corpus import read_corpus, write_corpus
-from proptree.data import EQUIVALENT, PART_OF, SEGMENT, SKIP, decode_heads_to_tree
+from proptree.data import EQUIVALENT, PART_OF, ROOT_ID, SEGMENT, SKIP, decode_heads_to_tree
 from proptree.embeddings import (
     EmbeddingTable,
     load_embeddings,
@@ -72,6 +73,32 @@ def test_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(steps=steps, attention=attention)
     assert TrainConfig(attention="edge", steps=3).steps == 3
+
+
+def builds(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+def test_config_accepts_exactly_the_widths_the_joint_parser_builds():
+    """One rule for the scoring width: l must be smaller than the scorer's
+    input width, 2d without attention or with edge attention and 4d with the
+    other variants."""
+    accepted = set()
+    for d in (2, 3):
+        table = EmbeddingTable.random(["villa", "tuin"], d)
+        for l in range(1, 14):
+            for attention in (None, *VARIANTS):
+                in_config = builds(lambda: TrainConfig(d=d, l=l, attention=attention))
+                in_parser = builds(lambda: JointParser(table, d=d, l=l, attention=attention))
+                assert in_config == in_parser, (d, l, attention)
+                if in_config:
+                    accepted.add((d, l, attention))
+    assert (2, 5, "additive") in accepted and (2, 4, None) not in accepted
+    assert (3, 5, "edge") in accepted and (3, 6, "edge") not in accepted
 
 
 def test_config_overrides():
@@ -331,6 +358,29 @@ def test_pipeline_checkpoint_roundtrip(tmp_path, kind):
         assert runner.predict_doc(doc.tokens, doc.id) == loaded.predict_doc(doc.tokens, doc.id)
 
 
+@pytest.mark.parametrize("constant_p", [None, 1.0])
+def test_ltm_checkpoint_with_a_constant_p_field_loads(tmp_path, constant_p):
+    """Older pipeline-crf+ltm manifests carry ``constant_p``: null for a
+    trained LTM, or 1.0 with untrained zero weights when every training pair
+    had one label, which scored every arc equally.  Both load, and predict
+    as the saved runner and as those equal scores did."""
+    docs = small_corpus(n=15)
+    runner, _ = train_pipeline(tiny_config(model="pipeline-crf+ltm", max_epochs=8, lr=0.05), docs)
+    if constant_p is not None:
+        runner.edge_model.w.data[:] = 0.0
+    runner.save(tmp_path / "ck.zip")
+    manifest, arrays = load_checkpoint(str(tmp_path / "ck.zip"))
+    assert "constant_p" not in manifest
+    save_checkpoint(str(tmp_path / "old.zip"), manifest | {"constant_p": constant_p}, arrays)
+    loaded = load_runner(tmp_path / "old.zip")
+    for doc in docs:
+        assignment, was_tree = loaded.predict_doc(doc.tokens, doc.id)
+        assert (assignment, was_tree) == runner.predict_doc(doc.tokens, doc.id)
+        if constant_p is not None:
+            tree = decode_heads_to_tree(assignment, doc.tokens)
+            assert was_tree and all(e.parent == ROOT_ID for e in tree.entities)
+
+
 def force_all_skip(runner):
     """Weights under which every token is predicted skip."""
     if runner.kind == "joint":
@@ -540,6 +590,27 @@ def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys):
                     "--data", splits / "test.jsonl", "--out", pred_path]) == 0
     records = [json.loads(line) for line in pred_path.read_text().splitlines()]
     assert len(records) == len(read_corpus(splits / "test.jsonl"))
+    capsys.readouterr()
+
+
+def test_cli_pipeline_trainlog_has_wall_seconds_and_no_loss(tmp_path, capsys):
+    """A pipeline's one trainlog row: its seconds are the measured time of
+    training both stages and validating, and its loss is nan, since a
+    two-stage pipeline has no single training loss."""
+    corpus = tmp_path / "c.jsonl"
+    run_cli(["generate", "--out", corpus, "--n-docs", "8", "--seed", "2"])
+    out = tmp_path / "run"
+    started = time.perf_counter()
+    assert run_cli(["train", "--train", corpus, "--model", "pipeline-crf+mtt",
+                    "--lr", "0.05", "--max-epochs", "2", "--out", out]) == 0
+    elapsed = time.perf_counter() - started
+    header, row = (out / "trainlog.csv").read_text().strip().splitlines()
+    assert header == "epoch,loss,val_f1,seconds"
+    epoch, loss, val_f1, seconds = row.split(",")
+    assert epoch == "2" and loss == "nan"
+    overall_f1 = json.loads((out / "metrics.json").read_text())["overall_f1"]
+    assert float(val_f1) == pytest.approx(overall_f1, abs=0.01)
+    assert 0.0 < float(seconds) <= elapsed
     capsys.readouterr()
 
 

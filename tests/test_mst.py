@@ -17,6 +17,7 @@ from proptree.data import (
 )
 from proptree.joint import JointDistribution
 from proptree.mst import (
+    ARC_LABELS,
     WeightedDigraph,
     arborescence_weight,
     build_graph,
@@ -45,7 +46,7 @@ def dense_graph(n, weights):
 def test_digraph_contract():
     w = np.array([[-np.inf, -1.0], [-np.inf, -np.inf]])
     g = WeightedDigraph([0, 1], w)
-    assert g.nodes == [0, 1] and g.weights is w and g.labels is None
+    assert g.nodes == [0, 1] and g.weights is w
     with pytest.raises(ValueError):
         WeightedDigraph([1, 0], w)
     # self-arcs and arcs into the root are never used, whatever they weigh
@@ -134,12 +135,12 @@ def test_build_graph_contract():
     greedy = TokenHeadAssignment([0, 1, 3], [PART_OF, EQUIVALENT, SKIP])
     g = build_graph(JointDistribution(p), greedy)
     assert g.nodes == [0, 1, 2]
-    assert set(zip(*np.nonzero(np.isfinite(g.weights)))) == {(0, 1), (2, 1), (0, 2), (1, 2)}
+    # Every arc into a non-root node is weighed, self-arcs too: the decoder
+    # masks those, and arcs into the root, itself.
+    assert np.isfinite(g.weights[:, 1:]).all() and not np.isfinite(g.weights[:, 0]).any()
     assert g.weights[0, 1] == pytest.approx(np.log(0.6))
     assert g.weights[2, 1] == pytest.approx(np.log(0.4))
-    assert g.labels[0, 1] == PART_OF
-    assert g.labels[2, 1] == SEGMENT
-    assert g.labels[1, 2] == EQUIVALENT
+    assert g.weights[1, 2] == pytest.approx(np.log(0.7))
 
     # a non-skip token with all-zero mass gets floored arcs, not -inf
     greedy = TokenHeadAssignment([0, 1, 0], [PART_OF, EQUIVALENT, PART_OF])
@@ -280,6 +281,12 @@ def distributions(draw):
     return JointDistribution(p), TokenHeadAssignment(heads, labels)
 
 
+def first_best_label(p, t, head):
+    """The first of the tree labels with the most mass on arc head -> t."""
+    mass = [p[t, head, label] for label in ARC_LABELS]
+    return ARC_LABELS[mass.index(max(mass))]
+
+
 @given(distributions())
 def test_repair_always_returns_a_tree(case):
     dist, assignment = case
@@ -288,6 +295,8 @@ def test_repair_always_returns_a_tree(case):
         assert is_tree(fixed)
         assert ([lab == SKIP for lab in fixed.labels]
                 == [lab == SKIP for lab in given_heads.labels])
+        for t, head, label in fixed.triples():
+            assert label == first_best_label(dist.p, t, head)
 
 
 @given(distributions())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from proptree.data import Document, Entity, Mention, bio_encode
+from proptree.data import ROOT_ID, Document, Entity, Mention, bio_encode
 from proptree.pipeline.crf import (
     CrfModel,
     FeatureTable,
@@ -310,14 +310,14 @@ def test_edge_feature_contents():
     assert extract_edge_features(e1, e2, tokens) == extract_edge_features(e1, e2, tokens)
 
 
-def arc_layout(tokens, entities, drop, seed, constant_p):
+def arc_layout(tokens, entities, drop, seed):
     """A layout plus an index lacking about ``drop`` of its features (and
-    holding two it never uses), random weights, and LTM's ``constant_p``."""
+    holding two it never uses) and random weights."""
     rng = np.random.default_rng(seed)
     full = sorted(_training_cases([Document("d", tokens, entities)])[0])
     names = [f for f in full if rng.random() >= drop] + ["btw=zz", "c_tok=zz"]
     index = {f: i for i, f in enumerate(rng.permutation(names).tolist())}
-    return tokens, entities, index, rng.normal(size=len(index)) * 3.0, constant_p, rng
+    return tokens, entities, index, rng.normal(size=len(index)) * 3.0, rng
 
 
 @st.composite
@@ -336,25 +336,24 @@ def entity_layouts(draw):
 
 @st.composite
 def arc_layouts(draw):
-    """An entity layout with a partial index, weights and LTM's ``constant_p``."""
+    """An entity layout with a partial index and weights."""
     tokens, entities = draw(entity_layouts())
     return arc_layout(tokens, entities, draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
-                      draw(st.integers(0, 2**32 - 1)),
-                      draw(st.sampled_from([None, None, 0.0, 0.25, 1.0])))
+                      draw(st.integers(0, 2**32 - 1)))
 
 
 # "a" and "b" each twice between E1 and E2; E3 overlaps E2.
 REPEATS = arc_layout(["x", "a", "b", "a", "b", "y", "a"],
                      [Entity("E1", "x", [Mention(1, 2)]), Entity("E2", "y", [Mention(6, 8)]),
-                      Entity("E3", "x", [Mention(7, 8)])], 0.2, 3, None)
+                      Entity("E3", "x", [Mention(7, 8)])], 0.2, 3)
 
 
 @example(REPEATS)
 @given(arc_layouts())
 def test_arc_table_matches_the_string_features(layout):
-    tokens, entities, index, w, constant_p, rng = layout
+    tokens, entities, index, w, rng = layout
     table = arc_features(entities, tokens, index)
-    mtt, ltm = MttModel(index), LtmModel(index, constant_p)
+    mtt, ltm = MttModel(index), LtmModel(index)
     mtt.w.data[:] = ltm.w.data[:] = w
     theta, log_p = mtt.arc_matrix(entities, tokens), ltm.arc_matrix(entities, tokens)
     t = len(entities)
@@ -369,7 +368,7 @@ def test_arc_table_matches_the_string_features(layout):
         z = w[ids].sum()
         assert abs(theta[h, m] - z) <= 1e-12
         assert abs(theta[h, m] - mtt.arc_score(parent, child, tokens)) <= 1e-12
-        p = constant_p if constant_p is not None else 1.0 / (1.0 + np.exp(-z))
+        p = 1.0 / (1.0 + np.exp(-z))
         assert abs(log_p[h, m] - np.log(max(p, 1e-300))) <= 1e-12
         np.add.at(loop_grad, ids, coeff[i])
     table_grad = np.zeros(len(w))
@@ -423,7 +422,7 @@ def test_training_tables_have_no_empty_slot():
             assert (table.feats.slots >= 0).any(axis=1).all()
 
 
-def test_ltm_probability_and_fallback():
+def test_ltm_probability():
     tokens, (e1, e2, _) = sample_entities()
     index = _training_cases([Document("d", tokens, [e1, e2])])[0]
     model = LtmModel(index)
@@ -432,11 +431,28 @@ def test_ltm_probability_and_fallback():
     assert np.exp(weights[1, 2]) == pytest.approx(0.5)
     assert weights[1, 2] == pytest.approx(np.log(0.5))
 
-    # degenerate single-class training data falls back to a constant
-    degenerate = [Document("d", ["a"], [Entity("E", "t", [Mention(1, 2)])])]
-    fallback = train_ltm(degenerate, epochs=1)
-    assert fallback.constant_p is not None
-    assert np.exp(fallback.arc_matrix(degenerate[0].entities, ["a"])[0, 1]) > 0.5
+
+def one_entity_ads(docs):
+    """Each ad cut down to its first root-level entity, so that every
+    training pair of LTM is a root arc and carries the same label."""
+    out = []
+    for doc in docs:
+        top = next(e for e in doc.entities if e.parent == ROOT_ID)
+        out.append(Document(doc.id, doc.tokens, [Entity(top.id, top.type, top.mentions)]))
+    return out
+
+
+def test_ltm_trained_on_one_entity_ads_attaches_every_entity_to_the_root():
+    """Single-label training is plain logistic training: only the root's own
+    features are ever seen, and all of them as positives, so the root beats
+    every other head."""
+    docs = generate_corpus(SyntheticConfig(n_docs=40, seed=3))
+    model = train_ltm(one_entity_ads(docs), epochs=5, lr=0.05, seed=0)
+    assert any(len(doc.entities) > 1 for doc in docs)
+    for doc in docs:
+        graph = entity_graph(doc.entities, doc.tokens, model.arc_matrix)
+        assert greedy_entity_parents(graph.weights) == [0] * len(doc.entities)
+        assert chu_liu_edmonds(graph) == {m: 0 for m in range(1, len(doc.entities) + 1)}
 
 
 def test_ltm_learns_parent_preference():

@@ -188,6 +188,49 @@ def test_grads_accumulate_across_tapes():
     assert x.grad == pytest.approx(0.0)
 
 
+# Exported names that are not recorded operations.
+NOT_PRIMITIVES = {"Adam", "FORMAT_VERSION", "Module", "Tape", "Tensor", "load_checkpoint",
+                  "save_checkpoint", "uniform_param", "zeros_param"}
+
+
+def test_every_primitive_returns_one_gradient_per_input():
+    """Each exported primitive records one op whose backward pass gives every
+    input an array of that input's shape; ``Tape.backward`` relies on it."""
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    calls = {
+        "add": lambda: nn.add(t(3, 4), t(3, 1)),
+        "concat": lambda: nn.concat([t(2, 3), t(4, 3)], axis=0),
+        "dropout": lambda: nn.dropout(t(3, 4), 0.5, rng),
+        "log_softmax_nll": lambda: nn.log_softmax_nll(t(3, 4), np.array([0, 3, 1])),
+        "lstm_sequence": lambda: nn.lstm_sequence(t(5, 3), t(8, 3), t(8, 2), t(8), reverse=True),
+        "matmul": lambda: nn.matmul(t(2, 3), t(3)),
+        "narrow": lambda: nn.narrow(t(3, 5), 1, 1, 4),
+        "pair_mlp": lambda: nn.pair_mlp(t(3, 4), t(2, 4), t(4), t(4)),
+        "permute": lambda: nn.permute(t(2, 3, 4), (2, 0, 1)),
+        "reduce_sum": lambda: nn.reduce_sum(t(3, 4), axis=1),
+        "reshape": lambda: nn.reshape(t(3, 4), (2, 6)),
+        "scale": lambda: nn.scale(t(3, 4), 0.5),
+        "softmax": lambda: nn.softmax(t(3, 4)),
+        "stack": lambda: nn.stack([t(3), t(3)], axis=1),
+        "tanh": lambda: nn.tanh(t(3, 4)),
+        "transpose": lambda: nn.transpose(t(3, 4)),
+    }
+    assert set(calls) == set(nn.__all__) - NOT_PRIMITIVES
+    for name, call in calls.items():
+        with Tape() as tape:
+            out = call()
+        [(recorded, inputs, bwd)] = tape._records
+        assert recorded is out, name
+        grads = bwd(np.asarray(rng.normal(size=out.shape)))
+        assert len(grads) == len(inputs), name
+        for x, g in zip(inputs, grads):
+            assert isinstance(g, np.ndarray) and g.shape == x.shape, name
+
+
 def test_ops_outside_tape_record_nothing():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     nn.tanh(x)  # no active tape
