@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runner.save(out / "checkpoint.zip")
     (out / "trainlog.csv").write_text(log.to_csv())
-    report = runner.evaluate(dev_docs if dev_docs else train_docs)
+    report = log.best_report
     (out / "metrics.json").write_text(report.dumps() + "\n")
     print(report.to_table())
     print(f"best epoch: {log.best_epoch} (val F1 {log.best_f1:.2f}); artifacts in {out}")

@@ -69,17 +69,22 @@ def fit(model: Module, cases: list, add_grad, lam: float, epochs: int,
         lr: float, seed: int) -> Module:
     """Adam on the L2-regularized loss, one case at a time in a fresh random
     order each epoch.  A step's gradient is ``lam / len(cases)`` times every
-    parameter, plus what ``add_grad(*case)`` adds for the case's loss."""
+    parameter, plus what ``add_grad(*case)`` adds for the case's loss.
+    Raises ``FloatingPointError`` after an epoch that leaves a parameter non-finite."""
     opt = Adam(model.params_named().values(), lr=lr)
     reg = lam / len(cases)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         for idx in rng.permutation(len(cases)):
             opt.zero_grad()
             for p in opt.params:
                 p.grad += reg * p.data
             add_grad(*cases[idx])
             opt.step()
+        # Once per epoch: a per-step gradient check costs about 2% of pipeline training.
+        if not all(np.isfinite(p.data).all() for p in opt.params):
+            raise FloatingPointError(
+                f"{type(model).__name__}: non-finite parameters after epoch {epoch}")
     return model
 
 

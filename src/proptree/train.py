@@ -93,8 +93,12 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     loss: float
-    val_f1: float
+    report: MetricsReport   # validation after the epoch
     seconds: float
+
+    @property
+    def val_f1(self) -> float:
+        return self.report.overall.f1
 
 
 @dataclass
@@ -102,12 +106,17 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
 
-    def add(self, epoch: int, loss: float, val_f1: float, seconds: float) -> None:
-        self.records.append(EpochRecord(epoch, loss, val_f1, seconds))
+    def add(self, epoch: int, loss: float, report: MetricsReport, seconds: float) -> None:
+        self.records.append(EpochRecord(epoch, loss, report, seconds))
 
     @property
     def best_f1(self) -> float:
         return max((r.val_f1 for r in self.records), default=0.0)
+
+    @property
+    def best_report(self) -> MetricsReport:
+        """The validation report of the kept weights, those of ``best_epoch``."""
+        return next(r.report for r in self.records if r.epoch == self.best_epoch)
 
     def to_csv(self) -> str:
         lines = ["epoch,loss,val_f1,seconds"]
@@ -261,8 +270,9 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
                     f"non-finite loss or gradient in epoch {epoch}, document {doc.id!r}")
             opt.step()
             total += loss.item()
-        val_f1 = runner.evaluate(val_docs).overall.f1
-        log.add(epoch, total / len(train_docs), val_f1, time.perf_counter() - started)
+        report = runner.evaluate(val_docs)
+        val_f1 = report.overall.f1
+        log.add(epoch, total / len(train_docs), report, time.perf_counter() - started)
 
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -295,7 +305,7 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
     val = dev_docs if dev_docs else train_docs
     # A two-stage pipeline has no single training loss; the seconds cover
     # both stages and the validation pass, as a joint epoch's do.
-    log.add(config.max_epochs, float("nan"), runner.evaluate(val).overall.f1,
+    log.add(config.max_epochs, float("nan"), runner.evaluate(val),
             time.perf_counter() - started)
     log.best_epoch = config.max_epochs
     return runner, log

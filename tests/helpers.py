@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
 forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
-features as strings with the candidate arcs they were read over.
+features as strings with the candidate arcs they were read over, and
+Adam's step over whole arrays.
 Brute-force enumeration over tag paths and arborescences comes from
 ``proptree.oracle``, which ``proptree selftest`` shares.  Tests compare the
 package's analytic/algorithmic answers against these.  It also holds the
@@ -17,6 +18,7 @@ import numpy as np
 
 from proptree import nn
 from proptree.data import EQUIVALENT, PART_OF
+from proptree.nn.optim import BETA1, BETA2, EPS
 
 
 def finite_difference(f, arrays, eps=1e-5):
@@ -259,6 +261,25 @@ def cle_reference(graph):
         leaving = np.flatnonzero(parent[:c] == c)
         parent[leaving] = cycle[w[np.ix_(cycle, leaving)].argmax(axis=0)]
     return {graph.nodes[v]: graph.nodes[parent[v]] for v in range(1, k)}
+
+
+def adam_step_reference(opt):
+    """A frozen copy of ``proptree.nn.Adam.step`` over whole arrays, before it
+    ran in blocks: one step of ``opt``, on its parameters, ``_m`` and ``_v``."""
+    opt.t += 1
+    for p, m, v in zip(opt.params, opt._m, opt._v):
+        a, c = np.empty_like(p.data), np.empty_like(p.data)
+        g = p.grad
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=a), g, out=a)
+        step = np.divide(m, 1.0 - BETA1 ** opt.t, out=a)
+        step *= opt.lr
+        denom = np.sqrt(np.divide(v, 1.0 - BETA2 ** opt.t, out=c), out=c)
+        denom += EPS
+        step /= denom
+        p.data -= step
 
 
 def sigmoid(a):

@@ -39,6 +39,7 @@ from proptree.train import (
     train_model,
     train_pipeline,
 )
+from helpers import adam_step_reference
 
 
 def small_corpus(n=12, seed=4, **kw):
@@ -255,12 +256,12 @@ def test_every_exported_name_resolves(package):
 
 def test_trainlog_csv():
     log = TrainLog()
-    log.add(1, 2.5, 40.0, 0.1)
-    log.add(2, 1.5, 55.5, 0.1)
-    assert log.best_f1 == 55.5
+    log.add(1, 2.5, fake_f1_report(50.0), 0.1)
+    log.add(2, 1.5, fake_f1_report(60.0), 0.1)
+    assert log.best_f1 == 60.0
     lines = log.to_csv().strip().splitlines()
     assert lines[0] == "epoch,loss,val_f1,seconds"
-    assert lines[2].startswith("2,1.500000,55.5000")
+    assert lines[2].startswith("2,1.500000,60.0000")
 
 
 def fake_f1_report(f1_target):
@@ -305,6 +306,21 @@ def test_training_stops_on_non_finite_values(monkeypatch):
     first = docs[np.random.default_rng(0).permutation(len(docs))[0]]
     with pytest.raises(FloatingPointError, match=f"epoch 1, document '{first.id}'"):
         train_joint(tiny_config(), docs, [])
+
+
+@pytest.mark.parametrize("block", [7, nn.optim.ADAM_BLOCK])
+def test_blocked_adam_trains_as_the_whole_array_step(monkeypatch, block):
+    """Tensor attention's wide ``w_t`` spans many blocks of 7 scalars; the
+    blocked step must train exactly as the frozen whole-array step does."""
+    docs = small_corpus(n=6)
+    config = tiny_config(attention="tensor", max_epochs=3, patience=3)
+    monkeypatch.setattr(nn.optim, "ADAM_BLOCK", block)
+    blocked, blocked_log = train_joint(config, docs, [])
+    monkeypatch.setattr(nn.Adam, "step", adam_step_reference)
+    whole, whole_log = train_joint(config, docs, [])
+    assert [r.loss for r in blocked_log.records] == [r.loss for r in whole_log.records]
+    for name, p in blocked.params_named().items():
+        assert p.data.tobytes() == whole.params_named()[name].data.tobytes(), name
 
 
 def test_training_is_deterministic():
@@ -560,7 +576,7 @@ def run_cli(argv):
     return cli.main([str(a) for a in argv])
 
 
-def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys):
+def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus.jsonl"
     assert run_cli(["generate", "--out", corpus, "--n-docs", "16", "--seed", "3"]) == 0
     assert len(read_corpus(corpus)) == 16
@@ -571,12 +587,26 @@ def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys):
     assert len(read_corpus(splits / "train.jsonl")) == 8
 
     out = tmp_path / "run"
+    predicted = []
+    predict_doc = JointRunner.predict_doc
+
+    def counted_predict_doc(self, tokens):
+        predicted.append(tokens)
+        return predict_doc(self, tokens)
+
+    monkeypatch.setattr(JointRunner, "predict_doc", counted_predict_doc)
     assert run_cli(["train", "--train", splits / "train.jsonl",
                     "--dev", splits / "dev.jsonl", "--model", "joint",
                     "--d", "8", "--l", "4", "--lr", "0.01", "--dropout", "0",
                     "--max-epochs", "2", "--patience", "2", "--out", out]) == 0
+    # Each epoch validates the 4 dev documents; metrics.json reuses the kept epoch's report.
+    assert len(predicted) == 8
+    monkeypatch.undo()
     assert (out / "checkpoint.zip").exists()
     assert (out / "trainlog.csv").read_text().startswith("epoch,loss,val_f1,seconds")
+    dev = read_corpus(splits / "dev.jsonl")
+    assert (out / "metrics.json").read_text() == \
+        load_runner(out / "checkpoint.zip").evaluate(dev).dumps() + "\n"
     assert json.loads((out / "metrics.json").read_text())["n_docs"] == 4
 
     metrics = tmp_path / "eval.json"
@@ -612,6 +642,22 @@ def test_cli_pipeline_trainlog_has_wall_seconds_and_no_loss(tmp_path, capsys):
     assert float(val_f1) == pytest.approx(overall_f1, abs=0.01)
     assert 0.0 < float(seconds) <= elapsed
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
+def test_cli_pipeline_stops_on_non_finite_weights(tmp_path, capsys, kind):
+    """lr 1e200 blows the CRF up in its first epoch: training raises and names
+    the stage instead of saving non-finite weights (LTM) or failing later in
+    MTT's Laplacian."""
+    corpus = tmp_path / "c.jsonl"
+    run_cli(["generate", "--out", corpus, "--n-docs", "30", "--seed", "3"])
+    out = tmp_path / "run"
+    assert run_cli(["train", "--train", corpus, "--model", kind, "--lr", "1e200",
+                    "--max-epochs", "3", "--out", out]) == 1
+    assert "error: FloatingPointError: CrfModel: non-finite parameters after epoch 1" \
+        in capsys.readouterr().err
+    assert not (out / "checkpoint.zip").exists()
 
 
 def test_cli_gold_as_prediction_is_perfect(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Gradient and contract tests for the tensor engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from proptree import nn
 from proptree.nn import Tape, Tensor
 
-from helpers import finite_difference, max_rel_err, sigmoid
+from helpers import adam_step_reference, finite_difference, max_rel_err, sigmoid
 
 TOL = 1e-4
 
@@ -273,6 +278,69 @@ def test_adam_step_size_and_convergence():
 
     with pytest.raises(ValueError):
         nn.Adam([Tensor(np.zeros(2))], lr=0.1)
+
+
+# With blocks of 7: sizes below, at, just above and several times a block.
+BLOCK_SHAPES = [(), (6,), (7,), (8,), (7, 1), (2, 4), (3, 5), (2, 2, 5), (3, 3, 3), (4, 7, 2)]
+
+
+@settings(max_examples=60)
+@given(shapes=st.lists(st.sampled_from(BLOCK_SHAPES) | array_shapes(min_dims=0, max_dims=3),
+                       min_size=1, max_size=4),
+       lrs=st.lists(st.floats(1e-6, 1e3), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_adam_step_is_the_whole_array_step(shapes, lrs, seed):
+    """Adam in blocks of 7 scalars leaves data, m and v byte-equal to the
+    frozen whole-array step, over gradients that include +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    starts = [rng.normal(size=shape) for shape in shapes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn.optim, "ADAM_BLOCK", 7)
+        blocked = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts])
+    whole = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts])
+    for lr in lrs:
+        for shape, p, q in zip(shapes, blocked.params, whole.params):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            g = np.where(rng.random(size=shape) < 0.2, rng.choice([0.0, -0.0], size=shape), g)
+            p.grad[...] = q.grad[...] = g
+        blocked.lr = whole.lr = lr
+        blocked.step()
+        adam_step_reference(whole)
+    for p, q in zip(blocked.params, whole.params):
+        assert p.data.tobytes() == q.data.tobytes()
+    for ours, ref in zip(blocked._m + blocked._v, whole._m + whole._v):
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_adam_memory_is_m_v_and_two_blocks():
+    """Adam allocates m and v plus two scratch blocks that every parameter
+    shares, and its step allocates nothing."""
+    p = Tensor(np.zeros(1_000_000), requires_grad=True)
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    tracemalloc.start()
+    try:
+        opt = nn.Adam([p], lr=0.1)
+        arrays = tracemalloc.take_snapshot().filter_traces([domain])
+        assert sum(t.size for t in arrays.traces) <= (2 * p.data.size
+                                                      + 2 * nn.optim.ADAM_BLOCK) * 8
+        p.grad[...] = 1.0
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024
+    finally:
+        tracemalloc.stop()
+    assert np.all(p.data < 0.0)
+
+
+def test_adam_rejects_non_contiguous_parameters():
+    """A flat view of a non-contiguous array is a copy, so its updates would be lost."""
+    with pytest.raises(ValueError, match="C-contiguous"):
+        nn.Adam([Tensor(np.zeros((3, 4)).T, requires_grad=True)])
+    p = Tensor(np.zeros((3, 4)), requires_grad=True)
+    p.grad = np.zeros((4, 3)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        nn.Adam([p])
 
 
 def composed_pair_mlp(rows, cols, b, v):
