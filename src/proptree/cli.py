@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: convert, generate, split, train, evaluate, predict, selftest.
+Subcommands: convert, generate, split, train, evaluate, predict.
 Every command exits 0 on success; failures print one ``error: ...`` line to
 stderr and exit 1.
 """
@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="output JSONL path (stdout when omitted)")
-
-    sub.add_parser("selftest", help="run the built-in oracle checks")
     return parser
 
 
@@ -184,11 +182,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_selftest(_args) -> int:
-    from .selftest import run_selftest
-    return run_selftest()
-
-
 _COMMANDS = {
     "convert": cmd_convert,
     "generate": cmd_generate,
@@ -196,7 +189,6 @@ _COMMANDS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "predict": cmd_predict,
-    "selftest": cmd_selftest,
 }
 
 

@@ -125,11 +125,6 @@ def chu_liu_edmonds(graph: WeightedDigraph) -> dict[int, int]:
     return {graph.nodes[v]: graph.nodes[parent[v]] for v in range(1, k)}
 
 
-def arborescence_weight(graph: WeightedDigraph, parent: dict[int, int]) -> float:
-    pos = {v: i for i, v in enumerate(graph.nodes)}
-    return sum(float(graph.weights[pos[h], pos[d]]) for d, h in parent.items())
-
-
 def is_tree(assignment: TokenHeadAssignment) -> bool:
     """True when non-skip arcs form an arborescence over the non-skip tokens.
 

@@ -6,10 +6,10 @@ forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over, and
 Adam's step over whole arrays.
-Brute-force enumeration over tag paths and arborescences comes from
-``proptree.oracle``, which ``proptree selftest`` shares.  Tests compare the
-package's analytic/algorithmic answers against these.  It also holds the
-few small functions that only tests need.
+Brute-force enumeration over tag paths and arborescences lives beside it
+in ``oracle``.  Tests compare the package's analytic/algorithmic answers
+against these.  It also holds the few small functions that only tests
+need, such as a tree's summed arc weight and a CRF's log partition.
 """
 
 from typing import NamedTuple
@@ -107,6 +107,13 @@ def viterbi_reference(emit, trans):
     return path[::-1]
 
 
+def crf_log_partition(model, tokens):
+    """A CRF's log Z over ``tokens``: the log-sum-exp of its last forward column."""
+    alpha = model._forward_backward(model.emissions(model.features(tokens)))[0][-1]
+    m = alpha.max()
+    return float(np.log(np.exp(alpha - m).sum()) + m)
+
+
 def sequence_score(model, tokens, tags):
     """A CRF's score of the tag path ``tags`` over ``tokens``: the emissions
     position by position, then the transitions, each added left to right."""
@@ -202,6 +209,12 @@ def edge_index_reference(docs):
     feats = {f for doc in docs for _, _, parent, child in candidate_arcs(doc.entities)
              for f in extract_edge_features(parent, child, doc.tokens)}
     return {f: i for i, f in enumerate(sorted(feats))}
+
+
+def arborescence_weight(graph, parent):
+    """The summed weight of the arcs of ``parent`` (dep -> head) in ``graph``."""
+    pos = {v: i for i, v in enumerate(graph.nodes)}
+    return sum(float(graph.weights[pos[h], pos[d]]) for d, h in parent.items())
 
 
 def cle_reference(graph):

@@ -1,7 +1,7 @@
 """Brute-force oracles over tree and tag-path spaces small enough to enumerate.
 
-``selftest`` and the test suite check the tree decoder, the matrix-tree
-model and the CRF against these.
+The test suite checks the tree decoder, the matrix-tree model and the CRF
+against these.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import first_cycle_node
+from proptree.data import first_cycle_node
 
 
 def enumerate_arborescences(n: int) -> Iterator[dict[int, int]]:

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import finite_difference, has_crossing_arcs
+from helpers import arborescence_weight, crf_log_partition, finite_difference, has_crossing_arcs
+from oracle import (arborescence_log_z_and_marginals, best_arborescence_weight,
+                    chain_log_z_marginals_and_best)
 from proptree.attention import SCORE_VARIANTS, VARIANTS, attention_weights
 from proptree.corpus import read_corpus, split_corpus
 from proptree.data import (
@@ -34,10 +36,8 @@ from proptree.data import (
 )
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import JointParser
-from proptree.mst import WeightedDigraph, arborescence_weight, chu_liu_edmonds
+from proptree.mst import WeightedDigraph, chu_liu_edmonds
 from proptree.nn import Tape
-from proptree.oracle import (arborescence_log_z_and_marginals, best_arborescence_weight,
-                             chain_log_z_marginals_and_best)
 from proptree.pipeline import CrfModel, crf_objective, mtt_log_partition_and_marginals
 from proptree.pipeline.crf import (
     emission_features,
@@ -203,7 +203,7 @@ def test_crf_matches_enumeration():
 
             log_z, _, _, best_path, _ = chain_log_z_marginals_and_best(
                 model.emissions(model.features(tokens)), model.w_trans.data)
-            assert model.log_partition(tokens) == pytest.approx(log_z, rel=1e-8)
+            assert crf_log_partition(model, tokens) == pytest.approx(log_z, rel=1e-8)
             got = [model.tag_index[t] for t in model.viterbi(tokens)]
             assert got == best_path
         info["seeds"] = 50

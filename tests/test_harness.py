@@ -644,19 +644,20 @@ def test_cli_pipeline_trainlog_has_wall_seconds_and_no_loss(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
 def test_cli_pipeline_stops_on_non_finite_weights(tmp_path, capsys, kind):
     """lr 1e200 blows the CRF up in its first epoch: training raises and names
     the stage instead of saving non-finite weights (LTM) or failing later in
-    MTT's Laplacian."""
+    MTT's Laplacian.  That one line is all of stderr: the test turns warnings
+    into errors, so a numpy RuntimeWarning would surface as the error instead."""
     corpus = tmp_path / "c.jsonl"
     run_cli(["generate", "--out", corpus, "--n-docs", "30", "--seed", "3"])
     out = tmp_path / "run"
     assert run_cli(["train", "--train", corpus, "--model", kind, "--lr", "1e200",
                     "--max-epochs", "3", "--out", out]) == 1
-    assert "error: FloatingPointError: CrfModel: non-finite parameters after epoch 1" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: FloatingPointError: CrfModel: non-finite parameters after epoch 1\n"
     assert not (out / "checkpoint.zip").exists()
 
 
@@ -705,12 +706,19 @@ def test_cli_config_override_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_selftest(capsys):
-    assert run_cli(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all 6 checks passed" in out
-    for name in ("gradients", "edmonds", "mtt", "crf", "roundtrip", "normalization"):
-        assert f"ok - {name}" in out
+def test_readme_commands_are_subcommands(capsys):
+    """Every ``proptree <command>`` in README.md's shell blocks names a
+    subcommand that the CLI's parser accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = {command for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if not line.lstrip().startswith("#")
+                for command in re.findall(r"(?:^|\s)proptree\s+(\S+)", line)}
+    assert {"generate", "train", "predict"} <= commands
+    for command in sorted(commands):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0, f"README runs `proptree {command}`, which the CLI rejects"
+    capsys.readouterr()
 
 
 def test_cli_error_paths(tmp_path, capsys):

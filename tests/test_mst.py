@@ -19,16 +19,15 @@ from proptree.joint import JointDistribution
 from proptree.mst import (
     ARC_LABELS,
     WeightedDigraph,
-    arborescence_weight,
     build_graph,
     chu_liu_edmonds,
     is_tree,
     repair,
 )
-from proptree.oracle import best_arborescence_weight, enumerate_arborescences
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import cle_reference, reaches_root
+from helpers import arborescence_weight, cle_reference, reaches_root
+from oracle import best_arborescence_weight, enumerate_arborescences
 
 
 def arcs_graph(n, arcs):
