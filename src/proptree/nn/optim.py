@@ -1,4 +1,4 @@
-"""Adam optimizer over a flat list of trainable tensors."""
+"""Adam optimizer over one flat store of trainable tensors."""
 
 from __future__ import annotations
 
@@ -12,35 +12,66 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 ADAM_BLOCK = 16384
 
 
+def _views(flat: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped as each parameter, at consecutive offsets in order."""
+    ends = np.cumsum([p.data.size for p in params], dtype=int)
+    return [flat[e - p.data.size:e].reshape(p.data.shape) for p, e in zip(params, ends)]
+
+
+def _flat_store(params: list[Tensor], attr: str) -> np.ndarray:
+    """One flat array that holds every parameter's ``attr`` (``data`` or
+    ``grad``), which becomes a view into it.  Arrays that already lie end to
+    end in one buffer keep it.  Otherwise they are copied in one at a time,
+    so that each old array can be freed before the next one moves."""
+    n = sum(p.data.size for p in params)
+    first = getattr(params[0], attr) if params else np.empty(0)
+    flat = first.reshape(-1) if len(params) <= 1 else first.base
+    if (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (n,)
+            and flat.flags.c_contiguous and [getattr(p, attr).ctypes.data for p in params]
+            == [view.ctypes.data for view in _views(flat, params)]):
+        return flat
+    flat = np.empty(n)
+    for p, view in zip(params, _views(flat, params)):
+        view[...] = getattr(p, attr)
+        setattr(p, attr, view)
+    return flat
+
+
 class Adam:
-    """Adam with bias correction (BETA1, BETA2 and EPS above)."""
+    """Adam with bias correction (BETA1, BETA2 and EPS above).
+
+    ``data`` and ``grad`` are flat arrays that hold every parameter's values
+    and gradients; each tensor's ``data`` and ``grad`` are reshaped views into
+    them, so code that sets parameters must write in place."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:
                 raise ValueError("Adam received a tensor without requires_grad")
-            # A flat view of a non-contiguous array is a copy, which would lose the updates.
+            # A lone tensor keeps its arrays through flat views, and a flat view of a
+            # non-contiguous array is a copy, which would lose the updates.
             if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous):
                 raise ValueError(f"Adam needs C-contiguous data and grad, got {p!r}")
         self.lr = lr
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        # Two scratch blocks that every parameter shares, and per block of each
-        # parameter its flat views (grad, m, v, data, scratch a, scratch c).
-        # The views stay valid because grad and data are only written in place.
-        a, c = np.empty((2, min(ADAM_BLOCK, max((p.data.size for p in self.params), default=0))))
+        self.data = _flat_store(self.params, "data")
+        self.grad = _flat_store(self.params, "grad")
+        n = self.data.size
+        m, v = np.zeros((2, n))
+        self._m, self._v = _views(m, self.params), _views(v, self.params)
+        # Two scratch blocks, and per block of the flat arrays its views (grad,
+        # m, v, data, scratch a, scratch c).  The views stay valid because grad
+        # and data are only written in place.
+        a, c = np.empty((2, min(ADAM_BLOCK, n)))
         self._blocks = []
-        for p, m, v in zip(self.params, self._m, self._v):
-            for i in range(0, p.data.size, ADAM_BLOCK):
-                views = [x.reshape(-1)[i:i + ADAM_BLOCK] for x in (p.grad, m, v, p.data)]
-                n = views[0].size
-                self._blocks.append((*views, a[:n], c[:n]))
+        for i in range(0, n, ADAM_BLOCK):
+            views = [x[i:i + ADAM_BLOCK] for x in (self.grad, m, v, self.data)]
+            k = views[0].size
+            self._blocks.append((*views, a[:k], c[:k]))
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self) -> None:
         # p -= lr * m_hat / (sqrt(v_hat) + eps), one block at a time. Every pass

@@ -79,12 +79,11 @@ def fit(model: Module, cases: list, add_grad, lam: float, epochs: int,
         for epoch in range(1, epochs + 1):
             for idx in rng.permutation(len(cases)):
                 opt.zero_grad()
-                for p in opt.params:
-                    p.grad += reg * p.data
+                opt.grad += reg * opt.data
                 add_grad(*cases[idx])
                 opt.step()
             # Once per epoch: a per-step gradient check costs about 2% of pipeline training.
-            if not all(np.isfinite(p.data).all() for p in opt.params):
+            if not np.isfinite(opt.data).all():
                 raise FloatingPointError(
                     f"{type(model).__name__}: non-finite parameters after epoch {epoch}")
     return model

@@ -246,13 +246,15 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     # corpora too small to carve a dev set from.
     val_docs = dev_docs if dev_docs else train_docs
 
-    params = list(model.params_named().values())
-    opt = Adam(params, lr=config.lr)
+    opt = Adam(model.params_named().values(), lr=config.lr)
     shuffle_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     log = TrainLog()
     best_f1 = -1.0
-    best_params = None
+    # The best epoch's weights are copied into one buffer, in place: freeing a
+    # snapshot as large as the whole store lifts glibc's mmap threshold above
+    # the largest parameter's temporaries, which then stay resident in the heap.
+    best_params = np.empty_like(opt.data)
     stale = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -265,7 +267,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
             opt.zero_grad()
             tape.backward(loss)
             # A NaN or infinity anywhere makes this sum non-finite.
-            if not np.isfinite(loss.item() + sum(p.grad.sum() for p in params)):
+            if not np.isfinite(loss.item() + opt.grad.sum()):
                 raise FloatingPointError(
                     f"non-finite loss or gradient in epoch {epoch}, document {doc.id!r}")
             opt.step()
@@ -277,16 +279,15 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         if val_f1 > best_f1:
             best_f1 = val_f1
             log.best_epoch = epoch
-            best_params = [p.data.copy() for p in params]
+            best_params[...] = opt.data
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
-    if best_params is not None:
-        for p, data in zip(params, best_params):
-            p.data[...] = data
+    if log.best_epoch:
+        opt.data[...] = best_params
     return runner, log
 
 

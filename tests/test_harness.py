@@ -323,6 +323,34 @@ def test_blocked_adam_trains_as_the_whole_array_step(monkeypatch, block):
         assert p.data.tobytes() == whole.params_named()[name].data.tobytes(), name
 
 
+@pytest.mark.parametrize("block", [7, nn.optim.ADAM_BLOCK])
+@pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
+def test_blocked_adam_trains_pipelines_as_the_whole_array_step(monkeypatch, kind, block):
+    """Each pipeline stage steps one flat store, whose blocks of 7 scalars
+    straddle the CRF's two weight arrays; both stages must train exactly as
+    the frozen whole-array step does, per parameter."""
+    docs = small_corpus(n=6)
+    config = tiny_config(model=kind, max_epochs=3, lr=0.05)
+    monkeypatch.setattr(nn.optim, "ADAM_BLOCK", block)
+    blocked, _ = train_pipeline(config, docs)
+    monkeypatch.setattr(nn.Adam, "step", adam_step_reference)
+    whole, _ = train_pipeline(config, docs)
+    named = blocked.params_named()
+    assert set(named) == {"crf.w_emit", "crf.w_trans", f"{kind[-3:]}.w"}
+    for name, p in named.items():
+        assert p.data.tobytes() == whole.params_named()[name].data.tobytes(), name
+
+
+def test_restore_writes_through_to_the_optimizer_store():
+    """Parameters are views into ``opt.data``, so ``_restore`` must write in place."""
+    table = EmbeddingTable.random(["a", "b"], 4, seed=0)
+    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=1))
+    opt = nn.Adam(runner.params_named().values())
+    other = JointParser(table, d=4, l=3, dropout=0.0, seed=2).params_named()
+    train_module._restore(runner, {name: p.data.copy() for name, p in other.items()})
+    assert opt.data.tobytes() == np.concatenate([p.data.ravel() for p in other.values()]).tobytes()
+
+
 def test_training_is_deterministic():
     docs = small_corpus()
     a_runner, a_log = train_joint(tiny_config(), docs, [])
@@ -355,6 +383,19 @@ def test_joint_checkpoint_roundtrip(tmp_path):
         a, at = runner.predict_doc(doc.tokens)
         b, bt = loaded.predict_doc(doc.tokens)
         assert a == b and at == bt
+
+
+def test_joint_checkpoint_of_trained_views_reloads_byte_equal(tmp_path):
+    """Trained parameters are views into the optimizer's flat store; a
+    checkpoint saves their values, and reloading gives the same bytes."""
+    runner, _ = train_joint(tiny_config(attention="tensor"), small_corpus(n=4), [])
+    path = tmp_path / "ck.zip"
+    runner.save(path)
+    named, loaded = runner.params_named(), load_runner(path).params_named()
+    assert list(named) == list(loaded)
+    for name, p in named.items():
+        assert p.data.base is not None, name
+        assert p.data.tobytes() == loaded[name].data.tobytes(), name
 
 
 @pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])

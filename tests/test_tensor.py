@@ -333,6 +333,50 @@ def test_adam_memory_is_m_v_and_two_blocks():
     assert np.all(p.data < 0.0)
 
 
+def test_adam_moves_parameters_into_one_flat_store():
+    """After ``nn.Adam(params)`` each tensor's data and grad are views into
+    ``opt.data`` and ``opt.grad`` at consecutive offsets, in order, and hold
+    their earlier values; writes through either side reach the other."""
+    rng = np.random.default_rng(3)
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(3, 4), (), (5,), (2, 1, 3)]]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.shape)
+    before = [(p.data.copy(), p.grad.copy()) for p in params]
+    opt = nn.Adam(params)
+    n = sum(p.data.size for p in params)
+    assert opt.data.shape == opt.grad.shape == (n,)
+    for p, (data, grad) in zip(params, before):
+        assert p.data.tobytes() == data.tobytes() and p.grad.tobytes() == grad.tobytes()
+    opt.data[...] = np.arange(n)
+    opt.grad[...] = -np.arange(n)
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        assert p.data.ravel().tolist() == list(range(start, stop))
+        assert p.grad.ravel().tolist() == [-i for i in range(start, stop)]
+        p.data[...] = 0.5
+        assert np.all(opt.data[start:stop] == 0.5)
+        start = stop
+    opt.zero_grad()
+    assert all(np.all(p.grad == 0.0) for p in params)
+
+
+def test_adam_keeps_arrays_that_already_lie_end_to_end():
+    """A lone contiguous tensor keeps its own arrays, and so do tensors that an
+    earlier optimizer already moved into one store: nothing is copied."""
+    p = Tensor(np.ones((3, 4)), requires_grad=True)
+    data, grad = p.data, p.grad
+    opt = nn.Adam([p])
+    assert np.shares_memory(opt.data, data) and np.shares_memory(opt.grad, grad)
+    assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad)
+    params = [Tensor(np.full(s, 2.0), requires_grad=True) for s in [(2, 3), (4,), ()]]
+    first = nn.Adam(params)
+    views = [(p.data, p.grad) for p in params]
+    second = nn.Adam(params)
+    assert second.data is first.data and second.grad is first.grad
+    assert all(p.data is d and p.grad is g for p, (d, g) in zip(params, views))
+
+
 def test_adam_rejects_non_contiguous_parameters():
     """A flat view of a non-contiguous array is a copy, so its updates would be lost."""
     with pytest.raises(ValueError, match="C-contiguous"):
