@@ -209,16 +209,23 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     H = np.zeros((n + 1, d))
     C = np.zeros((n + 1, d))
     TC = np.empty((n, d))
-    for t in range(n):
-        y = gates[t] = np.tanh(zs[t] + whs @ H[t]) * s + shift
-        c = C[t + 1] = y[d:2 * d] * C[t] + y[:d] * y[2 * d:3 * d]
-        tc = TC[t] = np.tanh(c)
-        H[t + 1] = y[3 * d:] * tc
+    i, f, cand, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    # In place, but the same operations in the same order as allocating steps: same bytes.
+    for y, z, h, h1, c, c1, tc, yi, yf, yc, yo in zip(gates, zs, H, H[1:], C, C[1:], TC,
+                                                      i, f, cand, o):
+        np.dot(whs, h, y)
+        y += z
+        np.tanh(y, y)
+        y *= s
+        y += shift
+        np.multiply(yf, c, c1)
+        c1 += yi * yc
+        np.tanh(c1, tc)
+        np.multiply(yo, tc, h1)
     out = Tensor(H[:0:-1] if reverse else H[1:])
 
     def bwd(g):
         gs = g[::-1] if reverse else g
-        i, f, cand, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
         # dy/dz = (1 - y) * (y + 2s - 1): y(1 - y) on sigmoid rows, 1 - y^2 on tanh rows.
         dgate = (1.0 - gates) * (gates + (2.0 * s - 1.0))
         # dZ[t] = mult[t] * [dc, dc, dc, dh] for the step's cell and hidden gradients.

@@ -160,7 +160,10 @@ class JointRunner(Runner):
     def predict_doc(self, tokens: list[str]) -> tuple[TokenHeadAssignment, bool]:
         dist = self.model.distribution(tokens)
         greedy = dist.greedy()
-        return repair(dist, greedy), is_tree(greedy)
+        # A greedy tree already holds every node's best arc: only non-trees are repaired.
+        if is_tree(greedy):
+            return greedy, True
+        return repair(dist, greedy), False
 
     def save(self, path: str | Path) -> None:
         table = self.model.encoder.table

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
 forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
-features as strings with the candidate arcs they were read over, and
-Adam's step over whole arrays.
+features as strings with the candidate arcs they were read over,
+Adam's step over whole arrays, and the LSTM recurrence with fresh arrays
+per step.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -293,6 +294,46 @@ def adam_step_reference(opt):
         denom += EPS
         step /= denom
         p.data -= step
+
+
+def lstm_sequence_reference(x, wx, wh, b, g, reverse=False):
+    """A frozen copy of ``proptree.nn.lstm_sequence`` on plain arrays, before
+    its steps wrote in place: returns the hidden states H and the gradients
+    (dx, dwx, dwh, db) for the upstream gradient ``g`` of H."""
+    n, d = x.shape[0], wh.shape[1]
+    xs = x[::-1] if reverse else x
+    s = np.full(4 * d, 0.5)
+    s[2 * d:3 * d] = 1.0
+    shift = 1.0 - s
+    zs = (xs @ wx.T + b) * s
+    whs = wh * s[:, None]
+    gates = np.empty((n, 4 * d))
+    H = np.zeros((n + 1, d))
+    C = np.zeros((n + 1, d))
+    TC = np.empty((n, d))
+    for t in range(n):
+        y = gates[t] = np.tanh(zs[t] + whs @ H[t]) * s + shift
+        c = C[t + 1] = y[d:2 * d] * C[t] + y[:d] * y[2 * d:3 * d]
+        tc = TC[t] = np.tanh(c)
+        H[t + 1] = y[3 * d:] * tc
+
+    gs = g[::-1] if reverse else g
+    i, f, cand, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    dgate = (1.0 - gates) * (gates + (2.0 * s - 1.0))
+    mult = dgate * np.concatenate([cand, C[:-1], i, TC], axis=1)
+    dh_from_c = o * (1.0 - TC * TC)
+    dZ = np.empty((n, 4 * d))
+    dh_next = np.zeros(d)
+    dc_next = np.zeros(d)
+    for t in range(n - 1, -1, -1):
+        dh = gs[t] + dh_next
+        dc = dh * dh_from_c[t] + dc_next
+        dz = dZ[t] = mult[t] * np.concatenate((dc, dc, dc, dh))
+        dc_next = dc * f[t]
+        dh_next = dz @ wh
+    dx = dZ @ wx
+    return (H[:0:-1] if reverse else H[1:],
+            (dx[::-1] if reverse else dx, dZ.T @ xs, dZ.T @ H[:-1], dZ.sum(axis=0)))
 
 
 def sigmoid(a):

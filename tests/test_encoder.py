@@ -7,7 +7,7 @@ from proptree import nn
 from proptree.embeddings import EmbeddingTable
 from proptree.encoder import BiLstmLayer, Encoder, LstmDirection
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, lstm_sequence_reference, max_rel_err
 
 VOCAB = ["roof", "villa", "garden", "pool", "attic"]
 
@@ -112,6 +112,27 @@ def test_lstm_sequence_matches_per_step_recurrence(reverse):
                            reverse=reverse)
     assert out.shape == (7, d)
     assert np.abs(out.data - reference_lstm(direction, xs, reverse)).max() < 1e-12
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_lstm_sequence_is_byte_equal_to_frozen_reference(n, d, reverse):
+    """The in-place steps do the reference's operations in its order: the
+    hidden states and all four gradients are equal bit for bit."""
+    rng = np.random.default_rng(n * 100 + d)
+    width = d + 2
+    x, wx, wh, b = (rng.normal(size=shape) for shape in
+                    [(n, width), (4 * d, width), (4 * d, d), (4 * d,)])
+    g = rng.normal(size=(n, d))
+    with nn.Tape() as tape:
+        out = nn.lstm_sequence(nn.Tensor(x), nn.Tensor(wx), nn.Tensor(wh), nn.Tensor(b),
+                               reverse=reverse)
+    [(_, _, bwd)] = tape._records
+    ref_out, ref_grads = lstm_sequence_reference(x, wx, wh, b, g, reverse)
+    assert out.data.tobytes() == ref_out.tobytes()
+    for got, ref in zip(bwd(g), ref_grads, strict=True):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_encode_matches_per_step_recurrence():

@@ -1,6 +1,7 @@
 """Joint head/label scoring, normalization, loss, greedy decode."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,22 @@ def test_predict_doc_matches_composed_reference_on_edge_documents(tokens):
     assert np.max(np.abs(model.distribution(tokens).p - ref.p)) <= 1e-12
     greedy = ref.greedy()
     assert runner.predict_doc(tokens) == (repair(ref, greedy), is_tree(greedy))
+
+
+def test_predict_doc_keeps_greedy_trees_through_log_ties():
+    """Token 2's heads 0 and 1 differ in probability but not in log.  Greedy
+    picks head 1 and forms a tree, which ``predict_doc`` keeps; ``repair``
+    re-decodes it, and CLE's tie rule takes the smaller head 0."""
+    p = np.full((3, 3, N_LABELS), 0.01)
+    p[0] = 0.0
+    p[1, 0, PART_OF] = 0.3
+    p[2, 0, PART_OF] = np.nextafter(0.3, 0)
+    p[2, 1, PART_OF] = 0.3
+    dist = JointDistribution(p)
+    runner = JointRunner(SimpleNamespace(distribution=lambda tokens: dist))
+    assert runner.predict_doc(["villa", "pool"]) == (
+        TokenHeadAssignment([0, 1], [PART_OF, PART_OF]), True)
+    assert repair(dist, dist.greedy()).heads == [0, 0]
 
 
 def test_training_stays_finite_under_extreme_scores():
