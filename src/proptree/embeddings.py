@@ -49,24 +49,28 @@ class EmbeddingTable:
 
 
 def load_word2vec_text(path: str | Path) -> EmbeddingTable:
-    """Read 'token v1 ... vd' lines; an optional 'count dim' header is skipped."""
+    """Read 'token v1 ... vd' lines; an optional 'count dim' header is skipped.
+    Raises ``ValueError`` naming the path for a file without vectors, and
+    also the line for a vector whose width differs from the first one's."""
     words: list[str] = []
     rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().split()
-        if len(first) != 2 or not (first[0].isdigit() and first[1].isdigit()):
+        if first and (len(first) != 2 or not (first[0].isdigit() and first[1].isdigit())):
             words.append(first[0])
             rows.append([float(v) for v in first[1:]])
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(" ")
             if not parts or parts == [""]:
                 continue
             words.append(parts[0])
             rows.append([float(v) for v in parts[1:] if v])
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"{path}: inconsistent vector widths")
-    return EmbeddingTable(words, matrix)
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}: line {lineno} holds {len(rows[-1])} values, "
+                                 f"but the first vector {len(rows[0])}")
+    if not rows:
+        raise ValueError(f"{path}: no vectors")
+    return EmbeddingTable(words, np.asarray(rows, dtype=np.float64))
 
 
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:

@@ -1,6 +1,10 @@
-"""Adam optimizer over one flat store of trainable tensors."""
+"""Adam over one flat store of trainable tensors, and ``fit``, the one
+training loop of every model: the joint parser and the pipeline's CRF, LTM
+and MTT stages."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -90,3 +94,36 @@ class Adam:
             denom += EPS
             step /= denom
             w -= step
+
+
+def fit(opt: Adam, cases: list, step: Callable[..., float], epochs: int, seed: int,
+        stage: str, lam: float, end_epoch: Callable[[int, float], bool] | None) -> None:
+    """Adam on ``cases`` one at a time, in a fresh order each epoch from one
+    ``default_rng(seed)``.  A step's gradient is ``lam / len(cases)`` times
+    every parameter when ``lam > 0``, plus what ``step(*case)`` adds; the
+    step returns the case's loss.  After each epoch ``end_epoch(epoch, mean
+    loss)`` may return True to stop.
+
+    Raises ``ValueError`` from a step with ``stage`` and the epoch before its
+    message, and ``FloatingPointError`` after an epoch that leaves a
+    parameter non-finite."""
+    reg = lam / len(cases)
+    rng = np.random.default_rng(seed)
+    # numpy's overflow warnings stay quiet: the finite check below is the one report.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, epochs + 1):
+            total = 0.0
+            for idx in rng.permutation(len(cases)):
+                opt.zero_grad()
+                if lam > 0:
+                    opt.grad += reg * opt.data
+                try:
+                    total += step(*cases[idx])
+                except ValueError as exc:
+                    raise ValueError(f"{stage}: epoch {epoch}: {exc}") from exc
+                opt.step()
+            # Once per epoch: a per-step gradient check costs about 2% of pipeline training.
+            if not np.isfinite(opt.data).all():
+                raise FloatingPointError(f"{stage}: non-finite parameters after epoch {epoch}")
+            if end_epoch is not None and end_epoch(epoch, total / len(cases)):
+                return

@@ -7,7 +7,8 @@ the log-space forward algorithm; training follows the exact gradient
 conditional log-likelihood.  BIO validity is learned, never hard-constrained.
 Feature ids sit in a ``FeatureTable``, one slot grid with -1 for an unknown
 feature: sums add each row left to right, and gradients scatter row-major.
-The edge models share it and the Adam loop ``fit``.
+The edge models share it.  All three pipeline stages train through
+``nn.optim.fit``, the joint parser's loop too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from ..data import Document, bio_encode
 from ..nn import Adam, Module, Tensor
+from ..nn.optim import fit
 
 
 def token_features(w: str) -> list[str]:
@@ -63,30 +65,6 @@ class FeatureTable(NamedTuple):
         k = math.prod(grad.shape[1:])
         flat = (ids[known][:, None] * k + np.arange(k)).ravel()
         np.add.at(grad.reshape(-1), flat, coeff.repeat(known.sum(axis=1), axis=0).ravel())
-
-
-def fit(model: Module, cases: list, add_grad, lam: float, epochs: int,
-        lr: float, seed: int) -> Module:
-    """Adam on the L2-regularized loss, one case at a time in a fresh random
-    order each epoch.  A step's gradient is ``lam / len(cases)`` times every
-    parameter, plus what ``add_grad(*case)`` adds for the case's loss.
-    Raises ``FloatingPointError`` after an epoch that leaves a parameter non-finite."""
-    opt = Adam(model.params_named().values(), lr=lr)
-    reg = lam / len(cases)
-    rng = np.random.default_rng(seed)
-    # numpy's overflow warnings stay quiet: the finite check below is the one report.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(1, epochs + 1):
-            for idx in rng.permutation(len(cases)):
-                opt.zero_grad()
-                opt.grad += reg * opt.data
-                add_grad(*cases[idx])
-                opt.step()
-            # Once per epoch: a per-step gradient check costs about 2% of pipeline training.
-            if not np.isfinite(opt.data).all():
-                raise FloatingPointError(
-                    f"{type(model).__name__}: non-finite parameters after epoch {epoch}")
-    return model
 
 
 class CrfModel(Module):
@@ -203,17 +181,19 @@ def crf_objective(model: CrfModel, docs: list[Document], lam: float
     return total, g_emit, g_trans
 
 
-def train_crf(docs: list[Document], lam: float = 10.0, epochs: int = 50,
-              lr: float = 1e-3, seed: int = 0) -> CrfModel:
+def train_crf(docs: list[Document], lam: float, epochs: int, lr: float, seed: int) -> CrfModel:
     """Per-document Adam steps on the regularized NLL, shuffled each epoch."""
     if not docs:
         raise ValueError("empty training corpus")
     model = CrfModel(tagset_from_corpus(docs), feature_index_from_corpus(docs))
 
-    def add_grad(table: FeatureTable, tags: list[str]) -> None:
-        _, g_emit, g_trans = model.nll_and_grad(table, tags)
+    def step(table: FeatureTable, tags: list[str]) -> float:
+        nll, g_emit, g_trans = model.nll_and_grad(table, tags)
         model.w_emit.grad += g_emit
         model.w_trans.grad += g_trans
+        return nll
 
     cases = [(model.features(doc.tokens), bio_encode(doc)) for doc in docs]
-    return fit(model, cases, add_grad, lam, epochs, lr, seed)
+    fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed,
+        "CrfModel", lam, None)
+    return model

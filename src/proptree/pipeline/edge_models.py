@@ -18,8 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..data import Document, Entity
-from ..nn import Module, Tensor
-from .crf import FeatureTable, fit
+from ..nn import Adam, Module, Tensor
+from ..nn.optim import fit
+from .crf import FeatureTable
 
 ROOT_TOKEN = "<root>"
 
@@ -221,8 +222,7 @@ def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     return index, cases
 
 
-def train_ltm(docs: list[Document], epochs: int = 50,
-              lr: float = 1e-3, seed: int = 0) -> LtmModel:
+def train_ltm(docs: list[Document], epochs: int, lr: float, seed: int) -> LtmModel:
     """L2-regularized logistic regression (weight 1) over all ordered entity pairs."""
     index, cases = _training_cases(docs)
     pairs = [(ids[ids >= 0], int(y)) for table, gold in cases
@@ -231,15 +231,17 @@ def train_ltm(docs: list[Document], epochs: int = 50,
         raise ValueError("no candidate entity pairs in the training corpus")
     model = LtmModel(index)
 
-    def add_grad(ids: np.ndarray, y: int) -> None:
-        p = 1.0 / (1.0 + np.exp(-model.w.data[ids].sum()))
+    def step(ids: np.ndarray, y: int) -> float:
+        z = model.w.data[ids].sum()
+        p = 1.0 / (1.0 + np.exp(-z))
         np.add.at(model.w.grad, ids, p - y)
+        return np.logaddexp(0.0, z) - y * z  # the log loss of p
 
-    return fit(model, pairs, add_grad, 1.0, epochs, lr, seed)
+    fit(Adam(model.params_named().values(), lr=lr), pairs, step, epochs, seed, "LtmModel", 1.0, None)
+    return model
 
 
-def train_mtt(docs: list[Document], epochs: int = 50,
-              lr: float = 1e-3, seed: int = 0) -> MttModel:
+def train_mtt(docs: list[Document], epochs: int, lr: float, seed: int) -> MttModel:
     """Gradient training of the L2-regularized (weight 1) arborescence
     log-likelihood per document."""
     index, cases = _training_cases(docs)
@@ -247,8 +249,11 @@ def train_mtt(docs: list[Document], epochs: int = 50,
         raise ValueError("no documents with entities in the training corpus")
     model = MttModel(index)
 
-    def add_grad(table: ArcFeatures, gold: np.ndarray) -> None:
-        _, marg = mtt_log_partition_and_marginals(table.scores(model.w.data))
+    def step(table: ArcFeatures, gold: np.ndarray) -> float:
+        theta = table.scores(model.w.data)
+        log_z, marg = mtt_log_partition_and_marginals(theta)
         table.feats.scatter(model.w.grad, marg[table.heads, table.children] - gold)
+        return log_z - theta[table.heads[gold], table.children[gold]].sum()
 
-    return fit(model, cases, add_grad, 1.0, epochs, lr, seed)
+    fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed, "MttModel", 1.0, None)
+    return model

@@ -1,7 +1,8 @@
-"""Training loops, early stopping, checkpoints, and shared evaluation.
+"""Training, early stopping, checkpoints, and shared evaluation.
 
-Both model families train document by document (batch size 1) with Adam.
-The joint model early-stops on validation overall F1, computed after tree
+Both model families train document by document (batch size 1) with Adam,
+through the one loop ``nn.optim.fit``.  The joint model's end-of-epoch
+callback early-stops on validation overall F1, computed after tree
 enforcement, and the best-epoch weights are the ones kept.  Pipelines train
 their two stages for a fixed epoch budget.  Runners wrap trained models
 behind one interface (evaluate / predict_doc / save) so the CLI and tests
@@ -25,6 +26,7 @@ from .joint import JointParser
 from .metrics import MetricsReport, aggregate, score_edges
 from .mst import is_tree, repair
 from .nn import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
+from .nn.optim import fit
 from .pipeline import CrfModel, LtmModel, MttModel, pipeline_predict, train_crf, train_ltm, train_mtt
 from .synthetic import vocabulary
 
@@ -250,47 +252,39 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     val_docs = dev_docs if dev_docs else train_docs
 
     opt = Adam(model.params_named().values(), lr=config.lr)
-    shuffle_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     log = TrainLog()
-    best_f1 = -1.0
     # The best epoch's weights are copied into one buffer, in place: freeing a
     # snapshot as large as the whole store lifts glibc's mmap threshold above
     # the largest parameter's temporaries, which then stay resident in the heap.
     best_params = np.empty_like(opt.data)
-    stale = 0
+    started = time.perf_counter()
 
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        total = 0.0
-        for idx in shuffle_rng.permutation(len(train_docs)):
-            doc = train_docs[idx]
-            with Tape() as tape:
-                loss = model.loss(doc.tokens, golds[idx], train=True, rng=drop_rng)
-            opt.zero_grad()
-            tape.backward(loss)
-            # A NaN or infinity anywhere makes this sum non-finite.
-            if not np.isfinite(loss.item() + opt.grad.sum()):
-                raise FloatingPointError(
-                    f"non-finite loss or gradient in epoch {epoch}, document {doc.id!r}")
-            opt.step()
-            total += loss.item()
-        report = runner.evaluate(val_docs)
-        val_f1 = report.overall.f1
-        log.add(epoch, total / len(train_docs), report, time.perf_counter() - started)
+    def step(doc: Document, gold: TokenHeadAssignment) -> float:
+        with Tape() as tape:
+            loss = model.loss(doc.tokens, gold, train=True, rng=drop_rng)
+        tape.backward(loss)
+        # A NaN or infinity anywhere makes this sum non-finite.  The log holds
+        # one record per finished epoch.
+        if not np.isfinite(loss.item() + opt.grad.sum()):
+            raise FloatingPointError(f"non-finite loss or gradient in epoch "
+                                     f"{len(log.records) + 1}, document {doc.id!r}")
+        return loss.item()
 
-        if val_f1 > best_f1:
-            best_f1 = val_f1
-            log.best_epoch = epoch
+    def end_epoch(epoch: int, loss: float) -> bool:
+        """Validate, keep the weights of the first epoch with the best F1, and
+        stop after ``patience`` epochs without a better one."""
+        nonlocal started
+        log.add(epoch, loss, runner.evaluate(val_docs), time.perf_counter() - started)
+        log.best_epoch = max(log.records, key=lambda r: r.val_f1).epoch
+        if log.best_epoch == epoch:
             best_params[...] = opt.data
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        started = time.perf_counter()
+        return epoch - log.best_epoch >= config.patience
 
-    if log.best_epoch:
-        opt.data[...] = best_params
+    fit(opt, list(zip(train_docs, golds)), step, config.max_epochs, config.seed,
+        "JointParser", 0.0, end_epoch)
+    opt.data[...] = best_params  # set by epoch 1 at the latest
     return runner, log
 
 

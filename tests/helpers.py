@@ -5,8 +5,8 @@ finite differences on plain callables, a parent walk, per-position CRF
 forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
-Adam's step over whole arrays, and the LSTM recurrence with fresh arrays
-per step.
+Adam's step over whole arrays, the LSTM recurrence with fresh arrays
+per step, and the two training loops that ``nn.optim.fit`` replaced.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -18,8 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from proptree import nn
-from proptree.data import EQUIVALENT, PART_OF
+from proptree.data import EQUIVALENT, PART_OF, encode_tree_to_heads
+from proptree.embeddings import EmbeddingTable
+from proptree.joint import JointParser
 from proptree.nn.optim import BETA1, BETA2, EPS
+from proptree.synthetic import vocabulary
+from proptree.train import JointRunner, TrainLog
 
 
 def finite_difference(f, arrays, eps=1e-5):
@@ -294,6 +298,75 @@ def adam_step_reference(opt):
         denom += EPS
         step /= denom
         p.data -= step
+
+
+def crf_fit_reference(params, name, cases, add_grad, lam, epochs, lr, seed):
+    """A frozen copy of the pipelines' earlier Adam loop ``crf.fit``, over the
+    tensors ``params`` of the model class ``name``: every step adds the L2
+    term ``lam / len(cases)`` times the weights, even for ``lam`` 0, then
+    ``add_grad(*case)``; the weights are checked once per epoch."""
+    opt = nn.Adam(params, lr=lr)
+    reg = lam / len(cases)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, epochs + 1):
+            for idx in rng.permutation(len(cases)):
+                opt.zero_grad()
+                opt.grad += reg * opt.data
+                add_grad(*cases[idx])
+                opt.step()
+            if not np.isfinite(opt.data).all():
+                raise FloatingPointError(f"{name}: non-finite parameters after epoch {epoch}")
+
+
+def train_joint_reference(config, train_docs, dev_docs, table=None):
+    """A frozen copy of ``proptree.train.train_joint`` with its own epoch loop,
+    before it trained through ``nn.optim.fit``: the forward pass before
+    ``zero_grad``, a check per document, and early stopping on a stale count."""
+    if table is None:
+        table = EmbeddingTable.random(vocabulary(train_docs), config.d, seed=config.seed)
+    model = JointParser(
+        table, d=config.d, l=config.l, layers=config.layers,
+        dropout=config.resolved_dropout, attention=config.attention,
+        steps=config.steps, p=config.p, seed=config.seed,
+    )
+    runner = JointRunner(model)
+    golds = [encode_tree_to_heads(doc) for doc in train_docs]
+    val_docs = dev_docs if dev_docs else train_docs
+    opt = nn.Adam(model.params_named().values(), lr=config.lr)
+    shuffle_rng = np.random.default_rng(config.seed)
+    drop_rng = np.random.default_rng(config.seed + 1)
+    log = TrainLog()
+    best_f1 = -1.0
+    best_params = np.empty_like(opt.data)
+    stale = 0
+    for epoch in range(1, config.max_epochs + 1):
+        total = 0.0
+        for idx in shuffle_rng.permutation(len(train_docs)):
+            doc = train_docs[idx]
+            with nn.Tape() as tape:
+                loss = model.loss(doc.tokens, golds[idx], train=True, rng=drop_rng)
+            opt.zero_grad()
+            tape.backward(loss)
+            if not np.isfinite(loss.item() + opt.grad.sum()):
+                raise FloatingPointError(
+                    f"non-finite loss or gradient in epoch {epoch}, document {doc.id!r}")
+            opt.step()
+            total += loss.item()
+        report = runner.evaluate(val_docs)
+        log.add(epoch, total / len(train_docs), report, 0.0)
+        if report.overall.f1 > best_f1:
+            best_f1 = report.overall.f1
+            log.best_epoch = epoch
+            best_params[...] = opt.data
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    if log.best_epoch:
+        opt.data[...] = best_params
+    return runner, log
 
 
 def lstm_sequence_reference(x, wx, wh, b, g, reverse=False):

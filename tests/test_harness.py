@@ -28,6 +28,9 @@ from proptree.joint import JointParser
 from proptree.metrics import Counts, MetricsReport
 from proptree.mst import is_tree
 from proptree.nn import load_checkpoint, save_checkpoint
+from proptree.nn.optim import fit
+from proptree.pipeline import crf as crf_module
+from proptree.pipeline import edge_models
 from proptree.synthetic import SyntheticConfig, generate_corpus, vocabulary
 from proptree.train import (
     JointRunner,
@@ -39,7 +42,7 @@ from proptree.train import (
     train_model,
     train_pipeline,
 )
-from helpers import adam_step_reference
+from helpers import adam_step_reference, crf_fit_reference, train_joint_reference
 
 
 def small_corpus(n=12, seed=4, **kw):
@@ -306,6 +309,73 @@ def test_training_stops_on_non_finite_values(monkeypatch):
     first = docs[np.random.default_rng(0).permutation(len(docs))[0]]
     with pytest.raises(FloatingPointError, match=f"epoch 1, document '{first.id}'"):
         train_joint(tiny_config(), docs, [])
+
+
+@pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt"])
+def test_one_loop_trains_as_the_two_earlier_loops(monkeypatch, kind):
+    """``nn.optim.fit`` trains every model byte for byte as the frozen copies
+    of the joint's own epoch loop and of the pipelines' ``crf.fit`` did."""
+    docs = small_corpus(n=8)
+    if kind == "joint":
+        config = tiny_config(max_epochs=8, patience=1)
+        new, new_log = train_joint(config, docs, [])
+        old, old_log = train_joint_reference(config, docs, [])
+        assert len(new_log.records) < config.max_epochs  # early stopping was hit
+    else:
+        config = tiny_config(model=kind, lr=0.05, max_epochs=3)
+        new, new_log = train_pipeline(config, docs)
+
+        def earlier_fit(opt, cases, step, epochs, seed, stage, lam, end_epoch):
+            assert end_epoch is None
+            crf_fit_reference(opt.params, stage, cases, step, lam, epochs, opt.lr, seed)
+
+        monkeypatch.setattr(crf_module, "fit", earlier_fit)
+        monkeypatch.setattr(edge_models, "fit", earlier_fit)
+        old, old_log = train_pipeline(config, docs)
+    for name, p in new.params_named().items():
+        assert p.data.tobytes() == old.params_named()[name].data.tobytes(), name
+    assert [float(r.loss).hex() for r in new_log.records] == \
+        [float(r.loss).hex() for r in old_log.records]
+    assert new_log.best_epoch == old_log.best_epoch
+
+
+def test_fit_on_a_toy_quadratic():
+    """The loss (w - target)^2 / 2: with ``lam`` 0 the step's gradient is the
+    whole gradient, the callback stops training, and a NaN weight fails the
+    epoch with the stage's name."""
+    w = nn.Tensor(np.array([3.0, -2.0]), requires_grad=True)
+    opt = nn.Adam([w], lr=0.1)
+    target = np.array([1.0, 1.0])
+    seen, ends = [], []
+
+    def step(scale):
+        w.grad += scale * (w.data - target)
+        seen.append((w.grad.copy(), scale * (w.data - target)))
+        return 0.5 * scale * float(((w.data - target) ** 2).sum())
+
+    def end_epoch(epoch, loss):
+        ends.append((epoch, loss))
+        return epoch == 2
+
+    fit(opt, [(1.0,), (2.0,)], step, 5, 0, "toy", 0.0, end_epoch)
+    assert len(seen) == 4 and [e for e, _ in ends] == [1, 2]
+    for got, wrote in seen:
+        assert got.tobytes() == wrote.tobytes()
+    assert ends[0][1] > ends[1][1] > 0.0
+
+    def poison(scale):
+        w.data[0] = np.nan
+        return 0.0
+
+    with pytest.raises(FloatingPointError, match="^toy: non-finite parameters after epoch 1$"):
+        fit(opt, [(1.0,)], poison, 3, 0, "toy", 0.0, None)
+
+    def refuse(scale):
+        raise ValueError("no arborescence")
+
+    with pytest.raises(ValueError, match="^toy: epoch 1: no arborescence$") as info:
+        fit(opt, [(1.0,)], refuse, 3, 0, "toy", 1.0, None)
+    assert str(info.value.__cause__) == "no arborescence"
 
 
 @pytest.mark.parametrize("block", [7, nn.optim.ADAM_BLOCK])
@@ -599,6 +669,19 @@ def test_word2vec_text_loader(tmp_path):
     bare = tmp_path / "bare.txt"
     bare.write_text("huis 0.5 0.5\n")
     assert load_word2vec_text(bare).lookup(["huis"])[0].tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("", "no vectors"),
+    ("2 3\n", "no vectors"),
+    ("huis 0.1 0.2\ntuin 0.3\n", "line 2 holds 1 values, but the first vector 2"),
+    ("2 2\nhuis 0.1 0.2\n\ntuin 0.3 0.4 0.5\n", "line 4 holds 3 values, but the first vector 2"),
+])
+def test_word2vec_text_loader_names_the_file_and_the_problem(tmp_path, text, problem):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+        load_word2vec_text(path)
 
 
 def test_word2vec_binary_loader(tmp_path):

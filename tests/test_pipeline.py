@@ -559,6 +559,17 @@ def test_mtt_matches_enumeration_with_missing_arcs(theta):
     np.testing.assert_allclose(marg, brute[1], rtol=0, atol=1e-8)
 
 
+def test_mtt_training_names_the_stage_and_epoch_of_a_singular_laplacian():
+    """At lr 10 an MTT step meets a Laplacian that float64 cannot invert: the
+    root arcs sit 50 to 100 nats below each column's maximum.  Training raises
+    the step's error with the stage and the epoch before it."""
+    docs = generate_corpus(SyntheticConfig(n_docs=30, seed=3))
+    message = "MttModel: epoch 1: singular Laplacian: node 3 is effectively isolated"
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
+        train_mtt(docs, epochs=3, lr=10.0, seed=0)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_mtt_training_learns_attachments():
     # scores are trained for the global tree distribution, so decode with
     # the tree decoder rather than local argmax
