@@ -94,7 +94,7 @@ class TensorAttention(nn.Module):
         # q[j,i,s] = h_j^T W[:,s,:] h_i, built from two flat matmuls
         left = nn.matmul(encoded, nn.reshape(self.w_t, (two_d, l * two_d)))
         q = nn.matmul(nn.reshape(left, (m * l, two_d)), nn.transpose(encoded))
-        q = nn.permute(nn.reshape(q, (m, l, m)), (0, 2, 1))
+        q = nn.transpose(nn.reshape(q, (m, l, m)), (0, 2, 1))
         lin = nn.matmul(encoded, nn.transpose(self.v_t))
         pair = nn.tanh(q + nn.reshape(lin, (m, 1, l)) + nn.reshape(lin, (1, m, l)) + self.b_t)
         return nn.reshape(nn.matmul(nn.reshape(pair, (m * m, l)), self.u_t), (m, m))

@@ -30,11 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="validate a JSONL corpus and rewrite it canonically")
+    p.set_defaults(run=cmd_convert)
     p.add_argument("input")
     p.add_argument("output")
 
     syn = SyntheticConfig()
     p = sub.add_parser("generate", help="write a synthetic corpus")
+    p.set_defaults(run=cmd_generate)
     p.add_argument("--out", required=True)
     p.add_argument("--n-docs", type=int, default=syn.n_docs)
     p.add_argument("--seed", type=int, default=syn.seed)
@@ -43,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambiguous", action="store_true", default=syn.ambiguous)
 
     p = sub.add_parser("split", help="shuffle and cut a corpus into train/dev/test")
+    p.set_defaults(run=cmd_split)
     p.add_argument("input")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
@@ -51,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cfg = TrainConfig()
     p = sub.add_parser("train", help="train a model and persist the best checkpoint")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--train", required=True, dest="train_path")
     p.add_argument("--dev", dest="dev_path")
     p.add_argument("--model", default=cfg.model, choices=MODEL_KINDS)
@@ -70,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=cfg.patience)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
+    p.set_defaults(run=cmd_evaluate)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--checkpoint")
     source.add_argument("--gold-as-prediction", action="store_true",
@@ -78,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="metrics JSON path")
 
     p = sub.add_parser("predict", help="emit assignments and trees for a corpus")
+    p.set_defaults(run=cmd_predict)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="output JSONL path (stdout when omitted)")
@@ -147,7 +153,7 @@ def cmd_train(args) -> int:
     report = log.best_report
     (out / "metrics.json").write_text(report.dumps() + "\n")
     print(report.to_table())
-    print(f"best epoch: {log.best_epoch} (val F1 {log.best_f1:.2f}); artifacts in {out}")
+    print(f"best epoch: {log.best_epoch} (val F1 {report.overall.f1:.2f}); artifacts in {out}")
     return 0
 
 
@@ -182,20 +188,10 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "convert": cmd_convert,
-    "generate": cmd_generate,
-    "split": cmd_split,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -196,22 +196,19 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
             raise ValueError(f"mention at anchor {a} is not contiguous: {sorted(ts)}")
         spans[a] = Mention(lo, hi + 1)
 
-    # Group repeat mentions with their first mention.
-    group_of: dict[int, int] = {}
-    for a in anchor_positions:
-        if labels[a - 1] != EQUIVALENT:
-            group_of[a] = a
-    for a in anchor_positions:
-        if labels[a - 1] == EQUIVALENT:
-            first = heads[a - 1]
-            if first not in group_of:
-                raise ValueError(f"token {a}: repeat-mention arc points at {first}, which anchors no first mention")
-            if not a > first:
-                raise ValueError(f"token {a}: repeat-mention arc must point backwards, got head {first}")
-            group_of[a] = first
-
     mains = sorted(a for a in anchor_positions if labels[a - 1] == PART_OF)
     ids = {a: f"T{i + 1}" for i, a in enumerate(mains)}
+
+    # Group each mention with its entity's first mention: a part-of anchor is
+    # its own, and an equivalent arc must point back at a part-of anchor.
+    group_of: dict[int, int] = {}
+    for a in anchor_positions:
+        first = heads[a - 1] if labels[a - 1] == EQUIVALENT else a
+        if first not in ids:
+            raise ValueError(f"token {a}: repeat-mention arc points at {first}, which anchors no first mention")
+        if first > a:
+            raise ValueError(f"token {a}: repeat-mention arc must point backwards, got head {first}")
+        group_of[a] = first
 
     entities: list[Entity] = []
     for a in mains:
@@ -277,28 +274,20 @@ def bio_encode(doc: Document) -> list[str]:
 def bio_decode_spans(tags: list[str]) -> list[tuple[int, int, str]]:
     """Recover (start, end, type) spans from BIO tags.
 
-    Lenient: a stray ``I-`` after ``O`` or after a different type opens a new
-    span rather than failing.
+    Only an ``I-`` of the open span's type continues it: any other tag
+    closes the open span, and any tag but ``O`` opens one.  So a stray
+    ``I-`` after ``O`` or after a different type opens a new span rather
+    than failing.
     """
     spans: list[tuple[int, int, str]] = []
     start = None
-    cur = None
-    for i, tag in enumerate(tags, start=1):
-        if tag == "O":
-            if start is not None:
-                spans.append((start, i, cur))
-                start = None
-        elif tag.startswith("B-"):
-            if start is not None:
-                spans.append((start, i, cur))
-            start, cur = i, tag[2:]
-        elif tag.startswith("I-"):
-            if start is None or tag[2:] != cur:
-                if start is not None:
-                    spans.append((start, i, cur))
-                start, cur = i, tag[2:]
-        else:
+    cur = None  # type of the open span; None while no span is open
+    for i, tag in enumerate([*tags, "O"], start=1):
+        if tag != "O" and tag[:2] not in ("B-", "I-"):
             raise ValueError(f"bad BIO tag {tag!r} at position {i}")
-    if start is not None:
-        spans.append((start, len(tags) + 1, cur))
+        if cur is not None and (tag[:2] != "I-" or tag[2:] != cur):
+            spans.append((start, i, cur))
+            cur = None
+        if tag != "O" and cur is None:
+            start, cur = i, tag[2:]
     return spans

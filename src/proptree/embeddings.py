@@ -74,10 +74,14 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
 
 
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
-    """Read the word2vec .bin layout: text header, then word + float32 block."""
+    """Read the word2vec .bin layout: text header, then word + float32 block.
+    Raises ``ValueError`` naming the path for a first line that is not a
+    'count dim' header, and for a file that ends inside a vector."""
     words: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline().split()
+        if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
+            raise ValueError(f"{path}: the first line is not a 'count dim' header")
         count, dim = int(header[0]), int(header[1])
         matrix = np.empty((count, dim), dtype=np.float64)
         for r in range(count):
@@ -89,7 +93,10 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
                 if ch != b"\n":
                     chars.append(ch)
             words.append(b"".join(chars).decode("utf-8"))
-            matrix[r] = np.asarray(struct.unpack(f"{dim}f", fh.read(4 * dim)), dtype=np.float64)
+            block = fh.read(4 * dim)
+            if len(block) != 4 * dim:
+                raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
+            matrix[r] = np.asarray(struct.unpack(f"{dim}f", block), dtype=np.float64)
     return EmbeddingTable(words, matrix)
 
 

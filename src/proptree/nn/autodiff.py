@@ -36,10 +36,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -393,23 +389,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
+def transpose(a: Tensor, axes: tuple | None = None) -> Tensor:
+    """A view with the axes permuted: reversed by default, else
+    ``out.shape[i] == a.shape[axes[i]]``."""
+    out = Tensor(a.data.transpose(axes))
+    inverse = None if axes is None else np.argsort(axes)
 
     def bwd(g):
-        return (g.T,)
-
-    return _record(out, (a,), bwd)
-
-
-def permute(a: Tensor, axes: tuple) -> Tensor:
-    out = Tensor(np.transpose(a.data, axes))
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        return (np.transpose(g, inverse),)
+        return (g.transpose(inverse),)
 
     return _record(out, (a,), bwd)
 

@@ -48,7 +48,7 @@ class Adam:
     and gradients; each tensor's ``data`` and ``grad`` are reshaped views into
     them, so code that sets parameters must write in place."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:

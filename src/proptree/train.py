@@ -98,10 +98,6 @@ class EpochRecord:
     report: MetricsReport   # validation after the epoch
     seconds: float
 
-    @property
-    def val_f1(self) -> float:
-        return self.report.overall.f1
-
 
 @dataclass
 class TrainLog:
@@ -112,10 +108,6 @@ class TrainLog:
         self.records.append(EpochRecord(epoch, loss, report, seconds))
 
     @property
-    def best_f1(self) -> float:
-        return max((r.val_f1 for r in self.records), default=0.0)
-
-    @property
     def best_report(self) -> MetricsReport:
         """The validation report of the kept weights, those of ``best_epoch``."""
         return next(r.report for r in self.records if r.epoch == self.best_epoch)
@@ -123,7 +115,7 @@ class TrainLog:
     def to_csv(self) -> str:
         lines = ["epoch,loss,val_f1,seconds"]
         for r in self.records:
-            lines.append(f"{r.epoch},{r.loss:.6f},{r.val_f1:.4f},{r.seconds:.3f}")
+            lines.append(f"{r.epoch},{r.loss:.6f},{r.report.overall.f1:.4f},{r.seconds:.3f}")
         return "\n".join(lines) + "\n"
 
 
@@ -276,7 +268,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         stop after ``patience`` epochs without a better one."""
         nonlocal started
         log.add(epoch, loss, runner.evaluate(val_docs), time.perf_counter() - started)
-        log.best_epoch = max(log.records, key=lambda r: r.val_f1).epoch
+        log.best_epoch = max(log.records, key=lambda r: r.report.overall.f1).epoch
         if log.best_epoch == epoch:
             best_params[...] = opt.data
         started = time.perf_counter()
@@ -290,8 +282,6 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
 
 def train_pipeline(config: TrainConfig, train_docs: list[Document],
                    dev_docs: list[Document] | None = None) -> tuple[PipelineRunner, TrainLog]:
-    if not train_docs:
-        raise ValueError("empty training split")
     started = time.perf_counter()
     crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
                     lr=config.lr, seed=config.seed)

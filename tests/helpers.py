@@ -6,7 +6,8 @@ forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
-per step, and the two training loops that ``nn.optim.fit`` replaced.
+per step, the two training loops that ``nn.optim.fit`` replaced, and the
+three-branch BIO span decoder.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -407,6 +408,34 @@ def lstm_sequence_reference(x, wx, wh, b, g, reverse=False):
     dx = dZ @ wx
     return (H[:0:-1] if reverse else H[1:],
             (dx[::-1] if reverse else dx, dZ.T @ xs, dZ.T @ H[:-1], dZ.sum(axis=0)))
+
+
+def bio_decode_spans_reference(tags):
+    """The BIO span decoder with one branch per tag kind, each with its own
+    close and open: ``O`` closes, ``B-`` closes and opens, and an ``I-``
+    that does not continue the open span's type closes and opens."""
+    spans = []
+    start = None
+    cur = None
+    for i, tag in enumerate(tags, start=1):
+        if tag == "O":
+            if start is not None:
+                spans.append((start, i, cur))
+                start = None
+        elif tag.startswith("B-"):
+            if start is not None:
+                spans.append((start, i, cur))
+            start, cur = i, tag[2:]
+        elif tag.startswith("I-"):
+            if start is None or tag[2:] != cur:
+                if start is not None:
+                    spans.append((start, i, cur))
+                start, cur = i, tag[2:]
+        else:
+            raise ValueError(f"bad BIO tag {tag!r} at position {i}")
+    if start is not None:
+        spans.append((start, len(tags) + 1, cur))
+    return spans
 
 
 def sigmoid(a):

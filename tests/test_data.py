@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proptree.corpus import (
@@ -32,7 +32,7 @@ from proptree.data import (
 )
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import entity_by_id, has_crossing_arcs
+from helpers import bio_decode_spans_reference, entity_by_id, has_crossing_arcs
 
 
 def simple_doc():
@@ -176,6 +176,33 @@ def test_decode_inverts_encode_on_random_forests(doc):
     assert encode_tree_to_heads(back) == enc
 
 
+@settings(max_examples=500)
+@given(st.lists(st.tuples(st.sampled_from([PART_OF, SEGMENT, EQUIVALENT, SKIP]), st.integers(0, 7)),
+                min_size=1, max_size=7))
+@example([(PART_OF, 0), (EQUIVALENT, 1), (EQUIVALENT, 2)])
+def test_decode_covers_every_non_skip_token_or_raises(arcs):
+    """A decoded tree's mentions cover exactly the tokens not labelled skip;
+    an assignment that cannot keep them all raises ValueError instead.  Each
+    (label, head) pair is one token; a skip token's head is itself."""
+    n = len(arcs)
+    labels = [c for c, _ in arcs]
+    heads = [t if c == SKIP else h % (n + 1) for t, (c, h) in enumerate(arcs, start=1)]
+    try:
+        doc = decode_heads_to_tree(TokenHeadAssignment(heads, labels), [f"w{t}" for t in range(n)])
+    except ValueError:
+        return
+    covered = sorted(t for e in doc.entities for m in e.mentions for t in range(m.start, m.end))
+    assert covered == [t for t, c in enumerate(labels, start=1) if c != SKIP]
+
+
+def test_decode_rejects_equivalent_arc_to_a_repeat_mention():
+    # token 3 repeats token 2, itself a repeat of token 1: not a first mention
+    bad = TokenHeadAssignment([0, 1, 2], [PART_OF, EQUIVALENT, EQUIVALENT])
+    with pytest.raises(ValueError, match="token 3: repeat-mention arc points at 2, "
+                                         "which anchors no first mention"):
+        decode_heads_to_tree(bad, ["a", "b", "c"], doc_id="bad")
+
+
 def test_decode_rejects_gapped_segment_span():
     # tokens 1 and 3 both attach to anchor 4 but token 2 does not
     bad = TokenHeadAssignment([4, 2, 4, 0], [SEGMENT, SKIP, SEGMENT, PART_OF])
@@ -234,6 +261,19 @@ def test_bio_encode_decode():
     )
     with pytest.raises(ValueError):
         bio_encode(overlapping)
+
+
+@given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b", "I-", "X"]), max_size=10))
+def test_bio_decode_spans_matches_the_three_branch_decoder(tags):
+    """Same spans, or the same ValueError message, as the frozen decoder."""
+    try:
+        expected = bio_decode_spans_reference(tags)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bio_decode_spans(tags)
+        assert str(got.value) == str(exc)
+        return
+    assert bio_decode_spans(tags) == expected
 
 
 def test_json_roundtrip_and_validation():

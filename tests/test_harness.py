@@ -261,7 +261,8 @@ def test_trainlog_csv():
     log = TrainLog()
     log.add(1, 2.5, fake_f1_report(50.0), 0.1)
     log.add(2, 1.5, fake_f1_report(60.0), 0.1)
-    assert log.best_f1 == 60.0
+    log.best_epoch = 2
+    assert log.best_report.overall.f1 == 60.0
     lines = log.to_csv().strip().splitlines()
     assert lines[0] == "epoch,loss,val_f1,seconds"
     assert lines[2].startswith("2,1.500000,60.0000")
@@ -292,7 +293,7 @@ def test_early_stopping_keeps_best_epoch(monkeypatch):
     # stops after the second non-improving epoch, keeps the epoch-2 weights
     assert [r.epoch for r in log.records] == [1, 2, 3, 4]
     assert log.best_epoch == 2
-    assert log.best_f1 == 60.0
+    assert log.best_report.overall.f1 == 60.0
     for p, snap in zip(runner.model.params_named().values(), snapshots[1]):
         assert np.array_equal(p.data, snap)
 
@@ -415,7 +416,7 @@ def test_restore_writes_through_to_the_optimizer_store():
     """Parameters are views into ``opt.data``, so ``_restore`` must write in place."""
     table = EmbeddingTable.random(["a", "b"], 4, seed=0)
     runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=1))
-    opt = nn.Adam(runner.params_named().values())
+    opt = nn.Adam(runner.params_named().values(), lr=1e-3)
     other = JointParser(table, d=4, l=3, dropout=0.0, seed=2).params_named()
     train_module._restore(runner, {name: p.data.copy() for name, p in other.items()})
     assert opt.data.tobytes() == np.concatenate([p.data.ravel() for p in other.values()]).tobytes()
@@ -428,8 +429,8 @@ def test_training_is_deterministic():
     for pa, pb in zip(a_runner.model.params_named().values(),
                       b_runner.model.params_named().values()):
         assert np.array_equal(pa.data, pb.data)
-    assert [(r.epoch, r.loss, r.val_f1) for r in a_log.records] == \
-           [(r.epoch, r.loss, r.val_f1) for r in b_log.records]
+    assert [(r.epoch, r.loss, r.report.overall.f1) for r in a_log.records] == \
+           [(r.epoch, r.loss, r.report.overall.f1) for r in b_log.records]
 
     c_runner, _ = train_joint(tiny_config(seed=1), docs, [])
     assert not all(np.array_equal(pa.data, pc.data)
@@ -472,7 +473,7 @@ def test_joint_checkpoint_of_trained_views_reloads_byte_equal(tmp_path):
 def test_pipeline_checkpoint_roundtrip(tmp_path, kind):
     docs = small_corpus(n=15)
     runner, log = train_pipeline(tiny_config(model=kind, max_epochs=8, lr=0.05), docs)
-    assert log.records[-1].val_f1 >= 0.0
+    assert log.records[-1].report.overall.f1 >= 0.0
     path = tmp_path / "ck.zip"
     runner.save(path)
     loaded = load_runner(path)
@@ -694,6 +695,24 @@ def test_word2vec_binary_loader(tmp_path):
     assert np.allclose(table.lookup(["huis"])[0], [1.0, 2.0])
     assert np.allclose(table.lookup(["tuin"])[0], [3.0, 4.0])
     assert np.allclose(load_embeddings(path).lookup(["huis"])[0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"", "the first line is not a 'count dim' header"),
+    (b"huis 0.1 0.2\n", "the first line is not a 'count dim' header"),
+    (b"2 3\nhuis ", "vector 1 of 2 is cut short"),
+    (b"2 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin " + struct.pack("<f", 3.0),
+     "vector 2 of 2 is cut short"),
+])
+def test_word2vec_binary_loader_names_the_file_and_the_problem(tmp_path, capsys, content,
+                                                               problem):
+    corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.bin"
+    write_corpus(corpus, small_corpus(n=2))
+    vectors.write_bytes(content)
+    argv = ["train", "--train", corpus, "--embeddings", vectors, "--out", tmp_path / "run"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: ValueError: {vectors}: {problem}"]
+    assert not (tmp_path / "run").exists()
 
 
 def run_cli(argv):

@@ -125,7 +125,7 @@ def test_loss_decreases_along_gradient():
     losses = []
     for _ in range(25):
         for p in scorer.params_named().values():
-            p.zero_grad()
+            p.grad.fill(0.0)
         with nn.Tape() as tape:
             loss = loss_from_rows(distribution_rows(scorer, nn.Tensor(states)), gold)
         tape.backward(loss)

@@ -126,7 +126,7 @@ def test_shape_op_grads():
     b = rng.normal(size=(3, 4))
 
     def build(ta, tb):
-        p = nn.permute(ta, (1, 0, 2))  # (3, 2, 4)
+        p = nn.transpose(ta, (1, 0, 2))  # (3, 2, 4)
         flat = nn.reshape(p, (3, 8))
         t = nn.transpose(tb)  # (4, 3)
         piece = nn.narrow(flat, 1, 2, 6)  # (3, 4)
@@ -135,6 +135,30 @@ def test_shape_op_grads():
         return nn.reduce_sum(nn.tanh(stacked))
 
     assert_grads_match(build, a, b)
+
+
+def test_transpose_backward_is_the_inverse_permutation():
+    """Output axis i is input axis axes[i], so the gradient of input entry
+    [i, j, k] is the output gradient at [k, i, j] for axes (2, 0, 1)."""
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    with Tape() as tape:
+        out = nn.transpose(x, (2, 0, 1))
+    assert out.shape == (4, 2, 3)
+    [(_, _, bwd)] = tape._records
+    g = rng.normal(size=out.shape)
+    (gx,) = bwd(g)
+    assert gx.shape == (2, 3, 4)
+    for i, j, k in np.ndindex(*gx.shape):
+        assert gx[i, j, k] == g[k, i, j]
+
+    # The same against finite differences, through a loss that weights every output entry.
+    weights = rng.normal(size=(4, 2, 3))
+
+    def build(ta):
+        return nn.reduce_sum(nn.tanh(nn.add(nn.transpose(ta, (2, 0, 1)), weights)))
+
+    assert_grads_match(build, x.data)
 
 
 def test_dropout_contract():
@@ -189,7 +213,7 @@ def test_grads_accumulate_across_tapes():
             loss = square(x)
         tape.backward(loss)
     assert x.grad == pytest.approx(12.0)  # 2 * (2x)
-    x.zero_grad()
+    x.grad.fill(0.0)
     assert x.grad == pytest.approx(0.0)
 
 
@@ -215,7 +239,6 @@ def test_every_primitive_returns_one_gradient_per_input():
         "matmul": lambda: nn.matmul(t(2, 3), t(3)),
         "narrow": lambda: nn.narrow(t(3, 5), 1, 1, 4),
         "pair_mlp": lambda: nn.pair_mlp(t(3, 4), t(2, 4), t(4), t(4)),
-        "permute": lambda: nn.permute(t(2, 3, 4), (2, 0, 1)),
         "reduce_sum": lambda: nn.reduce_sum(t(3, 4), axis=1),
         "reshape": lambda: nn.reshape(t(3, 4), (2, 6)),
         "scale": lambda: nn.scale(t(3, 4), 0.5),
@@ -223,8 +246,9 @@ def test_every_primitive_returns_one_gradient_per_input():
         "stack": lambda: nn.stack([t(3), t(3)], axis=1),
         "tanh": lambda: nn.tanh(t(3, 4)),
         "transpose": lambda: nn.transpose(t(3, 4)),
+        "transpose axes=(2, 0, 1)": lambda: nn.transpose(t(2, 3, 4), (2, 0, 1)),
     }
-    assert set(calls) == set(nn.__all__) - NOT_PRIMITIVES
+    assert {name.split()[0] for name in calls} == set(nn.__all__) - NOT_PRIMITIVES
     for name, call in calls.items():
         with Tape() as tape:
             out = call()
@@ -268,7 +292,7 @@ def test_adam_step_size_and_convergence():
     p = Tensor(np.array(0.0), requires_grad=True)
     opt = nn.Adam([p], lr=0.05)
     for _ in range(2000):
-        p.zero_grad()
+        p.grad.fill(0.0)
         with Tape() as tape:
             diff = nn.add(p, -3.0)
             loss = square(diff)
@@ -296,8 +320,8 @@ def test_blocked_adam_step_is_the_whole_array_step(shapes, lrs, seed):
     starts = [rng.normal(size=shape) for shape in shapes]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn.optim, "ADAM_BLOCK", 7)
-        blocked = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts])
-    whole = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts])
+        blocked = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts], lr=1e-3)
+    whole = nn.Adam([Tensor(x.copy(), requires_grad=True) for x in starts], lr=1e-3)
     for lr in lrs:
         for shape, p, q in zip(shapes, blocked.params, whole.params):
             g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
@@ -334,7 +358,7 @@ def test_adam_memory_is_m_v_and_two_blocks():
 
 
 def test_adam_moves_parameters_into_one_flat_store():
-    """After ``nn.Adam(params)`` each tensor's data and grad are views into
+    """After ``nn.Adam(params, lr)`` each tensor's data and grad are views into
     ``opt.data`` and ``opt.grad`` at consecutive offsets, in order, and hold
     their earlier values; writes through either side reach the other."""
     rng = np.random.default_rng(3)
@@ -342,7 +366,7 @@ def test_adam_moves_parameters_into_one_flat_store():
     for p in params:
         p.grad[...] = rng.normal(size=p.shape)
     before = [(p.data.copy(), p.grad.copy()) for p in params]
-    opt = nn.Adam(params)
+    opt = nn.Adam(params, lr=1e-3)
     n = sum(p.data.size for p in params)
     assert opt.data.shape == opt.grad.shape == (n,)
     for p, (data, grad) in zip(params, before):
@@ -366,13 +390,13 @@ def test_adam_keeps_arrays_that_already_lie_end_to_end():
     earlier optimizer already moved into one store: nothing is copied."""
     p = Tensor(np.ones((3, 4)), requires_grad=True)
     data, grad = p.data, p.grad
-    opt = nn.Adam([p])
+    opt = nn.Adam([p], lr=1e-3)
     assert np.shares_memory(opt.data, data) and np.shares_memory(opt.grad, grad)
     assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad)
     params = [Tensor(np.full(s, 2.0), requires_grad=True) for s in [(2, 3), (4,), ()]]
-    first = nn.Adam(params)
+    first = nn.Adam(params, lr=1e-3)
     views = [(p.data, p.grad) for p in params]
-    second = nn.Adam(params)
+    second = nn.Adam(params, lr=1e-3)
     assert second.data is first.data and second.grad is first.grad
     assert all(p.data is d and p.grad is g for p, (d, g) in zip(params, views))
 
@@ -380,11 +404,11 @@ def test_adam_keeps_arrays_that_already_lie_end_to_end():
 def test_adam_rejects_non_contiguous_parameters():
     """A flat view of a non-contiguous array is a copy, so its updates would be lost."""
     with pytest.raises(ValueError, match="C-contiguous"):
-        nn.Adam([Tensor(np.zeros((3, 4)).T, requires_grad=True)])
+        nn.Adam([Tensor(np.zeros((3, 4)).T, requires_grad=True)], lr=1e-3)
     p = Tensor(np.zeros((3, 4)), requires_grad=True)
     p.grad = np.zeros((4, 3)).T
     with pytest.raises(ValueError, match="C-contiguous"):
-        nn.Adam([p])
+        nn.Adam([p], lr=1e-3)
 
 
 def composed_pair_mlp(rows, cols, b, v):
