@@ -95,15 +95,15 @@ def write_corpus(path: str | Path, docs: list[Document]) -> None:
             fh.write(json.dumps(doc_to_json(doc), ensure_ascii=False) + "\n")
 
 
-def split_corpus(docs: list[Document], seed: int,
-                 dev_frac: float = 0.15, test_frac: float = 0.15
+def split_corpus(docs: list[Document], seed: int, dev_frac: float, test_frac: float
                  ) -> tuple[list[Document], list[Document], list[Document]]:
     """Shuffle with ``seed`` and cut into train/dev/test.
 
     Dev and test sizes are floored; train takes the remainder, so small
     corpora never lose documents to rounding.  No document is in two splits.
     """
-    if min(dev_frac, test_frac) < 0 or dev_frac + test_frac > 1:
+    # Stated positively, so that a NaN fraction fails it too.
+    if not (dev_frac >= 0 and test_frac >= 0 and dev_frac + test_frac <= 1):
         raise ValueError("dev and test fractions must be non-negative and sum to at most 1")
     order = np.random.default_rng(seed).permutation(len(docs))
     shuffled = [docs[i] for i in order]

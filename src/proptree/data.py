@@ -33,11 +33,14 @@ SKIP = 3
 LABEL_NAMES = ("part-of", "segment", "equivalent", "skip")
 ROOT_ID = "ROOT"
 
+# Labels an arc may carry inside a tree, and the labels edge metrics count:
+# every label but SKIP.
+ARC_LABELS = (PART_OF, SEGMENT, EQUIVALENT)
 # Classes scored in the headline metric; EQUIVALENT is reported separately.
 STRUCTURED_LABELS = (SEGMENT, PART_OF)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """Contiguous token span, 1-based, half-open: tokens start .. end-1."""
 
@@ -54,7 +57,7 @@ class Mention:
         return self.end - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
     id: str
     type: str | None
@@ -66,7 +69,7 @@ class Entity:
         return min(self.mentions, key=lambda m: (m.start, m.end))
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     id: str
     tokens: list[str]

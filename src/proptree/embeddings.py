@@ -76,7 +76,8 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
-    'count dim' header, and for a file that ends inside a vector."""
+    'count dim' header, for a word that is not UTF-8 and for a file that
+    ends inside a vector."""
     words: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -92,7 +93,10 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
                     break
                 if ch != b"\n":
                     chars.append(ch)
-            words.append(b"".join(chars).decode("utf-8"))
+            try:
+                words.append(b"".join(chars).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: vector {r + 1} of {count} has a non-UTF-8 word") from None
             block = fh.read(4 * dim)
             if len(block) != 4 * dim:
                 raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")

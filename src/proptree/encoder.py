@@ -3,8 +3,9 @@
 The encoder maps a token sequence to one width-2d vector per position,
 position 0 being the dummy root.  The root is represented by a zero vector
 that never passes through the LSTM and never receives dropout.  Embeddings
-are frozen; only LSTM weights train.  In training, ``nn.dropout`` is applied
-to the input of every LSTM layer, the embeddings included.
+are frozen; only LSTM weights train.  When ``encode`` is given a random
+generator, as in training, ``nn.dropout`` is applied to the input of every
+LSTM layer, the embeddings included; without one, as in prediction, none is.
 """
 
 from __future__ import annotations
@@ -31,24 +32,6 @@ class LstmDirection(nn.Module):
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.b = nn.Tensor(bias, requires_grad=True)
 
-    def run(self, inputs: nn.Tensor, reverse: bool = False) -> nn.Tensor:
-        """(n, input_dim) -> (n, d) hidden states; initial hidden and cell states are zero.
-
-        With ``reverse`` the sequence is consumed from its last row to its
-        first.  Raises ``ValueError`` unless ``inputs`` is 2-D of width input_dim.
-        """
-        return nn.lstm_sequence(inputs, self.wx, self.wh, self.b, reverse=reverse)
-
-
-class BiLstmLayer:
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.fwd = LstmDirection(input_dim, hidden_dim, rng)
-        self.bwd = LstmDirection(input_dim, hidden_dim, rng)
-
-    def run(self, inputs: nn.Tensor) -> nn.Tensor:
-        """(n, input_dim) -> (n, 2d): forward states, then backward states."""
-        return nn.concat([self.fwd.run(inputs), self.bwd.run(inputs, reverse=True)], axis=1)
-
 
 class Encoder:
     """tokens -> (N+1, 2d) tensor with a zero root row."""
@@ -62,25 +45,27 @@ class Encoder:
         self.table = table
         self.out_dim = 2 * hidden_dim
         self.dropout = dropout
-        self.layers = [BiLstmLayer(hidden_dim, hidden_dim, rng)]
-        if layers == 2:
-            self.layers.append(BiLstmLayer(2 * hidden_dim, hidden_dim, rng))
+        # (forward, backward) directions per layer; the second layer reads both.
+        self.layers = [(LstmDirection(width, hidden_dim, rng), LstmDirection(width, hidden_dim, rng))
+                       for width in (hidden_dim, 2 * hidden_dim)[:layers]]
 
     def params_named(self, prefix: str = "") -> dict[str, nn.Tensor]:
         named = {}
-        for i, layer in enumerate(self.layers):
-            named |= layer.fwd.params_named(f"{prefix}l{i}.fwd.")
-            named |= layer.bwd.params_named(f"{prefix}l{i}.bwd.")
+        for i, (fwd, bwd) in enumerate(self.layers):
+            named |= fwd.params_named(f"{prefix}l{i}.fwd.")
+            named |= bwd.params_named(f"{prefix}l{i}.bwd.")
         return named
 
-    def encode(self, tokens: list[str], train: bool = False,
-               rng: np.random.Generator | None = None) -> nn.Tensor:
+    def encode(self, tokens: list[str], rng: np.random.Generator | None = None) -> nn.Tensor:
+        """Dropout, drawn from ``rng``, is applied exactly when ``rng`` is given."""
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
         states = nn.Tensor(self.table.lookup(tokens))
-        for layer in self.layers:
-            if train:
+        for fwd, bwd in self.layers:
+            if rng is not None:
                 states = nn.dropout(states, self.dropout, rng)
-            states = layer.run(states)
+            states = nn.concat([nn.lstm_sequence(states, fwd.wx, fwd.wh, fwd.b),
+                                nn.lstm_sequence(states, bwd.wx, bwd.wh, bwd.b, reverse=True)],
+                               axis=1)
         root = nn.Tensor(np.zeros((1, self.out_dim)))
         return nn.concat([root, states], axis=0)

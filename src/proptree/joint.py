@@ -118,14 +118,15 @@ class JointParser:
             named |= self.attention.params_named("att.")
         return named | self.scorer.params_named("scorer.")
 
-    def forward_rows(self, tokens: list[str], train: bool = False,
-                     rng: np.random.Generator | None = None) -> nn.Tensor:
-        states = self.encoder.encode(tokens, train=train, rng=rng)
+    def forward_rows(self, tokens: list[str], rng: np.random.Generator | None = None) -> nn.Tensor:
+        """Score rows for ``tokens``; the encoder applies dropout exactly when
+        ``rng`` is given."""
+        states = self.encoder.encode(tokens, rng=rng)
         return distribution_rows(self.scorer, augment(states, self.attention))
 
     def distribution(self, tokens: list[str]) -> JointDistribution:
         return rows_to_distribution(self.forward_rows(tokens))
 
-    def loss(self, tokens: list[str], gold: TokenHeadAssignment, train: bool = True,
+    def loss(self, tokens: list[str], gold: TokenHeadAssignment,
              rng: np.random.Generator | None = None) -> nn.Tensor:
-        return loss_from_rows(self.forward_rows(tokens, train=train, rng=rng), gold)
+        return loss_from_rows(self.forward_rows(tokens, rng), gold)

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .data import EQUIVALENT, LABEL_NAMES, PART_OF, SEGMENT, STRUCTURED_LABELS, TokenHeadAssignment
-
-SCORED_LABELS = (PART_OF, SEGMENT, EQUIVALENT)
+from .data import ARC_LABELS, EQUIVALENT, LABEL_NAMES, STRUCTURED_LABELS, TokenHeadAssignment
 
 
 @dataclass
@@ -49,7 +47,7 @@ def score_edges(predicted: TokenHeadAssignment, gold: TokenHeadAssignment) -> di
         raise ValueError(f"predicted covers {predicted.n} tokens, gold covers {gold.n}")
     pred, ref = predicted.triples(), gold.triples()
     out = {}
-    for label in SCORED_LABELS:
+    for label in ARC_LABELS:
         p = {t for t in pred if t[2] == label}
         g = {t for t in ref if t[2] == label}
         out[label] = Counts(tp=len(p & g), fp=len(p - g), fn=len(g - p))
@@ -86,7 +84,7 @@ class MetricsReport:
     def to_table(self) -> str:
         header = f"{'label':<12}{'P':>8}{'R':>8}{'F1':>8}"
         lines = [header, "-" * len(header)]
-        rows = [(LABEL_NAMES[k], self.per_label[k]) for k in (SEGMENT, PART_OF)]
+        rows = [(LABEL_NAMES[k], self.per_label[k]) for k in STRUCTURED_LABELS]
         rows += [("overall", self.overall), ("equivalent*", self.per_label[EQUIVALENT])]
         for name, c in rows:
             lines.append(f"{name:<12}{c.precision:>8.2f}{c.recall:>8.2f}{c.f1:>8.2f}")
@@ -104,9 +102,9 @@ def aggregate(doc_counts: list[dict[int, Counts]], tree_flags: list[bool]) -> Me
         raise ValueError("cannot aggregate an empty corpus")
     if len(doc_counts) != len(tree_flags):
         raise ValueError(f"{len(doc_counts)} count sets vs {len(tree_flags)} tree flags")
-    totals = {label: Counts() for label in SCORED_LABELS}
+    totals = {label: Counts() for label in ARC_LABELS}
     for counts in doc_counts:
-        for label in SCORED_LABELS:
+        for label in ARC_LABELS:
             totals[label].add(counts[label])
     rate = 100.0 * sum(tree_flags) / len(tree_flags)
     return MetricsReport(per_label=totals, tree_rate=rate, n_docs=len(doc_counts))

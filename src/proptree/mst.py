@@ -30,11 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import EQUIVALENT, PART_OF, SEGMENT, SKIP, TokenHeadAssignment, first_cycle_node
+from .data import ARC_LABELS, SKIP, TokenHeadAssignment, first_cycle_node
 from .joint import JointDistribution
-
-# Labels an arc may carry inside the tree (skip never enters the graph).
-ARC_LABELS = (PART_OF, SEGMENT, EQUIVALENT)
 
 # Floor on probabilities before taking logs, keeping weights finite.
 _P_FLOOR = 1e-300

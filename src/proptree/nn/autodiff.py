@@ -53,7 +53,10 @@ class Tape:
     """Ordered record of primitive ops for one backward pass.
 
     Records are appended in execution order, which is a topological order of
-    the computation graph by construction.
+    the computation graph by construction.  The backward pass adds each
+    gradient that reaches a trainable leaf to the leaf's ``grad`` as soon as
+    the op's backward closure returns it; only the gradients of intermediate
+    values wait, until their own record is replayed.
     """
 
     def __init__(self):
@@ -78,24 +81,21 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         self._spent = True
 
+        if loss.requires_grad:
+            loss.grad += 1.0
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        holders: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, bwd in reversed(self._records):
             g = grads.pop(id(out), None)
-            holders.pop(id(out), None)
             if g is None:
                 continue
             for t, gt in zip(inputs, bwd(g)):
                 key = id(t)
-                if key in grads:
+                if t.requires_grad:
+                    t.grad += gt
+                elif key in grads:
                     grads[key] = grads[key] + gt
                 else:
                     grads[key] = gt
-                    holders[key] = t
-        for key, g in grads.items():
-            t = holders[key]
-            if t.requires_grad:
-                t.grad += g
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:

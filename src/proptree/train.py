@@ -254,7 +254,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
 
     def step(doc: Document, gold: TokenHeadAssignment) -> float:
         with Tape() as tape:
-            loss = model.loss(doc.tokens, gold, train=True, rng=drop_rng)
+            loss = model.loss(doc.tokens, gold, rng=drop_rng)
         tape.backward(loss)
         # A NaN or infinity anywhere makes this sum non-finite.  The log holds
         # one record per finished epoch.

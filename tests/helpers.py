@@ -6,8 +6,9 @@ forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
-per step, the two training loops that ``nn.optim.fit`` replaced, and the
-three-branch BIO span decoder.
+per step, the two training loops that ``nn.optim.fit`` replaced, the
+three-branch BIO span decoder, and the tape's backward loop that held
+every gradient until its end.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -346,7 +347,7 @@ def train_joint_reference(config, train_docs, dev_docs, table=None):
         for idx in shuffle_rng.permutation(len(train_docs)):
             doc = train_docs[idx]
             with nn.Tape() as tape:
-                loss = model.loss(doc.tokens, golds[idx], train=True, rng=drop_rng)
+                loss = model.loss(doc.tokens, golds[idx], rng=drop_rng)
             opt.zero_grad()
             tape.backward(loss)
             if not np.isfinite(loss.item() + opt.grad.sum()):
@@ -368,6 +369,31 @@ def train_joint_reference(config, train_docs, dev_docs, table=None):
     if log.best_epoch:
         opt.data[...] = best_params
     return runner, log
+
+
+def tape_backward_reference(tape, loss):
+    """A frozen copy of ``nn.Tape.backward``'s loop before leaf gradients were
+    added as they arrived: every gradient, a leaf's too, waits in a dict
+    beside a second dict from ids back to tensors, and the leaves' ``grad``
+    buffers are added to once, after the loop."""
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    holders = {id(loss): loss}
+    for out, inputs, bwd in reversed(tape._records):
+        g = grads.pop(id(out), None)
+        holders.pop(id(out), None)
+        if g is None:
+            continue
+        for t, gt in zip(inputs, bwd(g)):
+            key = id(t)
+            if key in grads:
+                grads[key] = grads[key] + gt
+            else:
+                grads[key] = gt
+                holders[key] = t
+    for key, g in grads.items():
+        t = holders[key]
+        if t.requires_grad:
+            t.grad += g
 
 
 def lstm_sequence_reference(x, wx, wh, b, g, reverse=False):

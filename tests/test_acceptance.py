@@ -110,11 +110,11 @@ def test_gradient_correctness():
                 model, tokens, gold = random_joint_case(seed, variant)
                 params = model.params_named().values()
                 with Tape() as tape:
-                    loss = model.loss(tokens, gold, train=False)
+                    loss = model.loss(tokens, gold)
                 tape.backward(loss)
                 analytic = [p.grad.copy() for p in params]
                 numeric = finite_difference(
-                    lambda: model.loss(tokens, gold, train=False).item(),
+                    lambda: model.loss(tokens, gold).item(),
                     [p.data for p in params])
                 assert_grads_close(analytic, numeric)
                 for a, n in zip(analytic, numeric):

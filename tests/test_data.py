@@ -335,9 +335,10 @@ def test_split_corpus_partitions_without_overlap():
     # same seed reproduces the same split
     again = split_corpus(docs, seed=3, dev_frac=0.2, test_frac=0.2)
     assert [d.id for d in again[0]] == [d.id for d in train]
-    # fractions that would put a document in two splits are rejected
-    for dev_frac, test_frac in ((0.6, 0.6), (-0.2, 0.1), (0.1, -0.2)):
-        with pytest.raises(ValueError):
+    # fractions that would put a document in two splits, or NaN, are rejected
+    nan = float("nan")
+    for dev_frac, test_frac in ((0.6, 0.6), (-0.2, 0.1), (0.1, -0.2), (nan, 0.1), (0.1, nan)):
+        with pytest.raises(ValueError, match="dev and test fractions must be non-negative"):
             split_corpus(docs[:10], seed=3, dev_frac=dev_frac, test_frac=test_frac)
     assert [len(part) for part in split_corpus(docs[:10], 3, 0.5, 0.5)] == [0, 5, 5]
 

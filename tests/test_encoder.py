@@ -5,7 +5,7 @@ import pytest
 
 from proptree import nn
 from proptree.embeddings import EmbeddingTable
-from proptree.encoder import BiLstmLayer, Encoder, LstmDirection
+from proptree.encoder import Encoder, LstmDirection
 
 from helpers import finite_difference, lstm_sequence_reference, max_rel_err
 
@@ -57,7 +57,8 @@ def test_initial_state_is_zero():
     d = 2
     direction = LstmDirection(d, d, np.random.default_rng(1))
     x = np.array([0.3, -0.7])
-    out = direction.run(nn.stack([nn.Tensor(x)])).data[0]
+    out = nn.lstm_sequence(nn.stack([nn.Tensor(x)]), direction.wx, direction.wh,
+                           direction.b).data[0]
     z = direction.wx.data @ x + direction.b.data
     i = 1 / (1 + np.exp(-z[:d]))
     g = np.tanh(z[2 * d:3 * d])
@@ -70,13 +71,11 @@ def test_backward_direction_mirrors_forward_on_reversed_input():
     # tie both directions to the same weights: encoding a reversed sequence
     # must equal the original encoding reversed with its halves swapped
     d = 3
-    layer = BiLstmLayer(d, d, np.random.default_rng(2))
-    layer.bwd = layer.fwd
-    rng = np.random.default_rng(3)
-    xs = [nn.Tensor(rng.normal(size=d)) for _ in range(5)]
-    fwd_run, rev_run = layer.run(nn.stack(xs)), layer.run(nn.stack(xs[::-1]))
-    fwd_out = np.stack([fwd_run.data[t] for t in range(5)])
-    rev_out = np.stack([rev_run.data[t] for t in range(5)])
+    enc = make_encoder(d=d, seed=2)
+    fwd, _ = enc.layers[0]
+    enc.layers[0] = (fwd, fwd)
+    tokens = ["villa", "garden", "pool", "roof", "attic"]
+    fwd_out, rev_out = enc.encode(tokens).data[1:], enc.encode(tokens[::-1]).data[1:]
     swapped = np.concatenate([rev_out[:, d:], rev_out[:, :d]], axis=1)
     assert np.allclose(fwd_out, swapped[::-1])
 
@@ -139,19 +138,20 @@ def test_encode_matches_per_step_recurrence():
     enc = make_encoder(d=3, layers=2, seed=7)
     tokens = ["villa", "garden", "pool", "roof", "attic"]
     states = enc.table.lookup(tokens)
-    for layer in enc.layers:
-        states = np.concatenate([reference_lstm(layer.fwd, states),
-                                 reference_lstm(layer.bwd, states, reverse=True)], axis=1)
+    for fwd, bwd in enc.layers:
+        states = np.concatenate([reference_lstm(fwd, states),
+                                 reference_lstm(bwd, states, reverse=True)], axis=1)
     expected = np.vstack([np.zeros(6), states])
     assert np.abs(enc.encode(tokens).data - expected).max() < 1e-12
 
 
 def test_lstm_input_must_be_2d_of_input_width():
     direction = LstmDirection(3, 2, np.random.default_rng(0))
+    weights = (direction.wx, direction.wh, direction.b)
     with pytest.raises(ValueError):
-        direction.run(nn.Tensor(np.zeros((4, 2))))
+        nn.lstm_sequence(nn.Tensor(np.zeros((4, 2))), *weights)
     with pytest.raises(ValueError):
-        direction.run(nn.Tensor(np.zeros(3)))
+        nn.lstm_sequence(nn.Tensor(np.zeros(3)), *weights)
 
 
 def test_encoding_is_bidirectional():
@@ -179,9 +179,8 @@ def test_dropout_only_in_training():
     enc = make_encoder(d=3, dropout=0.5)
     base = enc.encode(["villa", "garden"]).data
     again = enc.encode(["villa", "garden"]).data
-    assert np.allclose(base, again)  # eval mode is deterministic
-    dropped = enc.encode(["villa", "garden"], train=True,
-                         rng=np.random.default_rng(0)).data
+    assert np.allclose(base, again)  # without a generator encoding is deterministic
+    dropped = enc.encode(["villa", "garden"], rng=np.random.default_rng(0)).data
     assert not np.allclose(base, dropped)
     assert np.all(dropped[0] == 0.0)  # root row untouched by dropout
 
@@ -191,20 +190,23 @@ def test_dropout_masks_each_layer_input_in_order():
     # second from one generator, and scales the kept entries by hand.
     rate, tokens = 0.3, ["villa", "garden", "pool", "roof"]
     enc = make_encoder(d=3, layers=2, dropout=rate)
-    got = enc.encode(tokens, train=True, rng=np.random.default_rng(5)).data
+    got = enc.encode(tokens, rng=np.random.default_rng(5)).data
 
     rng = np.random.default_rng(5)
     states = enc.table.lookup(tokens)
-    for layer in enc.layers:
+    for fwd, bwd in enc.layers:
         mask = (rng.random(states.shape) >= rate) / (1.0 - rate)
-        states = layer.run(nn.Tensor(states * mask)).data
+        x = nn.Tensor(states * mask)
+        states = np.concatenate([nn.lstm_sequence(x, fwd.wx, fwd.wh, fwd.b).data,
+                                 nn.lstm_sequence(x, bwd.wx, bwd.wh, bwd.b, reverse=True).data],
+                                axis=1)
     assert np.array_equal(got[1:], states)
     assert np.all(got[0] == 0.0)
 
-    # At rate 0 training draws nothing and changes nothing.
+    # At rate 0 a generator draws nothing and changes nothing.
     enc = make_encoder(d=3, layers=2, dropout=0.0)
     rng = np.random.default_rng(5)
-    assert np.array_equal(enc.encode(tokens, train=True, rng=rng).data, enc.encode(tokens).data)
+    assert np.array_equal(enc.encode(tokens, rng=rng).data, enc.encode(tokens).data)
     assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 

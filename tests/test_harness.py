@@ -703,6 +703,7 @@ def test_word2vec_binary_loader(tmp_path):
     (b"2 3\nhuis ", "vector 1 of 2 is cut short"),
     (b"2 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin " + struct.pack("<f", 3.0),
      "vector 2 of 2 is cut short"),
+    (b"1 1\n\xff " + struct.pack("<f", 1.0), "vector 1 of 1 has a non-UTF-8 word"),
 ])
 def test_word2vec_binary_loader_names_the_file_and_the_problem(tmp_path, capsys, content,
                                                                problem):

@@ -161,11 +161,32 @@ def test_parser_end_to_end_shapes(attention):
     assert np.allclose(dist.p[1:].reshape(3, -1).sum(axis=1), 1.0)
     gold = TokenHeadAssignment([0, 1, 3], [PART_OF, SEGMENT, SKIP])
     with nn.Tape() as tape:
-        loss = parser.loss(tokens, gold, train=False)
+        loss = parser.loss(tokens, gold)
     tape.backward(loss)
     assert loss.item() > 0.0
     grads = [np.abs(p.grad).sum() for p in parser.params_named().values()]
     assert sum(g > 0 for g in grads) >= len(grads) - 4  # zero-init biases may idle
+
+
+def test_loss_without_a_generator_applies_no_dropout():
+    # The parser's default dropout is 0.5; a loss called without a generator
+    # is the loss of the undropped score rows.
+    table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
+    parser = JointParser(table, d=4, l=3)
+    tokens = ["a", "c", "b"]
+    gold = TokenHeadAssignment([0, 1, 3], [PART_OF, SEGMENT, SKIP])
+    expected = loss_from_rows(parser.forward_rows(tokens), gold).item()
+    assert parser.loss(tokens, gold).item() == expected
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_forward_rows_drops_out_exactly_when_given_a_generator(dropout):
+    table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
+    parser = JointParser(table, d=4, l=3, dropout=dropout)
+    tokens = ["a", "c", "b", "a"]
+    plain = parser.forward_rows(tokens).data
+    dropped = parser.forward_rows(tokens, rng=np.random.default_rng(0)).data
+    assert np.array_equal(plain, dropped) == (dropout == 0.0)
 
 
 def test_parser_named_params_cover_everything():
@@ -248,7 +269,7 @@ def test_training_stays_finite_under_extreme_scores():
     for _ in range(3):
         opt.zero_grad()
         with nn.Tape() as tape:
-            loss = parser.loss(tokens, gold, train=False)
+            loss = parser.loss(tokens, gold)
         tape.backward(loss)
         assert np.isfinite(loss.item()) and loss.item() > 100.0
         assert all(np.all(np.isfinite(p.grad)) for p in params)

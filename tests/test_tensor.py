@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import array_shapes
 from proptree import nn
 from proptree.nn import Tape, Tensor
 
-from helpers import adam_step_reference, finite_difference, max_rel_err, sigmoid
+from helpers import (adam_step_reference, finite_difference, max_rel_err, sigmoid,
+                     tape_backward_reference)
 
 TOL = 1e-4
 
@@ -215,6 +216,84 @@ def test_grads_accumulate_across_tapes():
     assert x.grad == pytest.approx(12.0)  # 2 * (2x)
     x.grad.fill(0.0)
     assert x.grad == pytest.approx(0.0)
+
+
+GRAPH_OPS = ("matmul", "add", "tanh", "concat", "stack", "transpose")
+
+
+def random_graph(leaf_arrays, plan, shared):
+    """Leaves over ``leaf_arrays`` and a taped scalar loss over a graph that
+    ``plan`` builds: each (op, i, j) applies ``op`` to value i and to the
+    first value from j on whose shape fits, or ``tanh`` where none fits.
+    The first ``shared`` ops all read leaf 0.  The loss sums every value
+    that an op made, so each op's gradient reaches the leaves."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in leaf_arrays]
+    values = list(leaves)
+    fits = {"matmul": lambda a, b: a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0],
+            "add": lambda a, b: a.shape == b.shape,
+            "stack": lambda a, b: a.shape == b.shape,
+            "concat": lambda a, b: a.ndim == b.ndim and a.shape[1:] == b.shape[1:]}
+    with Tape() as tape:
+        for step, (op, i, j) in enumerate(plan):
+            a = values[0] if step < shared else values[i % len(values)]
+            others = [values[(j + k) % len(values)] for k in range(len(values))]
+            b = next((v for v in others if op in fits and fits[op](a.data, v.data)), None)
+            if op == "transpose":
+                values.append(nn.transpose(a))
+            elif b is None:
+                values.append(nn.tanh(a))
+            elif op in ("concat", "stack"):
+                values.append(getattr(nn, op)([a, b], axis=0))
+            else:
+                values.append(getattr(nn, op)(a, b))
+        loss = nn.reduce_sum(nn.tanh(values[len(leaves)]))
+        for v in values[len(leaves) + 1:]:
+            loss = nn.add(loss, nn.reduce_sum(nn.tanh(v)))
+    return leaves, loss, tape
+
+
+@settings(max_examples=80)
+@given(shapes=st.lists(st.sampled_from([(2, 2), (2, 3), (3, 2), (3,)]), min_size=1, max_size=3),
+       plan=st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 99),
+                               st.integers(0, 99)), min_size=3, max_size=8),
+       shared=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_tape_backward_matches_the_frozen_loop(shapes, plan, shared, seed):
+    """Leaf gradients added as they arrive equal the frozen loop's, which
+    adds each leaf's summed gradient once at the end: byte for byte from
+    zero ``grad`` buffers, and within 1e-12 from non-zero ones, where the
+    sum is only reassociated."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    starts = [rng.normal(size=shape) for shape in shapes]
+    for nonzero in (False, True):
+        ours, loss, tape = random_graph(arrays, plan, shared)
+        ref, ref_loss, ref_tape = random_graph(arrays, plan, shared)
+        if nonzero:
+            for t, r, g in zip(ours, ref, starts):
+                t.grad[...] = r.grad[...] = g
+        tape.backward(loss)
+        tape_backward_reference(ref_tape, ref_loss)
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        for t, r in zip(ours, ref):
+            if nonzero:
+                assert np.abs(t.grad - r.grad).max() <= 1e-12
+            else:
+                assert t.grad.tobytes() == r.grad.tobytes()
+
+
+def test_backward_of_a_leaf_loss_adds_one_to_its_grad():
+    # A recorded op reads the leaf, but the loss is the leaf itself.
+    for start in (0.0, 0.25):
+        x, ref = (Tensor(np.array(2.0), requires_grad=True) for _ in range(2))
+        for leaf in (x, ref):
+            leaf.grad[...] = start
+        with Tape() as tape:
+            square(x)
+        with Tape() as ref_tape:
+            square(ref)
+        tape.backward(x)
+        tape_backward_reference(ref_tape, ref)
+        assert x.grad.tobytes() == ref.grad.tobytes() == np.float64(start + 1.0).tobytes()
 
 
 # Exported names that are not recorded operations.
