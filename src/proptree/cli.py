@@ -18,8 +18,8 @@ from .data import Document, TokenHeadAssignment, encode_tree_to_heads
 from .embeddings import load_embeddings
 from .mst import is_tree
 from .synthetic import SyntheticConfig, generate_corpus
-from .train import (MODEL_KINDS, TrainConfig, load_runner, predict_records, score_docs,
-                    train_model)
+from .train import (MODEL_KINDS, TrainConfig, load_runner, parse_option, predict_records,
+                    score_docs, train_model)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,19 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", dest="dev_path")
     p.add_argument("--model", default=cfg.model, choices=MODEL_KINDS)
     p.add_argument("--attention", default=cfg.attention, choices=VARIANTS)
-    p.add_argument("--steps", type=int, default=cfg.steps, help="edge message-passing rounds")
-    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--embeddings", help="word2vec file; random vectors when omitted")
     p.add_argument("--config", help="key=value override file")
     p.add_argument("--out", required=True, help="output directory")
     # Every default is TrainConfig's own, which any model kind accepts: a kind
     # rejects only a value it does not read that differs from the default.
-    p.add_argument("--d", type=int, default=cfg.d)
-    p.add_argument("--l", type=int, default=cfg.l)
-    p.add_argument("--lr", type=float, default=cfg.lr)
-    p.add_argument("--dropout", type=float, default=cfg.dropout)
-    p.add_argument("--max-epochs", type=int, default=cfg.max_epochs)
-    p.add_argument("--patience", type=int, default=cfg.patience)
+    # ``train_config`` parses a given value as the config file's are parsed.
+    for key in ("steps", "seed", "d", "l", "lr", "dropout", "max_epochs", "patience"):
+        p.add_argument(f"--{key.replace('_', '-')}", default=getattr(cfg, key))
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled corpus")
     p.set_defaults(run=cmd_evaluate)
@@ -90,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_overrides(path: str | None) -> dict[str, str]:
+def _read_overrides(path: str | None) -> dict[str, object]:
+    """The options of a ``key = value`` file, each parsed on its own line."""
     if not path:
         return {}
     overrides = {}
@@ -100,8 +96,11 @@ def _read_overrides(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        try:
+            overrides[key] = parse_option(key, value)
+        except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
+            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
     return overrides
 
 
@@ -132,10 +131,11 @@ def cmd_split(args) -> int:
 
 
 def train_config(args) -> TrainConfig:
-    """The flags given to ``train`` and then the ``--config`` file, over the defaults."""
-    flags = {key: str(value) for key in TrainConfig.__dataclass_fields__
-             if (value := getattr(args, key, None)) is not None}
-    return TrainConfig().apply_overrides(flags | _read_overrides(args.config))
+    """The flags given to ``train`` and then the ``--config`` file, over the
+    defaults.  A flag's default is already typed; a given flag is text."""
+    flags = {k: parse_option(k, v) if isinstance(v, str) else v
+             for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__}
+    return TrainConfig(**flags | _read_overrides(args.config))
 
 
 def cmd_train(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .attention import attention_options, augment, make_attention, scorer_input_width
+from .attention import augment, make_attention, scorer_input_width
 from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
@@ -96,21 +96,18 @@ def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
 
 
 class JointParser:
-    """Encoder + optional attention + joint scorer, trained end to end."""
+    """Encoder + optional attention + joint scorer, trained end to end.
 
-    def __init__(self, table: EmbeddingTable, d: int = 128, l: int = 32,
-                 layers: int = 1, dropout: float = 0.5,
-                 attention: str | None = None, steps: int = 1, p: int = 32,
-                 seed: int = 0):
-        options = attention_options(attention, p=p, steps=steps)
-        rng = np.random.default_rng(seed)
-        self.config = {
-            "d": d, "l": l, "layers": layers, "dropout": dropout,
-            "attention": attention, "steps": steps, "p": p, "seed": seed,
-        }
-        self.encoder = Encoder(table, d, layers, dropout, rng)
-        self.attention = make_attention(attention, d, l, rng, **options) if attention else None
-        self.scorer = LabelScorer(scorer_input_width(d, attention), l, rng)
+    ``config`` is a joint ``proptree.train.TrainConfig``, which has checked
+    every option.  It is not annotated, because ``train`` imports this module."""
+
+    def __init__(self, table: EmbeddingTable, config):
+        rng = np.random.default_rng(config.seed)
+        self.config = config
+        self.encoder = Encoder(table, config.d, config.layers, config.resolved_dropout, rng)
+        self.attention = make_attention(config.attention, config.d, config.l, rng, p=config.p,
+                                        steps=config.steps) if config.attention else None
+        self.scorer = LabelScorer(scorer_input_width(config.d, config.attention), config.l, rng)
 
     def params_named(self) -> dict[str, nn.Tensor]:
         named = self.encoder.params_named("enc.")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 from typing import Any
 
 import numpy as np
@@ -31,14 +32,19 @@ def save_checkpoint(path: str, manifest: dict[str, Any], params: dict[str, np.nd
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Read a checkpoint zip; returns (manifest, params)."""
-    with zipfile.ZipFile(path, "r") as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format_version {version!r}, expected {FORMAT_VERSION}")
-        params = {}
-        for name in manifest["param_names"]:
-            with zf.open(f"params/{name}.npy") as fh:
-                params[name] = np.lib.format.read_array(fh)
+    """Read a checkpoint zip; returns (manifest, params).  A file that is not
+    one raises one ValueError that names ``path``."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            version = manifest.get("format_version")
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format_version {version!r}, expected {FORMAT_VERSION}")
+            params = {}
+            for name in manifest.get("param_names", ()):
+                with zf.open(f"params/{name}.npy") as fh:
+                    params[name] = np.lib.format.read_array(fh)
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        # A missing member raises KeyError, whose str() would quote its message.
+        raise ValueError(f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
     return manifest, params

@@ -12,7 +12,7 @@ never branch on model family.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,6 +31,10 @@ from .pipeline import CrfModel, LtmModel, MttModel, pipeline_predict, train_crf,
 from .synthetic import vocabulary
 
 MODEL_KINDS = ("joint", "joint-2layer", "pipeline-crf+ltm", "pipeline-crf+mtt")
+EDGE_MODELS = {f"pipeline-crf+{model.kind}": model for model in (LtmModel, MttModel)}
+# The options a joint checkpoint records, dropout resolved; ``layers`` stands
+# for the model kind.
+JOINT_OPTIONS = ("d", "l", "layers", "dropout", "attention", "steps", "p", "seed")
 
 
 @dataclass
@@ -77,18 +81,22 @@ class TrainConfig:
         return 0.3 if self.layers == 2 else 0.5
 
     def apply_overrides(self, overrides: dict[str, str]) -> "TrainConfig":
-        """A copy with ``overrides`` parsed in."""
-        kwargs = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        for key, raw in overrides.items():
-            if key not in kwargs:
-                raise KeyError(f"unknown config key {key!r}")
-            if key in ("model", "attention"):
-                kwargs[key] = None if raw in ("", "none") else raw
-            elif key in ("lr", "dropout"):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
-        return TrainConfig(**kwargs)
+        """A copy with ``overrides`` parsed in by ``parse_option``."""
+        return replace(self, **{key: parse_option(key, raw) for key, raw in overrides.items()})
+
+
+def parse_option(key: str, raw: str):
+    """``raw`` as the value of ``TrainConfig``'s option ``key``: the one place
+    that knows each option's type."""
+    if key not in TrainConfig.__dataclass_fields__:
+        raise KeyError(f"unknown config key {key!r}")
+    if key in ("model", "attention"):
+        return None if raw in ("", "none") else raw
+    kind, name = (float, "a number") if key in ("lr", "dropout") else (int, "an integer")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}={raw!r} is not {name}") from None
 
 
 @dataclass
@@ -160,10 +168,11 @@ class JointRunner(Runner):
         return repair(dist, greedy), False
 
     def save(self, path: str | Path) -> None:
-        table = self.model.encoder.table
+        table, config = self.model.encoder.table, self.model.config
         manifest = {
             "kind": self.kind,
-            "config": self.model.config,
+            "config": {key: getattr(config, key) for key in JOINT_OPTIONS}
+                      | {"dropout": config.resolved_dropout},
             "vocab": table.vocab,
         }
         save_checkpoint(str(path), manifest, _arrays(self) | {"emb.matrix": table.matrix})
@@ -230,11 +239,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         raise ValueError("empty training split")
     if table is None:
         table = EmbeddingTable.random(vocabulary(train_docs), config.d, seed=config.seed)
-    model = JointParser(
-        table, d=config.d, l=config.l, layers=config.layers,
-        dropout=config.resolved_dropout, attention=config.attention,
-        steps=config.steps, p=config.p, seed=config.seed,
-    )
+    model = JointParser(table, config)
     runner = JointRunner(model)
     golds = [encode_tree_to_heads(doc) for doc in train_docs]
     for g in golds:
@@ -310,23 +315,31 @@ def train_model(config: TrainConfig, train_docs: list[Document],
 
 
 def load_runner(path: str | Path):
-    """Rebuild a runner of the kind recorded in the checkpoint manifest."""
+    """Rebuild a runner of the kind recorded in the checkpoint manifest.  A
+    malformed checkpoint raises one ValueError that names ``path``; a joint
+    model's config must be one that ``TrainConfig`` accepts."""
     manifest, arrays = load_checkpoint(str(path))
-    kind = manifest["kind"]
-    if kind == "joint":
-        cfg = manifest["config"]
-        table = EmbeddingTable(manifest["vocab"],
-                               _pop(arrays, "emb.matrix", (len(manifest["vocab"]), cfg["d"])))
-        return _restore(JointRunner(JointParser(table, **cfg)), arrays)
-    if kind.startswith("pipeline-crf+"):
-        crf = CrfModel(manifest["tags"], {f: i for i, f in enumerate(manifest["crf_features"])})
-        edge_index = {f: i for i, f in enumerate(manifest["edge_features"])}
-        if kind.endswith("ltm"):
-            edge_model = LtmModel(edge_index)
-        else:
-            edge_model = MttModel(edge_index)
-        return _restore(PipelineRunner(crf, edge_model), arrays)
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+    try:
+        kind = manifest["kind"]
+        if kind == "joint":
+            options = dict(manifest["config"])
+            model = {1: "joint", 2: "joint-2layer"}.get(options.pop("layers", None))
+            if model is None or {*options, "layers"} != set(JOINT_OPTIONS):
+                raise ValueError(f"config {manifest['config']} must have exactly the keys "
+                                 f"{', '.join(JOINT_OPTIONS)}, and layers 1 or 2")
+            config = TrainConfig(model, **options)
+            table = EmbeddingTable(manifest["vocab"],
+                                   _pop(arrays, "emb.matrix", (len(manifest["vocab"]), config.d)))
+            return _restore(JointRunner(JointParser(table, config)), arrays)
+        if kind in EDGE_MODELS:
+            crf = CrfModel(manifest["tags"], {f: i for i, f in enumerate(manifest["crf_features"])})
+            edge_index = {f: i for i, f in enumerate(manifest["edge_features"])}
+            return _restore(PipelineRunner(crf, EDGE_MODELS[kind](edge_index)), arrays)
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{path}: the manifest lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def predict_records(runner: Runner, docs: list[Document]) -> list[dict]:

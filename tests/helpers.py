@@ -327,11 +327,7 @@ def train_joint_reference(config, train_docs, dev_docs, table=None):
     ``zero_grad``, a check per document, and early stopping on a stale count."""
     if table is None:
         table = EmbeddingTable.random(vocabulary(train_docs), config.d, seed=config.seed)
-    model = JointParser(
-        table, d=config.d, l=config.l, layers=config.layers,
-        dropout=config.resolved_dropout, attention=config.attention,
-        steps=config.steps, p=config.p, seed=config.seed,
-    )
+    model = JointParser(table, config)
     runner = JointRunner(model)
     golds = [encode_tree_to_heads(doc) for doc in train_docs]
     val_docs = dev_docs if dev_docs else train_docs

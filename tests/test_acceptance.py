@@ -75,8 +75,8 @@ def random_joint_case(seed, variant):
     n = int(rng.integers(2, 5))
     tokens = [VOCAB[i] for i in rng.integers(0, len(VOCAB), n)]
     table = EmbeddingTable.random(VOCAB, 2, seed=seed)
-    model = JointParser(table, d=2, l=3, dropout=0.0, attention=variant,
-                        **READ_OPTIONS.get(variant, {}), seed=seed)
+    model = JointParser(table, TrainConfig(d=2, l=3, dropout=0.0, attention=variant,
+                                           **READ_OPTIONS.get(variant, {}), seed=seed))
     heads, labels = [], []
     for i in range(1, n + 1):
         h = int(rng.integers(0, n + 1))
@@ -219,8 +219,8 @@ def test_distribution_and_attention_normalization():
             tokens = [VOCAB[i] for i in rng.integers(0, len(VOCAB), n)]
             d = int(rng.integers(2, 4))
             table = EmbeddingTable.random(VOCAB, d, seed=seed)
-            model = JointParser(table, d=d, l=2 * d - 1, dropout=0.0,
-                                attention=variant, **READ_OPTIONS.get(variant, {}), seed=seed)
+            model = JointParser(table, TrainConfig(d=d, l=2 * d - 1, dropout=0.0, attention=variant,
+                                                   **READ_OPTIONS.get(variant, {}), seed=seed))
             dist = model.distribution(tokens)
             assert np.all(dist.p[0] == 0.0)
             sums = dist.p[1:].reshape(n, -1).sum(axis=1)

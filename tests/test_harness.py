@@ -15,7 +15,7 @@ import pytest
 
 from proptree import cli, nn, pipeline
 from proptree import train as train_module
-from proptree.attention import VARIANTS, make_attention
+from proptree.attention import VARIANTS, make_attention, scorer_input_width
 from proptree.corpus import read_corpus, write_corpus
 from proptree.data import EQUIVALENT, PART_OF, ROOT_ID, SEGMENT, SKIP, decode_heads_to_tree
 from proptree.embeddings import (
@@ -87,22 +87,33 @@ def builds(make) -> bool:
     return True
 
 
-def test_config_accepts_exactly_the_widths_the_joint_parser_builds():
-    """One rule for the scoring width: l must be smaller than the scorer's
-    input width, 2d without attention or with edge attention and 4d with the
-    other variants."""
+def test_every_valid_config_builds_a_joint_parser_of_its_width():
+    """One rule for the scoring width, TrainConfig's: l must be smaller than
+    the scorer's input width, 2d without attention or with edge attention and
+    4d with the other variants.  Every config it accepts builds a parser whose
+    scorer reads exactly that width."""
     accepted = set()
     for d in (2, 3):
         table = EmbeddingTable.random(["villa", "tuin"], d)
         for l in range(1, 14):
             for attention in (None, *VARIANTS):
-                in_config = builds(lambda: TrainConfig(d=d, l=l, attention=attention))
-                in_parser = builds(lambda: JointParser(table, d=d, l=l, attention=attention))
-                assert in_config == in_parser, (d, l, attention)
-                if in_config:
-                    accepted.add((d, l, attention))
+                if not builds(lambda: TrainConfig(d=d, l=l, attention=attention)):
+                    continue
+                width = scorer_input_width(d, attention)
+                parser = JointParser(table, TrainConfig(d=d, l=l, attention=attention))
+                assert parser.scorer.u[0].shape == (l, width) and width > l, (d, l, attention)
+                accepted.add((d, l, attention))
     assert (2, 5, "additive") in accepted and (2, 4, None) not in accepted
     assert (3, 5, "edge") in accepted and (3, 6, "edge") not in accepted
+
+
+@pytest.mark.parametrize("model, dropout, expected", [
+    ("joint", None, 0.5), ("joint-2layer", None, 0.3), ("joint-2layer", 0.1, 0.1)])
+def test_joint_parser_takes_layers_and_dropout_from_the_config(model, dropout, expected):
+    table = EmbeddingTable.random(["huis"], 4)
+    parser = JointParser(table, TrainConfig(model=model, d=4, l=3, dropout=dropout))
+    assert parser.encoder.dropout == expected
+    assert len(parser.encoder.layers) == TrainConfig(model=model).layers
 
 
 def test_config_overrides():
@@ -181,22 +192,15 @@ def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, cap
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(model=model).apply_overrides({"attention": attention or "none",
                                                       key: str(value)})
-        # The parser and the attention factory apply the same rule.
-        table = EmbeddingTable.random(["huis"], 8)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            JointParser(table, d=8, l=4, attention=attention, **{key: value})
+        # The attention factory applies the same rule.
         if attention:
             with pytest.raises(ValueError, match=re.escape(message)):
                 make_attention(attention, 8, 4, np.random.default_rng(0), **{key: value})
         # Left at its default, the option is accepted.
         assert TrainConfig(model=model, attention=attention, p=32, steps=1).attention == attention
-        JointParser(table, d=8, l=4, attention=attention, p=32, steps=1)
         if attention:
             make_attention(attention, 8, 4, np.random.default_rng(0), p=32, steps=1)
     assert getattr(TrainConfig(attention=reader, **{key: value}), key) == value
-    parser = JointParser(EmbeddingTable.random(["huis"], 8), d=8, l=4, attention=reader,
-                         **{key: value})
-    assert parser.config[key] == value
 
     corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
     write_corpus(corpus, small_corpus(n=3))
@@ -218,8 +222,6 @@ def test_unknown_attention_variant_is_rejected_at_construction(tmp_path, capsys)
         TrainConfig(attention="bogus")
     with pytest.raises(ValueError, match="unknown attention variant 'Tensor'"):
         TrainConfig().apply_overrides({"attention": "Tensor"})
-    with pytest.raises(ValueError, match=message):
-        JointParser(EmbeddingTable.random(["huis"], 8), d=8, l=4, attention="bogus")
 
     corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
     write_corpus(corpus, small_corpus(n=3))
@@ -415,9 +417,9 @@ def test_blocked_adam_trains_pipelines_as_the_whole_array_step(monkeypatch, kind
 def test_restore_writes_through_to_the_optimizer_store():
     """Parameters are views into ``opt.data``, so ``_restore`` must write in place."""
     table = EmbeddingTable.random(["a", "b"], 4, seed=0)
-    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=1))
+    runner = JointRunner(JointParser(table, TrainConfig(d=4, l=3, dropout=0.0, seed=1)))
     opt = nn.Adam(runner.params_named().values(), lr=1e-3)
-    other = JointParser(table, d=4, l=3, dropout=0.0, seed=2).params_named()
+    other = JointParser(table, TrainConfig(d=4, l=3, dropout=0.0, seed=2)).params_named()
     train_module._restore(runner, {name: p.data.copy() for name, p in other.items()})
     assert opt.data.tobytes() == np.concatenate([p.data.ravel() for p in other.values()]).tobytes()
 
@@ -622,6 +624,106 @@ def test_checkpoint_version_guard(tmp_path):
             zf.writestr(n, blob)
     with pytest.raises(ValueError, match="format_version"):
         load_runner(tampered)
+
+
+def zip_members(path) -> dict[str, bytes]:
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+RESAVED = [("joint", None, {}), ("joint", "additive", {}), ("joint", "bilinear", {}),
+           ("joint", "multiplicative", {}), ("joint", "biaffine", {"p": 3}),
+           ("joint", "tensor", {}), ("joint", "edge", {"steps": 2}),
+           ("joint-2layer", None, {"dropout": None}), ("pipeline-crf+ltm", None, {}),
+           ("pipeline-crf+mtt", None, {})]
+
+
+@pytest.mark.parametrize("kind, attention, options", RESAVED,
+                         ids=[f"{k}-{a}" for k, a, _ in RESAVED])
+def test_a_reloaded_checkpoint_saves_the_same_bytes(tmp_path, kind, attention, options):
+    """save -> load_runner -> save writes the same manifest.json and arrays."""
+    config = tiny_config(model=kind, attention=attention, max_epochs=1, **options)
+    runner, _ = train_model(config, small_corpus(n=3), [])
+    runner.save(tmp_path / "a.zip")
+    load_runner(tmp_path / "a.zip").save(tmp_path / "b.zip")
+    assert zip_members(tmp_path / "a.zip") == zip_members(tmp_path / "b.zip")
+
+
+def test_a_two_layer_manifest_loads_as_joint_2layer(tmp_path):
+    """A manifest written before JointParser took a TrainConfig records the
+    two-layer model as ``layers: 2`` with its resolved dropout."""
+    table = EmbeddingTable.random(["huis", "tuin"], 4, seed=0)
+    params = JointParser(table, TrainConfig(model="joint-2layer", d=4, l=3, seed=5)).params_named()
+    config = {"d": 4, "l": 3, "layers": 2, "dropout": 0.3, "attention": None, "steps": 1,
+              "p": 32, "seed": 5}
+    save_checkpoint(str(tmp_path / "ck.zip"), {"kind": "joint", "config": config,
+                                                "vocab": table.vocab},
+                    {name: p.data for name, p in params.items()} | {"emb.matrix": table.matrix})
+    loaded = load_runner(tmp_path / "ck.zip")
+    assert loaded.model.config.model == "joint-2layer"
+    assert len(loaded.model.encoder.layers) == 2 and loaded.model.encoder.dropout == 0.3
+    for name, p in loaded.params_named().items():
+        assert p.data.tobytes() == params[name].data.tobytes(), name
+
+
+def _rewrite(src, dst, manifest=None, drop=()):
+    """A copy of checkpoint ``src`` without the members ``drop``, and with
+    ``manifest`` edited by a function when one is given."""
+    members = zip_members(src)
+    if manifest:
+        members["manifest.json"] = json.dumps(manifest(json.loads(members["manifest.json"])))
+    with zipfile.ZipFile(dst, "w") as zf:
+        for name, blob in members.items():
+            if name not in drop:
+                zf.writestr(name, blob)
+
+
+def _set_config(**options):
+    return lambda manifest: manifest | {"config": manifest["config"] | options}
+
+
+MALFORMED = [
+    ("truncated", lambda src, dst: dst.write_bytes(src.read_bytes()[:300]),
+     "File is not a zip file"),
+    ("not-a-zip", lambda src, dst: dst.write_text("villa met tuin\n"), "File is not a zip file"),
+    ("missing-member", lambda src, dst: _rewrite(src, dst, drop={"params/scorer.u0.npy"}),
+     "There is no item named 'params/scorer.u0.npy' in the archive"),
+    ("no-config", lambda src, dst: _rewrite(src, dst, lambda m: {k: v for k, v in m.items()
+                                                                  if k != "config"}),
+     "the manifest lacks 'config'"),
+    ("unknown-config-key", lambda src, dst: _rewrite(src, dst, _set_config(banana=1)),
+     "'banana': 1} must have exactly the keys d, l, layers, dropout, attention, steps, p, seed,"
+     " and layers 1 or 2"),
+    ("three-layers", lambda src, dst: _rewrite(src, dst, _set_config(layers=3)),
+     "'layers': 3, 'p': 32, 'seed': 0, 'steps': 1} must have exactly the keys"),
+    ("dropout-1.5", lambda src, dst: _rewrite(src, dst, _set_config(dropout=1.5)),
+     "dropout=1.5 must lie in [0, 1)"),
+]
+
+
+def test_malformed_inputs_fail_with_one_line_that_names_the_path(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, small_corpus(n=3))
+    runner, _ = train_model(tiny_config(d=4, l=3, max_epochs=1), small_corpus(n=3), [])
+    good = tmp_path / "good.zip"
+    runner.save(good)
+    runs = []
+    for name, make, problem in MALFORMED:
+        bad = tmp_path / f"{name}.zip"
+        make(good, bad)
+        runs.append((["predict", "--checkpoint", bad, "--data", corpus], f"{bad}: ", problem))
+    for name, line, problem in (("d", "d = abc", "d='abc' is not an integer"),
+                                ("banana", "banana=1", "unknown config key 'banana'")):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(f"# a comment\n{line}\n")
+        runs.append((["train", "--train", corpus, "--config", cfg, "--out", tmp_path / "run"],
+                     f"{cfg}:2: ", problem))
+    for argv, where, problem in runs:
+        assert run_cli(argv) == 1, problem
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: ValueError: {where}"), err
+        assert problem in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_model_dispatch():

@@ -19,7 +19,7 @@ from proptree.joint import (
     rows_to_distribution,
 )
 from proptree.mst import is_tree, repair
-from proptree.train import JointRunner
+from proptree.train import JointRunner, TrainConfig
 
 from helpers import finite_difference, max_rel_err
 
@@ -154,7 +154,7 @@ def test_scorer_gradients_match_finite_differences():
 @pytest.mark.parametrize("attention", [None, "additive", "edge"])
 def test_parser_end_to_end_shapes(attention):
     table = EmbeddingTable.random(["a", "b", "c"], 3, seed=0)
-    parser = JointParser(table, d=3, l=2, attention=attention, seed=1)
+    parser = JointParser(table, TrainConfig(d=3, l=2, attention=attention, seed=1))
     tokens = ["a", "c", "b"]
     dist = parser.distribution(tokens)
     assert dist.p.shape == (4, 4, 4)
@@ -169,10 +169,10 @@ def test_parser_end_to_end_shapes(attention):
 
 
 def test_loss_without_a_generator_applies_no_dropout():
-    # The parser's default dropout is 0.5; a loss called without a generator
-    # is the loss of the undropped score rows.
+    # A joint model's default dropout is 0.5; a loss called without a
+    # generator is the loss of the undropped score rows.
     table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
-    parser = JointParser(table, d=4, l=3)
+    parser = JointParser(table, TrainConfig(d=4, l=3))
     tokens = ["a", "c", "b"]
     gold = TokenHeadAssignment([0, 1, 3], [PART_OF, SEGMENT, SKIP])
     expected = loss_from_rows(parser.forward_rows(tokens), gold).item()
@@ -182,7 +182,7 @@ def test_loss_without_a_generator_applies_no_dropout():
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_forward_rows_drops_out_exactly_when_given_a_generator(dropout):
     table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
-    parser = JointParser(table, d=4, l=3, dropout=dropout)
+    parser = JointParser(table, TrainConfig(d=4, l=3, dropout=dropout))
     tokens = ["a", "c", "b", "a"]
     plain = parser.forward_rows(tokens).data
     dropped = parser.forward_rows(tokens, rng=np.random.default_rng(0)).data
@@ -191,7 +191,7 @@ def test_forward_rows_drops_out_exactly_when_given_a_generator(dropout):
 
 def test_parser_named_params_cover_everything():
     table = EmbeddingTable.random(["a", "b"], 3, seed=0)
-    parser = JointParser(table, d=3, l=2, attention="biaffine", p=4, seed=1)
+    parser = JointParser(table, TrainConfig(d=3, l=2, attention="biaffine", p=4, seed=1))
     named = parser.params_named()
     assert set(map(id, named.values())) == set(map(id, parser.params_named().values()))
     assert "enc.l0.fwd.wx" in named and "att.w_bil" in named and "scorer.v3" in named
@@ -228,7 +228,7 @@ def test_distribution_matches_composed_reference(m_pos):
 def test_predict_doc_matches_composed_reference_on_edge_documents(tokens):
     # a one-token document, and one made only of unknown tokens
     table = EmbeddingTable.random(["villa", "garden"], 4, seed=0)
-    runner = JointRunner(JointParser(table, d=4, l=3, dropout=0.0, seed=2))
+    runner = JointRunner(JointParser(table, TrainConfig(d=4, l=3, dropout=0.0, seed=2)))
     model = runner.model
     ref = reference_distribution(model.scorer, model.encoder.encode(tokens).data)
     assert np.max(np.abs(model.distribution(tokens).p - ref.p)) <= 1e-12
@@ -256,7 +256,7 @@ def test_training_stays_finite_under_extreme_scores():
     # saturated tanh and v0 = +-1e4 make label 0 dominate or vanish: gold
     # probabilities underflow, and the gradient 1/p of log(softmax) overflows
     table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
-    parser = JointParser(table, d=4, l=3, dropout=0.0, seed=1)
+    parser = JointParser(table, TrainConfig(d=4, l=3, dropout=0.0, seed=1))
     parser.scorer.u[0].data *= 1e3
     parser.scorer.v[0].data[:] = [1e4, -1e4, 1e4]
     tokens = ["a", "c", "b", "a"]
