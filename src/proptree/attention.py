@@ -143,33 +143,18 @@ _CLASSES = {
 }
 
 
-# Each option beyond d and l: the one variant that reads it, and its default.
-_OPTIONS = {"p": ("biaffine", 32), "steps": ("edge", 1)}
+# Each option beyond d and l, and the one variant whose class takes it.
+# ``TrainConfig`` owns the options' defaults.
+READERS = {"p": "biaffine", "steps": "edge"}
 
 
-def attention_options(variant: str | None, **given: int) -> dict[str, int]:
-    """The keyword arguments of ``variant``'s class: each option it reads,
-    as given or at its default.  ``None`` is no attention.
-
-    Raises ValueError for an unknown variant and for an option that the
-    variant does not read given away from its default, and KeyError for a
-    name that is not an option.
-    """
-    if variant is not None and variant not in _CLASSES:
+def make_attention(variant: str, d: int, l: int, rng: np.random.Generator, **options: int):
+    """A ``variant`` layer.  ``options`` are its class's own keywords: biaffine
+    takes ``p`` and edge takes ``steps`` (see ``READERS``), and no class takes
+    any other.  Raises ValueError for an unknown variant and TypeError for an
+    option that the class does not take, or lacks."""
+    if variant not in _CLASSES:
         raise ValueError(f"unknown attention variant {variant!r}; choose from {VARIANTS}")
-    options = {key: default for key, (reader, default) in _OPTIONS.items() if reader == variant}
-    for key, value in given.items():
-        reader, default = _OPTIONS[key]
-        if reader == variant:
-            options[key] = value
-        elif value != default:
-            raise ValueError(f"{key}={value!r}: only {reader} attention reads {key}")
-    return options
-
-
-def make_attention(variant: str, d: int, l: int, rng: np.random.Generator, **given: int):
-    """A ``variant`` layer; ``given`` holds ``p`` or ``steps`` (see ``attention_options``)."""
-    options = attention_options(variant, **given)
     return _CLASSES[variant](d, l, rng, **options)
 
 

@@ -85,22 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_overrides(path: str | None) -> dict[str, object]:
+def _read_overrides(path: str) -> dict[str, object]:
     """The options of a ``key = value`` file, each parsed on its own line."""
-    if not path:
-        return {}
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
+            line = line.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
             overrides[key] = parse_option(key, value)
-        except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
-            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return overrides
 
 
@@ -132,10 +130,16 @@ def cmd_split(args) -> int:
 
 def train_config(args) -> TrainConfig:
     """The flags given to ``train`` and then the ``--config`` file, over the
-    defaults.  A flag's default is already typed; a given flag is text."""
+    defaults.  A flag's default is already typed; a given flag is text.  An
+    error that the flags alone do not raise names the ``--config`` file."""
     flags = {k: parse_option(k, v) if isinstance(v, str) else v
              for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__}
-    return TrainConfig(**flags | _read_overrides(args.config))
+    overrides = _read_overrides(args.config) if args.config else {}
+    try:
+        return TrainConfig(**flags | overrides)
+    except ValueError as exc:
+        TrainConfig(**flags)  # raises its own error when the flags alone are at fault
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def cmd_train(args) -> int:

@@ -36,6 +36,8 @@ def doc_to_json(doc: Document) -> dict:
 
 
 def doc_from_json(obj: dict) -> Document:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     doc = Document(
         id=str(obj["id"]),
         tokens=[str(t) for t in obj["tokens"]],
@@ -77,14 +79,15 @@ def _validate(doc: Document) -> None:
 
 def read_corpus(path: str | Path) -> list[Document]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    # Lines are decoded one by one, so that a byte that is not UTF-8 names its line.
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                docs.append(doc_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                docs.append(doc_from_json(json.loads(line.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return docs
 

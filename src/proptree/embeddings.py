@@ -42,7 +42,7 @@ class EmbeddingTable:
         return self.matrix[idx]
 
     @classmethod
-    def random(cls, vocab: list[str], dim: int, seed: int = 0) -> "EmbeddingTable":
+    def random(cls, vocab: list[str], dim: int, seed: int) -> "EmbeddingTable":
         rng = np.random.default_rng(seed)
         words = sorted(set(vocab))
         return cls(words, rng.uniform(-0.05, 0.05, size=(len(words), dim)))
@@ -51,20 +51,23 @@ class EmbeddingTable:
 def load_word2vec_text(path: str | Path) -> EmbeddingTable:
     """Read 'token v1 ... vd' lines; an optional 'count dim' header is skipped.
     Raises ``ValueError`` naming the path for a file without vectors, and
-    also the line for a vector whose width differs from the first one's."""
+    also the line for a line that is not UTF-8, a value that is not a finite
+    number, and a vector whose width differs from the first one's."""
     words: list[str] = []
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().split()
-        if first and (len(first) != 2 or not (first[0].isdigit() and first[1].isdigit())):
-            words.append(first[0])
-            rows.append([float(v) for v in first[1:]])
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if not parts or parts == [""]:
-                continue
-            words.append(parts[0])
-            rows.append([float(v) for v in parts[1:] if v])
+    # Lines are decoded one by one, so that a byte that is not UTF-8 names its line.
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                parts = [part for part in line.decode("utf-8").rstrip("\r\n").split(" ") if part]
+                if not parts or lineno == 1 and len(parts) == 2 and "".join(parts).isdigit():
+                    continue
+                words.append(parts[0])
+                rows.append([float(v) for v in parts[1:]])
+                if not np.isfinite(rows[-1]).all():
+                    raise ValueError("a value is not finite")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path}: line {lineno} holds {len(rows[-1])} values, "
                                  f"but the first vector {len(rows[0])}")
@@ -76,8 +79,8 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
-    'count dim' header, for a word that is not UTF-8 and for a file that
-    ends inside a vector."""
+    'count dim' header, for a word that is not UTF-8, for a file that ends
+    inside a vector and for a vector that is not finite."""
     words: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -101,6 +104,8 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
             if len(block) != 4 * dim:
                 raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
             matrix[r] = np.asarray(struct.unpack(f"{dim}f", block), dtype=np.float64)
+            if not np.isfinite(matrix[r]).all():
+                raise ValueError(f"{path}: vector {r + 1} of {count} is not finite")
     return EmbeddingTable(words, matrix)
 
 

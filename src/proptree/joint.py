@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .attention import augment, make_attention, scorer_input_width
+from .attention import READERS, augment, make_attention, scorer_input_width
 from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
@@ -105,8 +105,10 @@ class JointParser:
         rng = np.random.default_rng(config.seed)
         self.config = config
         self.encoder = Encoder(table, config.d, config.layers, config.resolved_dropout, rng)
-        self.attention = make_attention(config.attention, config.d, config.l, rng, p=config.p,
-                                        steps=config.steps) if config.attention else None
+        options = {key: getattr(config, key) for key, reader in READERS.items()
+                   if reader == config.attention}
+        self.attention = make_attention(config.attention, config.d, config.l, rng,
+                                        **options) if config.attention else None
         self.scorer = LabelScorer(scorer_input_width(config.d, config.attention), config.l, rng)
 
     def params_named(self) -> dict[str, nn.Tensor]:

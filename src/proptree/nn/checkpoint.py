@@ -34,17 +34,26 @@ def save_checkpoint(path: str, manifest: dict[str, Any], params: dict[str, np.nd
 def load_checkpoint(path: str) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Read a checkpoint zip; returns (manifest, params).  A file that is not
     one raises one ValueError that names ``path``."""
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            manifest = json.loads(zf.read("manifest.json"))
-            version = manifest.get("format_version")
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format_version {version!r}, expected {FORMAT_VERSION}")
-            params = {}
-            for name in manifest.get("param_names", ()):
-                with zf.open(f"params/{name}.npy") as fh:
-                    params[name] = np.lib.format.read_array(fh)
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
-        # A missing member raises KeyError, whose str() would quote its message.
-        raise ValueError(f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
+    # A missing file keeps its FileNotFoundError, which names the path.
+    with open(path, "rb") as file:
+        try:
+            with zipfile.ZipFile(file) as zf:
+                manifest = json.loads(zf.read("manifest.json"))
+                names = manifest.get("param_names", []) if isinstance(manifest, dict) else None
+                if not isinstance(names, list):
+                    raise ValueError("manifest.json must be a JSON object whose param_names is a list")
+                version = manifest.get("format_version")
+                if version != FORMAT_VERSION:
+                    raise ValueError(f"unsupported checkpoint format_version {version!r}, expected {FORMAT_VERSION}")
+                params = {}
+                for name in names:
+                    with zf.open(f"params/{name}.npy") as fh:
+                        params[name] = np.lib.format.read_array(fh)
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, NotImplementedError, OSError,
+                RuntimeError, ValueError) as exc:
+            # zipfile raises RuntimeError for an encrypted member, NotImplementedError
+            # for an unknown method or version, and OSError when bz2 cannot
+            # decompress.  A missing member raises KeyError, whose str() would
+            # quote its message.
+            raise ValueError(f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
     return manifest, params

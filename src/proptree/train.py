@@ -12,13 +12,13 @@ never branch on model family.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .attention import attention_options, scorer_input_width
+from .attention import READERS, VARIANTS, scorer_input_width
 from .corpus import doc_to_json
 from .data import Document, TokenHeadAssignment, decode_heads_to_tree, encode_tree_to_heads
 from .embeddings import EmbeddingTable
@@ -52,6 +52,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each value has its option's type, which a checkpoint's JSON may not
+        # hold.  A bool is not a number, and None is a value only where it is
+        # the default.
+        for key, value in vars(self).items():
+            kinds, name = option_type(key)
+            if not (isinstance(value, kinds) and not isinstance(value, bool)
+                    or value is None is self.__dataclass_fields__[key].default):
+                raise ValueError(f"{key}={value!r} is not {name}")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model!r}; choose from {MODEL_KINDS}")
         if not all(v > 0 for v in (self.steps, self.d, self.l, self.p, self.lr,
@@ -61,14 +69,18 @@ class TrainConfig:
             raise ValueError(f"l={self.l} must be smaller than the scorer's input width {width}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout={self.dropout} must lie in [0, 1)")
-        # An option the model kind does not read must keep its default.
-        if self.model.startswith("joint"):
-            attention_options(self.attention, p=self.p, steps=self.steps)
-        else:
-            for key in ("attention", "steps", "d", "l", "p", "dropout", "patience"):
-                if getattr(self, key) != self.__dataclass_fields__[key].default:
-                    raise ValueError(f"{key}={getattr(self, key)!r}: "
-                                     f"{self.model} reads only model, lr, max_epochs, seed")
+        # An option that the model kind, or its attention variant, does not
+        # read must keep its default.
+        joint = self.model.startswith("joint")
+        if joint and self.attention not in (None, *VARIANTS):
+            raise ValueError(f"unknown attention variant {self.attention!r}; choose from {VARIANTS}")
+        unread = ([key for key, reader in READERS.items() if reader != self.attention] if joint
+                  else ("attention", "steps", "d", "l", "p", "dropout", "patience"))
+        for key in unread:
+            if getattr(self, key) != self.__dataclass_fields__[key].default:
+                reads = (f"only {READERS[key]} attention reads {key}" if joint
+                         else f"{self.model} reads only model, lr, max_epochs, seed")
+                raise ValueError(f"{key}={getattr(self, key)!r}: {reads}")
 
     @property
     def layers(self) -> int:
@@ -80,21 +92,26 @@ class TrainConfig:
             return self.dropout
         return 0.3 if self.layers == 2 else 0.5
 
-    def apply_overrides(self, overrides: dict[str, str]) -> "TrainConfig":
-        """A copy with ``overrides`` parsed in by ``parse_option``."""
-        return replace(self, **{key: parse_option(key, raw) for key, raw in overrides.items()})
+
+def option_type(key: str) -> tuple[tuple[type, ...], str]:
+    """The types that a value of ``TrainConfig``'s option ``key`` may have,
+    the first being the one that text converts to, and their name in
+    messages: the one place that knows each option's types."""
+    if key not in TrainConfig.__dataclass_fields__:
+        raise ValueError(f"unknown config key {key!r}")
+    if key in ("model", "attention"):
+        return (str,), "a string"
+    return ((float, int), "a number") if key in ("lr", "dropout") else ((int,), "an integer")
 
 
 def parse_option(key: str, raw: str):
-    """``raw`` as the value of ``TrainConfig``'s option ``key``: the one place
-    that knows each option's type."""
-    if key not in TrainConfig.__dataclass_fields__:
-        raise KeyError(f"unknown config key {key!r}")
-    if key in ("model", "attention"):
+    """``raw``, the text of a flag or a ``--config`` line, as the value of
+    ``TrainConfig``'s option ``key``."""
+    kinds, name = option_type(key)
+    if kinds[0] is str:
         return None if raw in ("", "none") else raw
-    kind, name = (float, "a number") if key in ("lr", "dropout") else (int, "an integer")
     try:
-        return kind(raw)
+        return kinds[0](raw)
     except ValueError:
         raise ValueError(f"{key}={raw!r} is not {name}") from None
 

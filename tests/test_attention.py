@@ -1,22 +1,21 @@
 """Attention variants vs direct per-pair numpy computations."""
 
-import re
-
 import numpy as np
 import pytest
 
 from proptree import nn
 from proptree.attention import (
+    READERS,
     SCORE_VARIANTS,
     VARIANTS,
     EdgeAttention,
-    attention_options,
     attention_weights,
     augment,
     context_vectors,
     make_attention,
     scorer_input_width,
 )
+from proptree.train import TrainConfig
 
 from helpers import finite_difference, max_rel_err
 
@@ -28,33 +27,33 @@ def states(seed=0):
 
 
 def layer_for(variant, seed=1, **kw):
-    return make_attention(variant, D, L, np.random.default_rng(seed), **kw)
+    """A ``variant`` layer; biaffine and edge get ``TrainConfig``'s ``p`` and
+    ``steps`` unless ``kw`` gives them."""
+    read = {key: getattr(TrainConfig, key) for key, reader in READERS.items() if reader == variant}
+    return make_attention(variant, D, L, np.random.default_rng(seed), **read | kw)
 
 
 def test_factory_rejects_unknown_variant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown attention variant 'fancy'"):
         layer_for("fancy")
     with pytest.raises(ValueError):
         layer_for("edge", steps=0)
 
 
 def test_factory_passes_each_option_only_to_its_reader():
-    assert attention_options(None) == {}
-    assert attention_options("tensor", p=32, steps=1) == {}
-    assert attention_options("biaffine") == {"p": 32}
-    assert attention_options("edge", p=32, steps=3) == {"steps": 3}
+    assert READERS == {"p": "biaffine", "steps": "edge"}
     assert layer_for("biaffine", p=2).w_bil.shape == (2, 2)
     assert layer_for("edge", steps=3).steps == 3
-    with pytest.raises(ValueError, match=re.escape("p=4: only biaffine attention reads p")):
-        layer_for("additive", p=4)
-    with pytest.raises(ValueError, match=re.escape("steps=2: only edge attention reads steps")):
-        layer_for("biaffine", steps=2)
-    with pytest.raises(ValueError, match="unknown attention variant 'bogus'"):
-        attention_options("bogus")
-    with pytest.raises(KeyError):
-        layer_for("tensor", heads=2)
+    # The classes hold no defaults: biaffine needs p and edge needs steps.
+    for variant in ("biaffine", "edge"):
+        with pytest.raises(TypeError):
+            make_attention(variant, D, L, np.random.default_rng(1))
+    # An option that a class does not take is Python's own TypeError.
     for variant in VARIANTS:
-        layer_for(variant, p=32, steps=1)
+        for key in ("p", "steps", "heads"):
+            if READERS.get(key) != variant:
+                with pytest.raises(TypeError, match=key):
+                    layer_for(variant, **{key: 2})
 
 
 @pytest.mark.parametrize("variant", SCORE_VARIANTS)

@@ -315,7 +315,7 @@ def entity_json(eid, start, end, parent="ROOT"):
     ({"id": "c", "tokens": ["a", "b"],
       "entities": [entity_json("A", 1, 2, parent="B"), entity_json("B", 2, 3, parent="A")]},
      "parent links form a cycle through 'A'"),
-    (["x"], "list indices must be integers"),
+    (["x"], "expected a JSON object, got list"),
     ({"id": "t", "tokens": 5}, "'int' object is not iterable"),
 ])
 def test_read_corpus_rejects_what_cannot_be_encoded_with_its_line(tmp_path, obj, message):

@@ -1,21 +1,27 @@
 """Training loop, checkpoints, CLI."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import zipfile
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proptree import cli, nn, pipeline
 from proptree import train as train_module
-from proptree.attention import VARIANTS, make_attention, scorer_input_width
+from proptree.attention import VARIANTS, scorer_input_width
 from proptree.corpus import read_corpus, write_corpus
 from proptree.data import EQUIVALENT, PART_OF, ROOT_ID, SEGMENT, SKIP, decode_heads_to_tree
 from proptree.embeddings import (
@@ -37,6 +43,7 @@ from proptree.train import (
     TrainConfig,
     TrainLog,
     load_runner,
+    parse_option,
     predict_records,
     train_joint,
     train_model,
@@ -94,7 +101,7 @@ def test_every_valid_config_builds_a_joint_parser_of_its_width():
     scorer reads exactly that width."""
     accepted = set()
     for d in (2, 3):
-        table = EmbeddingTable.random(["villa", "tuin"], d)
+        table = EmbeddingTable.random(["villa", "tuin"], d, seed=0)
         for l in range(1, 14):
             for attention in (None, *VARIANTS):
                 if not builds(lambda: TrainConfig(d=d, l=l, attention=attention)):
@@ -110,28 +117,34 @@ def test_every_valid_config_builds_a_joint_parser_of_its_width():
 @pytest.mark.parametrize("model, dropout, expected", [
     ("joint", None, 0.5), ("joint-2layer", None, 0.3), ("joint-2layer", 0.1, 0.1)])
 def test_joint_parser_takes_layers_and_dropout_from_the_config(model, dropout, expected):
-    table = EmbeddingTable.random(["huis"], 4)
+    table = EmbeddingTable.random(["huis"], 4, seed=0)
     parser = JointParser(table, TrainConfig(model=model, d=4, l=3, dropout=dropout))
     assert parser.encoder.dropout == expected
     assert len(parser.encoder.layers) == TrainConfig(model=model).layers
 
 
+def overridden(config, raw):
+    """A copy of ``config`` with the text values ``raw`` parsed in, as the
+    ``train`` command applies a ``--config`` file."""
+    return replace(config, **{key: parse_option(key, text) for key, text in raw.items()})
+
+
 def test_config_overrides():
     cfg = TrainConfig()
-    over = cfg.apply_overrides({"model": "pipeline-crf+mtt", "lr": "0.05",
-                                "max_epochs": "7", "attention": "none"})
+    over = overridden(cfg, {"model": "pipeline-crf+mtt", "lr": "0.05",
+                            "max_epochs": "7", "attention": "none"})
     assert over.model == "pipeline-crf+mtt"
     assert over.lr == 0.05 and over.max_epochs == 7
     assert over.attention is None
     assert cfg.max_epochs == 150  # original untouched
-    with pytest.raises(KeyError):
-        cfg.apply_overrides({"banana": "1"})
+    with pytest.raises(ValueError, match="unknown config key 'banana'"):
+        parse_option("banana", "1")
 
 
 @pytest.mark.parametrize("kind", ["pipeline-crf+ltm", "pipeline-crf+mtt"])
 def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
     docs = small_corpus(n=3)
-    table = EmbeddingTable.random(vocabulary(docs), 8)
+    table = EmbeddingTable.random(vocabulary(docs), 8, seed=0)
     with pytest.raises(ValueError, match=f"{re.escape(kind)} takes no embedding table"):
         train_model(tiny_config(model=kind, max_epochs=1), docs, [], table)
 
@@ -144,17 +157,17 @@ def test_pipeline_models_reject_joint_only_options(tmp_path, capsys, kind):
         with pytest.raises(ValueError, match=message):
             TrainConfig(model=kind, **{key: value})
         with pytest.raises(ValueError, match=message):
-            TrainConfig().apply_overrides({"model": kind, key: str(value)})
+            overridden(TrainConfig(), {"model": kind, key: str(value)})
         with pytest.raises(ValueError, match=message):
-            TrainConfig(model=kind).apply_overrides({key: str(value)})
+            overridden(TrainConfig(model=kind), {key: str(value)})
     with pytest.raises(ValueError, match=re.escape(f"attention='additive': {reads_only}")):
-        TrainConfig(attention="additive").apply_overrides({"model": kind})
+        overridden(TrainConfig(attention="additive"), {"model": kind})
     with pytest.raises(ValueError, match=re.escape(f"d=64: {reads_only}")):
         TrainConfig(model=kind, d=64, dropout=0.0)
     # Options at their defaults are accepted.
     defaults = TrainConfig(model=kind, attention=None, steps=1, d=128, l=32, p=32,
                            dropout=None, patience=10)
-    assert defaults.apply_overrides({"lr": "0.5", "max_epochs": "2", "seed": "3"}) == TrainConfig(
+    assert overridden(defaults, {"lr": "0.5", "max_epochs": "2", "seed": "3"}) == TrainConfig(
         model=kind, lr=0.5, max_epochs=2, seed=3)
 
     corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.txt"
@@ -190,16 +203,10 @@ def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, cap
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(model=model, attention=attention, **{key: value})
         with pytest.raises(ValueError, match=re.escape(message)):
-            TrainConfig(model=model).apply_overrides({"attention": attention or "none",
-                                                      key: str(value)})
-        # The attention factory applies the same rule.
-        if attention:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                make_attention(attention, 8, 4, np.random.default_rng(0), **{key: value})
+            overridden(TrainConfig(model=model), {"attention": attention or "none",
+                                                  key: str(value)})
         # Left at its default, the option is accepted.
         assert TrainConfig(model=model, attention=attention, p=32, steps=1).attention == attention
-        if attention:
-            make_attention(attention, 8, 4, np.random.default_rng(0), p=32, steps=1)
     assert getattr(TrainConfig(attention=reader, **{key: value}), key) == value
 
     corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
@@ -216,12 +223,31 @@ def test_joint_models_reject_options_their_attention_does_not_read(tmp_path, cap
     capsys.readouterr()
 
 
+def test_the_option_rule_reads_trainconfigs_own_defaults():
+    """An option that nothing reads must keep the default that its
+    ``TrainConfig`` field declares, with no second copy of p's and steps'."""
+
+    @dataclass
+    class Narrow(TrainConfig):
+        steps: int = 3
+        p: int = 16
+
+    assert (Narrow().p, Narrow().steps) == (16, 3)
+    assert Narrow(model="pipeline-crf+ltm").p == 16
+    with pytest.raises(ValueError, match=re.escape("p=32: only biaffine attention reads p")):
+        Narrow(p=32)
+    with pytest.raises(ValueError, match=re.escape("steps=1: only edge attention reads steps")):
+        Narrow(attention="biaffine", steps=1)
+    assert Narrow(attention="biaffine", p=32).p == 32
+    assert Narrow(attention="edge", steps=1).steps == 1
+
+
 def test_unknown_attention_variant_is_rejected_at_construction(tmp_path, capsys):
     message = "unknown attention variant 'bogus'"
     with pytest.raises(ValueError, match=message):
         TrainConfig(attention="bogus")
     with pytest.raises(ValueError, match="unknown attention variant 'Tensor'"):
-        TrainConfig().apply_overrides({"attention": "Tensor"})
+        overridden(TrainConfig(), {"attention": "Tensor"})
 
     corpus, cfg = tmp_path / "c.jsonl", tmp_path / "cfg.txt"
     write_corpus(corpus, small_corpus(n=3))
@@ -234,8 +260,8 @@ def test_unknown_attention_variant_is_rejected_at_construction(tmp_path, capsys)
 
 
 def test_batch_size_is_not_a_config_key():
-    with pytest.raises(KeyError, match="batch_size"):
-        TrainConfig().apply_overrides({"batch_size": "1"})
+    with pytest.raises(ValueError, match="unknown config key 'batch_size'"):
+        overridden(TrainConfig(), {"batch_size": "1"})
 
 
 def test_cli_train_defaults_come_from_config():
@@ -724,6 +750,113 @@ def test_malformed_inputs_fail_with_one_line_that_names_the_path(tmp_path, capsy
         assert err.count("\n") == 1 and err.startswith(f"error: ValueError: {where}"), err
         assert problem in err, err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """One valid file of each kind that the CLI reads: a corpus, word2vec
+    text and binary vectors of width 4, the checkpoint of a d 4 model and a
+    ``--config`` file."""
+    root = tmp_path_factory.mktemp("readers")
+    docs = small_corpus(n=3)
+    write_corpus(root / "corpus.jsonl", docs)
+    words = vocabulary(docs)[:3]
+    vectors = np.random.default_rng(0).uniform(-1, 1, (len(words), 4))
+    (root / "vecs.txt").write_text(f"{len(words)} 4\n" + "".join(
+        f"{w} {' '.join(map(str, row))}\n" for w, row in zip(words, vectors)))
+    (root / "vecs.bin").write_bytes(f"{len(words)} 4\n".encode() + b"".join(
+        w.encode() + b" " + struct.pack("<4f", *row) for w, row in zip(words, vectors)))
+    runner, _ = train_model(tiny_config(d=4, l=3, max_epochs=1), docs, [])
+    runner.save(root / "ck.zip")
+    # No lr: a valid but large learning rate can make training diverge, which
+    # is not an error in the file.
+    (root / "cfg.txt").write_text("# options\nmax_epochs = 1\nseed = 3\n")
+    return {"corpus": root / "corpus.jsonl", "text": root / "vecs.txt",
+            "bin": root / "vecs.bin", "checkpoint": root / "ck.zip", "config": root / "cfg.txt"}
+
+
+def reader_argv(kind, bad, files, work):
+    """The command that reads ``bad`` as a file of ``kind``."""
+    train = ["train", "--train", files["corpus"], "--d", "4", "--l", "3", "--max-epochs", "1",
+             "--out", work / "run"]
+    return {"corpus": ["convert", bad, work / "out.jsonl"],
+            "text": [*train, "--embeddings", bad],
+            "bin": [*train, "--embeddings", bad],
+            "checkpoint": ["predict", "--checkpoint", bad, "--data", files["corpus"],
+                           "--out", work / "pred.jsonl"],
+            "config": [*train, "--config", bad]}[kind]
+
+
+def _manifest(edit):
+    """Writes a copy of the checkpoint whose parsed manifest ``edit`` rewrote."""
+    return lambda files, bad: _rewrite(files["checkpoint"], bad, edit)
+
+
+def _bytes(content):
+    return lambda files, bad: bad.write_bytes(content)
+
+
+BAD_READS = [
+    ("manifest-list", "checkpoint", _manifest(lambda m: []),
+     ": manifest.json must be a JSON object whose param_names is a list"),
+    ("param-names-int", "checkpoint", _manifest(lambda m: m | {"param_names": 5}),
+     ": manifest.json must be a JSON object whose param_names is a list"),
+    ("d-str", "checkpoint", _manifest(_set_config(d="4")), ": d='4' is not an integer"),
+    ("d-float", "checkpoint", _manifest(_set_config(d=4.0)), ": d=4.0 is not an integer"),
+    ("d-bool", "checkpoint", _manifest(_set_config(d=True)), ": d=True is not an integer"),
+    ("corpus-array", "corpus", _bytes(b"[1, 2]\n"), ":1: expected a JSON object, got list"),
+    ("corpus-0xff", "corpus", _bytes(b'{"id": "a", "tokens": ["b"]}\n{"id": "\xff"}\n'),
+     ":2: 'utf-8' codec can't decode byte 0xff in position 8"),
+    ("text-word", "text", _bytes(b"a 0.1 abc\n"), ":1: could not convert string to float: 'abc'"),
+    ("text-0xff", "text", _bytes(b"2 2\nhuis 0.1 0.2\n\xff 0.3 0.4\n"),
+     ":3: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ("text-nan", "text", _bytes(b"huis 0.1 nan\n"), ":1: a value is not finite"),
+    ("bin-nan", "bin", _bytes(b"1 2\nhuis " + struct.pack("<2f", 1.0, float("nan"))),
+     ": vector 1 of 1 is not finite"),
+    ("config-0xff", "config", _bytes(b"max_epochs = 1\n\xff = 2\n"),
+     ":2: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ("config-lr-0", "config", _bytes(b"lr = 0\n"),
+     ": steps, d, l, p, lr, max_epochs, patience must be positive"),
+]
+
+
+@pytest.mark.parametrize("kind, write, problem", [case[1:] for case in BAD_READS],
+                         ids=[case[0] for case in BAD_READS])
+def test_each_reader_names_the_file_it_cannot_read(tmp_path, capsys, reader_files, kind,
+                                                   write, problem):
+    bad = tmp_path / reader_files[kind].name
+    write(reader_files, bad)
+    assert run_cli(reader_argv(kind, bad, reader_files, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: ValueError: {bad}{problem}"), err
+    assert not (tmp_path / "run").exists()
+
+
+@settings(max_examples=12)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["corpus", "text", "bin", "checkpoint", "config"])
+def test_a_damaged_file_is_read_or_named(reader_files, kind, data):
+    """A file cut short at a drawn offset, or with a drawn byte overwritten,
+    is read as it is or fails with one line that names it."""
+    content = reader_files[kind].read_bytes()
+    offset = data.draw(st.integers(0, len(content) - 1), label="offset")
+    byte = data.draw(st.none() | st.integers(0, 255), label="byte")
+    damaged = content[:offset] if byte is None else (
+        content[:offset] + bytes([byte]) + content[offset + 1:])
+    with tempfile.TemporaryDirectory() as work:
+        bad = Path(work) / reader_files[kind].name
+        bad.write_bytes(damaged)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(reader_argv(kind, bad, reader_files, Path(work)))
+    err = stderr.getvalue()
+    if code == 0:
+        return
+    # Vectors of another width than --d are a mismatch between a flag and a
+    # file, not a malformed file: that message names no path.
+    mismatch = re.fullmatch(r"error: ValueError: embedding width \d+ != hidden width 4\n", err)
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: ValueError: {bad}") or kind in ("text", "bin") and mismatch, err
 
 
 def test_train_model_dispatch():
