@@ -80,14 +80,18 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
     'count dim' header, for a word that is not UTF-8, for a file that ends
-    inside a vector and for a vector that is not finite."""
+    inside a vector (a header that claims more vectors than the file holds
+    included) and for a vector that is not finite."""
     words: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
             raise ValueError(f"{path}: the first line is not a 'count dim' header")
         count, dim = int(header[0]), int(header[1])
-        matrix = np.empty((count, dim), dtype=np.float64)
+        # A vector takes at least 4 * dim + 1 bytes, so no more than ``fit`` of them
+        # follow the header: only those are allocated, and vector fit + 1 is cut short.
+        fit = (Path(path).stat().st_size - fh.tell()) // (4 * dim + 1)
+        matrix = np.empty((min(count, fit), dim), dtype=np.float64)
         for r in range(count):
             chars = []
             while True:
@@ -100,8 +104,7 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
                 words.append(b"".join(chars).decode("utf-8"))
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: vector {r + 1} of {count} has a non-UTF-8 word") from None
-            block = fh.read(4 * dim)
-            if len(block) != 4 * dim:
+            if r == fit or len(block := fh.read(4 * dim)) != 4 * dim:
                 raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
             matrix[r] = np.asarray(struct.unpack(f"{dim}f", block), dtype=np.float64)
             if not np.isfinite(matrix[r]).all():

@@ -77,19 +77,30 @@ class CrfModel(Module):
         k, f = len(self.tags), len(self.feature_index)
         self.w_emit = Tensor(np.zeros((f, k)), requires_grad=True)
         self.w_trans = Tensor(np.zeros((k, k)), requires_grad=True)
+        # The ids of every token the index names, worked out once: the table is
+        # bounded by the model, not by the documents it predicts.
+        self.token_ids = {f[2:]: self._ids_of(f[2:]) for f in self.feature_index
+                          if f.startswith("w=")}
+
+    def _ids_of(self, w: str) -> list[int]:
+        """The ids of ``token_features(w)``, then of ``prev=w`` and ``next=w``."""
+        get = self.feature_index.get
+        return [get(f, -1) for f in [*token_features(w), f"prev={w}", f"next={w}"]]
 
     def features(self, tokens: list[str]) -> FeatureTable:
         """The document's table: one row of known feature ids per position,
-        the ids of ``emission_features``, each looked up once per distinct token."""
+        the ids of ``emission_features``.  A token the index does not name is
+        looked up once per call."""
         if not tokens:
             raise ValueError("cannot score an empty sequence")
-        get = self.feature_index.get
-        own = {w: [get(f, -1) for f in token_features(w)] for w in set(tokens)}
-        prev = {w: get(f"prev={w}", -1) for w in {"<s>", *tokens[:-1]}}
-        after = {w: get(f"next={w}", -1) for w in {*tokens[1:], "</s>"}}
-        grid = [own[w] + [prev[a], after[b]]
-                for a, w, b in zip(["<s>", *tokens], tokens, [*tokens[1:], "</s>"])]
-        return FeatureTable(np.array(grid).T.copy())
+        known, get = self.token_ids, self.feature_index.get
+        fresh = {w: self._ids_of(w) for w in set(tokens) if w not in known}
+        ids = np.array([known[w] if w in known else fresh[w] for w in tokens])
+        slots = ids.T.copy()
+        # Position i's prev= id is token i-1's own, and its next= id token i+1's.
+        slots[8, 0], slots[8, 1:] = get("prev=<s>", -1), ids[:-1, 8]
+        slots[9, -1], slots[9, :-1] = get("next=</s>", -1), ids[1:, 9]
+        return FeatureTable(slots)
 
     def emissions(self, table: FeatureTable) -> np.ndarray:
         """(N, K) emission score matrix."""

@@ -56,51 +56,56 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     """The edge-feature template: every candidate arc's feature ids, in one slot grid.
 
     Strings are looked up per entity, per type pair and per distinct token,
-    never per arc.  A span's ``btw=`` features are its distinct tokens: with
-    ``prefix[:, k]`` counting each (sorted) token in ``tokens[:k]``, the span
-    ``[lo, hi)`` holds those with ``prefix[:, hi] > prefix[:, lo]``.
+    never per arc; each slot row is one gather of such ids through the arcs'
+    heads or children.  A span's ``btw=`` features are its distinct tokens:
+    with ``prefix[k]`` counting each (sorted) token in ``tokens[:k]``, the
+    span ``[lo, hi)`` holds those with ``prefix[hi] > prefix[lo]``.
     """
     def lookup(names) -> np.ndarray:
         return np.array([feature_index.get(f, -1) for f in names], dtype=np.int64)
 
-    t = len(entities)
-    start, end = np.array([(e.main_mention().start, e.main_mention().end)
-                           for e in entities], dtype=np.int64).reshape(t, 2).T
-    anchor_tok = [tokens[e - 2] for e in end]  # the anchor is end - 1, 1-based
+    t, mains = len(entities), [e.main_mention() for e in entities]
+    anchor_tok = [tokens[m.end - 2] for m in mains]  # the anchor is end - 1, 1-based
     kinds = list(dict.fromkeys(e.type for e in entities))
-    kind = np.array([kinds.index(e.type) for e in entities], dtype=np.int64)
     btw = {tok: i for tok in sorted(set(tokens)) if (i := feature_index.get(f"btw={tok}", -1)) >= 0}
     column = {tok: c for c, tok in enumerate(btw)}
-    # Row -1 collects the tokens without a btw= feature; column 0 stays zero.
-    prefix = np.zeros((len(btw) + 1, len(tokens) + 1), dtype=np.int32)
-    prefix[[column.get(tok, -1) for tok in tokens], np.arange(1, len(tokens) + 1)] = 1
-    prefix = prefix.cumsum(axis=1)[:-1]
+    # Column -1 collects the tokens without a btw= feature; row 0 stays zero.
+    prefix = np.zeros((len(tokens) + 1, len(btw) + 1), dtype=np.int32)
+    prefix[np.arange(1, len(tokens) + 1), [column.get(tok, -1) for tok in tokens]] = 1
+    prefix = prefix.cumsum(axis=0, dtype=np.int32)[:, :-1]
 
-    # The grid is [slot, child - 1, head]; head 0 is the root, whose own slots follow.
-    node_kind, p_start, p_end = np.r_[0, kind + 1], np.r_[0, start], np.r_[0, end]
-    cs, ce = start[:, None], end[:, None]
-    case = np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2))
-    lo = np.choose(case, (p_end - 1, ce - 1, 0))
-    hi = np.choose(case, (cs - 1, p_start - 1, 0))
-    grid = np.empty((9 + len(btw), t, t + 1), dtype=np.int64)
-    grid[0] = feature_index.get("bias", -1)
-    grid[1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[:, None]
-    grid[2] = lookup(f"c_type={k}" for k in kinds)[kind, None]
-    grid[3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))
-    grid[4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[node_kind]
-    grid[5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
-                     ).reshape(len(kinds) + 1, len(kinds))[node_kind, kind[:, None]]
-    grid[6] = lookup(["order=parent-first", "order=child-first", "order=overlap"])[case]
-    grid[7] = lookup(f"dist={_bucket(n)}" for n in range(8))[np.minimum(abs(p_end - ce), 7)]
-    grid[8] = lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)]
-    grid[9:] = np.where(prefix[:, hi] > prefix[:, lo], np.reshape([*btw.values()], (-1, 1, 1)), -1)
-    grid[6:, :, 0] = -1
-    grid[6:8, :, 0] = lookup(["dist=root", "order=root"])[:, None]
-
+    # Arc i is heads[i] -> child[i] + 1.  Column v of ``nodes`` is node v's main
+    # span and kind: the root's span is [0, 0) and its kind 0, and node v > 0 is
+    # entity v - 1, of type kinds[kind - 1].
     child, j = np.divmod(np.arange(t * t), t)
-    heads = j + (j > child)  # the child's own node is skipped
-    arcs = grid.reshape(len(grid), -1).take(child * (t + 1) + heads, axis=1)
-    return ArcFeatures(heads, child + 1, FeatureTable(arcs))
+    heads, root = j + (j > child), j == 0  # the child's own node is skipped
+    nodes = np.array([(0, 0, 0), *((m.start, m.end, kinds.index(e.type) + 1)
+                                   for m, e in zip(mains, entities))], dtype=np.int64).T
+    p_start, p_end, p_kind = nodes.take(heads, axis=1)
+    cs, ce, c_kind = nodes.take(child + 1, axis=1)
+    case = np.where(root, 3, np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2)))
+    # Between the spans lies [lo, hi); [0, 0) for an overlap or the root.
+    lo = np.where(case == 0, p_end, np.where(case == 1, ce, 1)) - 1
+    hi = np.where(case == 0, cs, np.where(case == 1, p_start, 1)) - 1
+    slots = np.empty((9 + len(btw), t * t), dtype=np.int64)
+    slots[0] = feature_index.get("bias", -1)
+    slots[1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[child]
+    slots[2] = lookup(f"c_type={k}" for k in kinds)[c_kind - 1]
+    slots[3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))[heads]
+    slots[4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[p_kind]
+    slots[5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
+                      ).reshape(len(kinds) + 1, len(kinds))[p_kind, c_kind - 1]
+    # A root arc's slots 6 and 7 hold dist=root and order=root, and no btw_n= or btw=.
+    slots[6] = lookup(["order=parent-first", "order=child-first", "order=overlap", "dist=root"])[case]
+    slots[7] = lookup([*(f"dist={_bucket(n)}" for n in range(8)), "order=root"]
+                      )[np.where(root, 8, np.minimum(abs(p_end - ce), 7))]
+    slots[8] = np.where(root, -1, lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)])
+    # A btw= slot holds (span holds the token) * (id + 1) - 1: the id, or -1.
+    held = slots[9:]
+    held[...] = (prefix.take(hi, axis=0) > prefix.take(lo, axis=0)).T
+    held *= np.array([*btw.values()], dtype=np.int64)[:, None] + 1
+    held -= 1
+    return ArcFeatures(heads, child + 1, FeatureTable(slots))
 
 
 class _FeatureModel(Module):

@@ -939,6 +939,10 @@ def test_word2vec_binary_loader(tmp_path):
     (b"2 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin " + struct.pack("<f", 3.0),
      "vector 2 of 2 is cut short"),
     (b"1 1\n\xff " + struct.pack("<f", 1.0), "vector 1 of 1 has a non-UTF-8 word"),
+    # Headers that claim more than the file holds, checked before anything is allocated.
+    (b"99999999999 4\n", "vector 1 of 99999999999 is cut short"),
+    (b"1 99999999999\nhuis " + struct.pack("<f", 1.0), "vector 1 of 1 is cut short"),
+    (b"3 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin ", "vector 2 of 3 is cut short"),
 ])
 def test_word2vec_binary_loader_names_the_file_and_the_problem(tmp_path, capsys, content,
                                                                problem):

@@ -220,8 +220,24 @@ def crf_layouts(draw):
     return tokens, {f: i for i, f in enumerate(rng.permutation(names).tolist())}, rng
 
 
+def crf_layout(tokens, drop, seed):
+    """``tokens`` with an index lacking about ``drop`` of their emission features."""
+    rng = np.random.default_rng(seed)
+    full = sorted({f for i in range(len(tokens)) for f in emission_features(tokens, i)})
+    names = [f for f in full if rng.random() >= drop]
+    return tokens, {f: i for i, f in enumerate(rng.permutation(names).tolist())}, rng
+
+
+# A document of pipeline-workload length (136 tokens over 40 words, the
+# literal <s> and </s> among them), and a one-token document.
+LONG_TOKENS = [f"w{k}" for k in np.random.default_rng(7).integers(0, 40, size=136)]
+LONG_TOKENS[5], LONG_TOKENS[70] = "<s>", "</s>"
+
+
 @example((["a", "b", "a"], {"w=a": 0, "prev=<s>": 1, "next=</s>": 2},
           np.random.default_rng(0)))
+@example(crf_layout(LONG_TOKENS, 0.2, 1))
+@example(crf_layout(["x12"], 0.0, 2))
 @given(crf_layouts())
 def test_crf_table_matches_the_string_features(layout):
     tokens, index, rng = layout
@@ -246,6 +262,29 @@ def test_crf_table_matches_the_string_features(layout):
     table_grad = np.zeros_like(model.w_emit.data)
     table.scatter(table_grad, delta)
     assert np.array_equal(table_grad, loop_grad)
+
+
+def test_crf_token_table_holds_across_calls():
+    """One model's table serves every call: known and unknown tokens, the
+    literal <s> and </s>, and a one-token document all get the ids of the
+    string features, and fresh unknown tokens do not grow the table."""
+    docs = [["a", "b", "<s>"], ["</s>", "a"], ["b"]]
+    feats = sorted({f for doc in docs for i in range(len(doc)) for f in emission_features(doc, i)})
+    index = {f: i for i, f in enumerate(feats)}
+    model = CrfModel(["t0", "t1"], index)
+    assert set(model.token_ids) == {"a", "b", "<s>", "</s>"}
+    for tokens in (["a", "b", "<s>"], ["zz", "a", "zz", "</s>"], ["<s>"], ["</s>", "<s>", "q", "b"],
+                   ["q"], ["ab", "a", "b"], ["b"], ["a", "b", "<s>"]):
+        table = model.features(tokens)
+        assert table.slots.dtype == np.int64 and table.slots.flags.c_contiguous
+        assert table.slots.shape == (10, len(tokens))
+        for i in range(len(tokens)):
+            assert table.slots[:, i].tolist() == [index.get(f, -1)
+                                                  for f in emission_features(tokens, i)]
+    size = len(model.token_ids)
+    for tokens in (["u1"], ["u2", "u3", "u2"], [f"fresh{i}" for i in range(50)]):
+        model.viterbi(tokens)
+    assert len(model.token_ids) == size
 
 
 def test_crf_gradient_matches_finite_differences():
@@ -311,10 +350,10 @@ def test_edge_feature_contents():
 
 
 def arc_layout(tokens, entities, drop, seed):
-    """A layout plus an index lacking about ``drop`` of its features (and
-    holding two it never uses) and random weights."""
+    """A layout plus an index lacking about ``drop`` of its string features
+    (and holding two it never uses) and random weights."""
     rng = np.random.default_rng(seed)
-    full = sorted(_training_cases([Document("d", tokens, entities)])[0])
+    full = sorted(edge_index_reference([Document("d", tokens, entities)]))
     names = [f for f in full if rng.random() >= drop] + ["btw=zz", "c_tok=zz"]
     index = {f: i for i, f in enumerate(rng.permutation(names).tolist())}
     return tokens, entities, index, rng.normal(size=len(index)) * 3.0, rng
@@ -348,7 +387,23 @@ REPEATS = arc_layout(["x", "a", "b", "a", "b", "y", "a"],
                       Entity("E3", "x", [Mention(7, 8)])], 0.2, 3)
 
 
+def without_btw(layout):
+    """``layout`` with every btw= feature dropped from its index."""
+    tokens, entities, index, w, rng = layout
+    names = [f for f in index if not f.startswith("btw=")]
+    return tokens, entities, {f: i for i, f in enumerate(names)}, w[[index[f] for f in names]], rng
+
+
+# A pipeline-workload size document: 32 entities of 1-5 tokens, some
+# overlapping, over LONG_TOKENS, with many tokens between their spans.
+LONG = arc_layout(LONG_TOKENS, [Entity(f"E{i}", "xyz"[i % 3], [Mention(s, s + 1 + i % 5)])
+                                for i, s in enumerate(range(1, 129, 4))], 0.1, 5)
+
+
 @example(REPEATS)
+@example(LONG)
+@example(without_btw(REPEATS))
+@example(arc_layout(["a", "b", "a"], [Entity("E1", "x", [Mention(2, 3)])], 0.0, 6))
 @given(arc_layouts())
 def test_arc_table_matches_the_string_features(layout):
     tokens, entities, index, w, rng = layout
