@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -36,16 +37,20 @@ def doc_to_json(doc: Document) -> dict:
 
 
 def doc_from_json(obj: dict) -> Document:
+    """Raises ``ValueError`` for a value of the wrong JSON type, which is
+    checked and not converted: ``tokens`` must be a list of strings, an
+    entity's ``type`` a string or null, and a mention's ``start`` and ``end``
+    integers (``Mention`` checks those)."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     doc = Document(
         id=str(obj["id"]),
-        tokens=[str(t) for t in obj["tokens"]],
+        tokens=obj["tokens"],
         entities=[
             Entity(
                 id=str(e["id"]),
                 type=e.get("type"),
-                mentions=[Mention(int(m["start"]), int(m["end"])) for m in e["mentions"]],
+                mentions=[Mention(m["start"], m["end"]) for m in e["mentions"]],
                 parent=str(e.get("parent", ROOT_ID)),
             )
             for e in obj.get("entities", [])
@@ -56,6 +61,9 @@ def doc_from_json(obj: dict) -> Document:
 
 
 def _validate(doc: Document) -> None:
+    # Iterated first, so that tokens that are not a collection keep Python's message.
+    if not (all(isinstance(t, str) for t in doc.tokens) and isinstance(doc.tokens, list)):
+        raise ValueError(f"document {doc.id!r}: tokens must be a list of strings")
     if not doc.tokens:
         raise ValueError(f"document {doc.id!r}: empty token list")
     for t in doc.tokens:
@@ -66,6 +74,8 @@ def _validate(doc: Document) -> None:
         raise ValueError(f"document {doc.id!r}: duplicate entity ids")
     known = set(ids)
     for e in doc.entities:
+        if not (e.type is None or isinstance(e.type, str)):
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has type {e.type!r}, not a string")
         if not e.mentions:
             raise ValueError(f"document {doc.id!r}: entity {e.id!r} has no mentions")
         if e.parent != ROOT_ID and e.parent not in known:
@@ -77,19 +87,31 @@ def _validate(doc: Document) -> None:
     encode_tree_to_heads(doc).validate_gold()
 
 
-def read_corpus(path: str | Path) -> list[Document]:
-    docs = []
-    # Lines are decoded one by one, so that a byte that is not UTF-8 names its line.
+def read_lines(path: str | Path, parse: Callable[[bytes, int], Any]) -> Iterator[tuple[int, Any]]:
+    """``(lineno, parse(line, lineno))`` for each line of ``path`` whose parse
+    is not None.  It owns the ``path:line: problem`` contract of the corpus
+    and word2vec text formats: a ``KeyError``, ``TypeError`` or
+    ``ValueError`` from ``parse`` becomes a ``ValueError`` that names the
+    path and line."""
+    # Lines are decoded by ``parse`` one by one, so that a byte that is not UTF-8
+    # names its line; each format decodes its own span of the line.
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                docs.append(doc_from_json(json.loads(line.decode("utf-8"))))
+                item = parse(line, lineno)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return docs
+            if item is not None:
+                yield lineno, item
+
+
+def _parse_doc(line: bytes, lineno: int) -> Document | None:
+    line = line.strip()
+    return doc_from_json(json.loads(line.decode("utf-8"))) if line else None
+
+
+def read_corpus(path: str | Path) -> list[Document]:
+    return [doc for _, doc in read_lines(path, _parse_doc)]
 
 
 def write_corpus(path: str | Path, docs: list[Document]) -> None:

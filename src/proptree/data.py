@@ -48,8 +48,9 @@ class Mention:
     end: int
 
     def __post_init__(self):
-        if not 1 <= self.start < self.end:
-            raise ValueError(f"bad mention span [{self.start}, {self.end})")
+        # The bounds are ints: not converted, and a bool is not one, as in TrainConfig.
+        if not (type(self.start) is type(self.end) is int and 1 <= self.start < self.end):
+            raise ValueError(f"bad mention span [{self.start!r}, {self.end!r})")
 
     @property
     def anchor(self) -> int:

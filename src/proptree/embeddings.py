@@ -7,10 +7,11 @@ vector.
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import read_lines
 
 UNK = "<unk>"
 
@@ -48,67 +49,67 @@ class EmbeddingTable:
         return cls(words, rng.uniform(-0.05, 0.05, size=(len(words), dim)))
 
 
+def _parse_vector(line: bytes, lineno: int) -> tuple[str, np.ndarray] | None:
+    parts = [part for part in line.decode("utf-8").rstrip("\r\n").split(" ") if part]
+    if not parts or lineno == 1 and len(parts) == 2 and "".join(parts).isdigit():
+        return None
+    row = np.array(parts[1:], dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("a value is not finite")
+    return parts[0], row
+
+
 def load_word2vec_text(path: str | Path) -> EmbeddingTable:
     """Read 'token v1 ... vd' lines; an optional 'count dim' header is skipped.
     Raises ``ValueError`` naming the path for a file without vectors, and
     also the line for a line that is not UTF-8, a value that is not a finite
     number, and a vector whose width differs from the first one's."""
-    words: list[str] = []
-    rows: list[list[float]] = []
-    # Lines are decoded one by one, so that a byte that is not UTF-8 names its line.
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                parts = [part for part in line.decode("utf-8").rstrip("\r\n").split(" ") if part]
-                if not parts or lineno == 1 and len(parts) == 2 and "".join(parts).isdigit():
-                    continue
-                words.append(parts[0])
-                rows.append([float(v) for v in parts[1:]])
-                if not np.isfinite(rows[-1]).all():
-                    raise ValueError("a value is not finite")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}: line {lineno} holds {len(rows[-1])} values, "
-                                 f"but the first vector {len(rows[0])}")
+    words, rows = [], []
+    for lineno, (word, row) in read_lines(path, _parse_vector):
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno} holds {len(row)} values, "
+                             f"but the first vector {len(rows[0])}")
+        words.append(word)
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no vectors")
-    return EmbeddingTable(words, np.asarray(rows, dtype=np.float64))
+    return EmbeddingTable(words, np.array(rows))
 
 
+# Casting a signalling NaN to float64 warns; that vector is reported as not finite instead.
+@np.errstate(invalid="ignore")
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
     'count dim' header, for a word that is not UTF-8, for a file that ends
     inside a vector (a header that claims more vectors than the file holds
     included) and for a vector that is not finite."""
+    buf = Path(path).read_bytes()
+    pos = buf.find(b"\n") + 1 or len(buf)
+    header = buf[:pos].split()
+    if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
+        raise ValueError(f"{path}: the first line is not a 'count dim' header")
+    count, dim = int(header[0]), int(header[1])
+    # A vector takes at least 4 * dim + 1 bytes, so no more than ``fit`` of them
+    # follow the header: only those are allocated, and vector fit + 1 is cut short.
+    fit = (len(buf) - pos) // (4 * dim + 1)
+    matrix = np.empty((min(count, fit), dim), dtype=np.float64)
     words: list[str] = []
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
-            raise ValueError(f"{path}: the first line is not a 'count dim' header")
-        count, dim = int(header[0]), int(header[1])
-        # A vector takes at least 4 * dim + 1 bytes, so no more than ``fit`` of them
-        # follow the header: only those are allocated, and vector fit + 1 is cut short.
-        fit = (Path(path).stat().st_size - fh.tell()) // (4 * dim + 1)
-        matrix = np.empty((min(count, fit), dim), dtype=np.float64)
-        for r in range(count):
-            chars = []
-            while True:
-                ch = fh.read(1)
-                if ch in (b" ", b""):
-                    break
-                if ch != b"\n":
-                    chars.append(ch)
-            try:
-                words.append(b"".join(chars).decode("utf-8"))
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: vector {r + 1} of {count} has a non-UTF-8 word") from None
-            if r == fit or len(block := fh.read(4 * dim)) != 4 * dim:
-                raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
-            matrix[r] = np.asarray(struct.unpack(f"{dim}f", block), dtype=np.float64)
-            if not np.isfinite(matrix[r]).all():
-                raise ValueError(f"{path}: vector {r + 1} of {count} is not finite")
+    for r in range(count):
+        # A word runs to the next space or the end of the file; newlines in it are dropped.
+        end = buf.find(b" ", pos)
+        word, pos = (buf[pos:end], end + 1) if end >= 0 else (buf[pos:], len(buf))
+        try:
+            words.append(word.replace(b"\n", b"").decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: vector {r + 1} of {count} has a non-UTF-8 word") from None
+        if r == fit or pos + 4 * dim > len(buf):
+            raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
+        matrix[r] = np.frombuffer(buf, np.float32, dim, pos)
+        pos += 4 * dim
+        if not np.isfinite(matrix[r]).all():
+            raise ValueError(f"{path}: vector {r + 1} of {count} is not finite")
+    del buf  # the file's bytes are not alive while the table copies the matrix
     return EmbeddingTable(words, matrix)
 
 

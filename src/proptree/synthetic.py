@@ -62,6 +62,12 @@ class SyntheticConfig:
     equivalent_rate: float = 0.15
     ambiguous: bool = False
 
+    def __post_init__(self):
+        # Stated positively, so that a NaN rate fails it too.
+        if not (self.n_docs >= 0 and all(0 <= rate <= 1 for rate in
+                                         (self.nonprojective_rate, self.equivalent_rate))):
+            raise ValueError("n_docs must be non-negative, and each rate must lie in [0, 1]")
+
 
 class _Builder:
     def __init__(self):

@@ -280,6 +280,16 @@ def test_cli_generate_defaults_come_from_synthetic_config():
         assert getattr(args, key) == getattr(cfg, key), key
 
 
+@pytest.mark.parametrize("flags", [["--n-docs", "-3"], ["--nonprojective-rate", "7"],
+                                   ["--equivalent-rate", "-1"], ["--equivalent-rate", "nan"]],
+                         ids=lambda flags: " ".join(flags))
+def test_cli_generate_rejects_values_outside_their_range(tmp_path, capsys, flags):
+    assert run_cli(["generate", "--out", tmp_path / "c.jsonl", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ValueError: n_docs must be non-negative, and each rate must lie in [0, 1]"]
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 @pytest.mark.parametrize("package", [nn, pipeline], ids=lambda p: p.__name__)
 def test_every_exported_name_resolves(package):
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
@@ -796,6 +806,12 @@ def _bytes(content):
     return lambda files, bad: bad.write_bytes(content)
 
 
+def _entity_line(fields):
+    """A one-document corpus whose one entity has ``fields`` besides its id."""
+    return _bytes(b'{"id": "a", "tokens": ["b", "c"], "entities": [{"id": "T1", ' + fields
+                  + b'}]}\n')
+
+
 BAD_READS = [
     ("manifest-list", "checkpoint", _manifest(lambda m: []),
      ": manifest.json must be a JSON object whose param_names is a list"),
@@ -807,10 +823,26 @@ BAD_READS = [
     ("corpus-array", "corpus", _bytes(b"[1, 2]\n"), ":1: expected a JSON object, got list"),
     ("corpus-0xff", "corpus", _bytes(b'{"id": "a", "tokens": ["b"]}\n{"id": "\xff"}\n'),
      ":2: 'utf-8' codec can't decode byte 0xff in position 8"),
+    # JSON values of the wrong type are rejected, not converted.
+    ("tokens-str", "corpus", _bytes(b'{"id": "a", "tokens": "abc"}\n'),
+     ":1: document 'a': tokens must be a list of strings"),
+    ("tokens-object", "corpus", _bytes(b'{"id": "a", "tokens": {"x": 1, "y": 2}}\n'),
+     ":1: document 'a': tokens must be a list of strings"),
+    ("tokens-numbers", "corpus", _bytes(b'{"id": "a", "tokens": [1, 2.5, true]}\n'),
+     ":1: document 'a': tokens must be a list of strings"),
+    ("start-float", "corpus", _entity_line(b'"mentions": [{"start": 1.9, "end": 3}]'),
+     ":1: bad mention span [1.9, 3)"),
+    ("start-bool", "corpus", _entity_line(b'"mentions": [{"start": true, "end": 3}]'),
+     ":1: bad mention span [True, 3)"),
+    ("type-int", "corpus", _entity_line(b'"type": 5, "mentions": [{"start": 1, "end": 3}]'),
+     ":1: document 'a': entity 'T1' has type 5, not a string"),
     ("text-word", "text", _bytes(b"a 0.1 abc\n"), ":1: could not convert string to float: 'abc'"),
     ("text-0xff", "text", _bytes(b"2 2\nhuis 0.1 0.2\n\xff 0.3 0.4\n"),
      ":3: 'utf-8' codec can't decode byte 0xff in position 0"),
     ("text-nan", "text", _bytes(b"huis 0.1 nan\n"), ":1: a value is not finite"),
+    # The first fault in file order is named.
+    ("text-nan-then-width", "text", _bytes(b"huis 0.1 0.2\ntuin 0.3 inf\nroos 0.5\n"),
+     ":2: a value is not finite"),
     ("bin-nan", "bin", _bytes(b"1 2\nhuis " + struct.pack("<2f", 1.0, float("nan"))),
      ": vector 1 of 1 is not finite"),
     ("config-0xff", "config", _bytes(b"max_epochs = 1\n\xff = 2\n"),
@@ -912,6 +944,8 @@ def test_word2vec_text_loader(tmp_path):
     ("2 3\n", "no vectors"),
     ("huis 0.1 0.2\ntuin 0.3\n", "line 2 holds 1 values, but the first vector 2"),
     ("2 2\nhuis 0.1 0.2\n\ntuin 0.3 0.4 0.5\n", "line 4 holds 3 values, but the first vector 2"),
+    # The first fault in file order is named, before a later line's bad value.
+    ("huis 0.1 0.2\ntuin 0.3\nroos inf 1\n", "line 2 holds 1 values, but the first vector 2"),
 ])
 def test_word2vec_text_loader_names_the_file_and_the_problem(tmp_path, text, problem):
     path = tmp_path / "vecs.txt"
@@ -931,6 +965,15 @@ def test_word2vec_binary_loader(tmp_path):
     assert np.allclose(table.lookup(["tuin"])[0], [3.0, 4.0])
     assert np.allclose(load_embeddings(path).lookup(["huis"])[0], [1.0, 2.0])
 
+    # word2vec itself writes a newline after each vector, which is not part of the next word.
+    source = np.random.default_rng(0).standard_normal((3, 5)).astype(np.float32)
+    words = ["huis", "tuin", "été"]
+    path.write_bytes(b"3 5\n" + b"".join(word.encode() + b" " + row.tobytes() + b"\n"
+                                         for word, row in zip(words, source)))
+    table = load_word2vec_binary(path)
+    assert table.vocab == [*words, "<unk>"]
+    assert table.matrix.dtype == np.float64 and np.array_equal(table.matrix[:-1], source)
+
 
 @pytest.mark.parametrize("content, problem", [
     (b"", "the first line is not a 'count dim' header"),
@@ -943,7 +986,13 @@ def test_word2vec_binary_loader(tmp_path):
     (b"99999999999 4\n", "vector 1 of 99999999999 is cut short"),
     (b"1 99999999999\nhuis " + struct.pack("<f", 1.0), "vector 1 of 1 is cut short"),
     (b"3 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin ", "vector 2 of 3 is cut short"),
+    # The first fault in file order is named.
+    (b"2 2\nhuis " + struct.pack("<2f", 1.0, float("inf")) + b"tuin " + struct.pack("<f", 3.0),
+     "vector 1 of 2 is not finite"),
+    # A signalling NaN, which numpy warns about when it casts one to float64.
+    (b"1 1\nhuis " + struct.pack("<I", 0x7F800001), "vector 1 of 1 is not finite"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_word2vec_binary_loader_names_the_file_and_the_problem(tmp_path, capsys, content,
                                                                problem):
     corpus, vectors = tmp_path / "c.jsonl", tmp_path / "vecs.bin"
