@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .data import Document, Entity, Mention, ROOT_ID, encode_tree_to_heads, first_cycle_node
+from .embeddings import read_lines
 
 
 def doc_to_json(doc: Document) -> dict:
@@ -85,24 +85,6 @@ def _validate(doc: Document) -> None:
         raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
     # Rejects mentions past the last token and overlapping mentions.
     encode_tree_to_heads(doc).validate_gold()
-
-
-def read_lines(path: str | Path, parse: Callable[[bytes, int], Any]) -> Iterator[tuple[int, Any]]:
-    """``(lineno, parse(line, lineno))`` for each line of ``path`` whose parse
-    is not None.  It owns the ``path:line: problem`` contract of the corpus
-    and word2vec text formats: a ``KeyError``, ``TypeError`` or
-    ``ValueError`` from ``parse`` becomes a ``ValueError`` that names the
-    path and line."""
-    # Lines are decoded by ``parse`` one by one, so that a byte that is not UTF-8
-    # names its line; each format decodes its own span of the line.
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                item = parse(line, lineno)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if item is not None:
-                yield lineno, item
 
 
 def _parse_doc(line: bytes, lineno: int) -> Document | None:

@@ -8,10 +8,9 @@ vector.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
-
-from .corpus import read_lines
 
 UNK = "<unk>"
 
@@ -49,6 +48,25 @@ class EmbeddingTable:
         return cls(words, rng.uniform(-0.05, 0.05, size=(len(words), dim)))
 
 
+def read_lines(path: str | Path, parse: Callable[[bytes, int], Any]) -> Iterator[tuple[int, Any]]:
+    """``(lineno, parse(line, lineno))`` for each line of ``path`` whose parse
+    is not None.  It owns the ``path:line: problem`` contract of the corpus
+    and word2vec text formats: a ``KeyError``, ``TypeError`` or
+    ``ValueError`` from ``parse`` becomes a ``ValueError`` that names the
+    path and line.  It sits beside the word2vec readers, which need nothing
+    else, so that loading vectors does not import the corpus module."""
+    # Lines are decoded by ``parse`` one by one, so that a byte that is not UTF-8
+    # names its line; each format decodes its own span of the line.
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                item = parse(line, lineno)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if item is not None:
+                yield lineno, item
+
+
 def _parse_vector(line: bytes, lineno: int) -> tuple[str, np.ndarray] | None:
     parts = [part for part in line.decode("utf-8").rstrip("\r\n").split(" ") if part]
     if not parts or lineno == 1 and len(parts) == 2 and "".join(parts).isdigit():
@@ -73,11 +91,11 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no vectors")
-    return EmbeddingTable(words, np.array(rows))
+    matrix = np.array(rows)
+    del rows  # the per-line arrays are not alive while the table copies the matrix
+    return EmbeddingTable(words, matrix)
 
 
-# Casting a signalling NaN to float64 warns; that vector is reported as not finite instead.
-@np.errstate(invalid="ignore")
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
@@ -105,11 +123,14 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
             raise ValueError(f"{path}: vector {r + 1} of {count} has a non-UTF-8 word") from None
         if r == fit or pos + 4 * dim > len(buf):
             raise ValueError(f"{path}: vector {r + 1} of {count} is cut short")
-        matrix[r] = np.frombuffer(buf, np.float32, dim, pos)
+        # Checked before it is widened, so that a signalling NaN is not cast.
+        row = np.frombuffer(buf, np.float32, dim, pos)
         pos += 4 * dim
-        if not np.isfinite(matrix[r]).all():
+        if not np.isfinite(row).all():
             raise ValueError(f"{path}: vector {r + 1} of {count} is not finite")
-    del buf  # the file's bytes are not alive while the table copies the matrix
+        matrix[r] = row
+    # The file's bytes (``row`` is a view of them) are not alive while the table copies the matrix.
+    buf = row = None
     return EmbeddingTable(words, matrix)
 
 

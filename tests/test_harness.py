@@ -1004,6 +1004,14 @@ def test_word2vec_binary_loader_names_the_file_and_the_problem(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_loading_vectors_does_not_import_the_corpus_format():
+    # The line reader sits with the word2vec readers, so their peak RSS holds no json or corpus code.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, proptree.embeddings; print(sorted({'json', 'proptree.corpus'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["[]"]
+
+
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
 
