@@ -38,26 +38,34 @@ def doc_to_json(doc: Document) -> dict:
 
 def doc_from_json(obj: dict) -> Document:
     """Raises ``ValueError`` for a value of the wrong JSON type, which is
-    checked and not converted: ``tokens`` must be a list of strings, an
-    entity's ``type`` a string or null, and a mention's ``start`` and ``end``
-    integers (``Mention`` checks those)."""
+    checked and not converted: a document's and an entity's ``id`` and an
+    entity's ``parent`` must be strings (a missing ``parent`` is the root),
+    ``tokens`` a list of strings, an entity's ``type`` a string or null, and
+    a mention's ``start`` and ``end`` integers (``Mention`` checks those)."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     doc = Document(
-        id=str(obj["id"]),
+        id=_string(obj["id"], "document id"),
         tokens=obj["tokens"],
         entities=[
             Entity(
-                id=str(e["id"]),
+                id=_string(e["id"], f"document {obj['id']!r}: entity id"),
                 type=e.get("type"),
                 mentions=[Mention(m["start"], m["end"]) for m in e["mentions"]],
-                parent=str(e.get("parent", ROOT_ID)),
+                parent=_string(e.get("parent", ROOT_ID),
+                               f"document {obj['id']!r}: entity {e['id']!r}: parent"),
             )
             for e in obj.get("entities", [])
         ],
     )
     _validate(doc)
     return doc
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
 
 
 def _validate(doc: Document) -> None:

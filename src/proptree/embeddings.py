@@ -19,18 +19,22 @@ class EmbeddingTable:
     """Token -> d-vector lookup with a shared unknown row."""
 
     def __init__(self, vocab: list[str], matrix: np.ndarray):
-        if len(vocab) != matrix.shape[0]:
-            raise ValueError(f"{len(vocab)} tokens vs {matrix.shape[0]} rows")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("embedding matrix contains non-finite values")
+        """``matrix`` holds a row for each word of ``vocab`` and may hold one
+        spare row after them.  ``<unk>`` takes the spare row when ``vocab``
+        lacks it, so that the matrix is not copied to add a row; otherwise a
+        spare row is left out."""
         self.vocab = list(vocab)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
         self.index = {w: i for i, w in enumerate(self.vocab)}
         if UNK not in self.index:
+            self.index[UNK] = len(self.vocab)
             self.vocab.append(UNK)
-            self.index[UNK] = len(self.vocab) - 1
-            rng = np.random.default_rng(0)
-            self.matrix = np.vstack([self.matrix, rng.uniform(-0.05, 0.05, self.dim)])
+        if not len(self.vocab) <= matrix.shape[0] <= len(vocab) + 1:
+            raise ValueError(f"{len(vocab)} tokens need {len(self.vocab)} rows, not {matrix.shape[0]}")
+        self.matrix = np.asarray(matrix[:len(self.vocab)], dtype=np.float64)
+        if not np.all(np.isfinite(self.matrix[:len(vocab)])):
+            raise ValueError("embedding matrix contains non-finite values")
+        if len(vocab) < len(self.vocab):
+            self.matrix[-1] = np.random.default_rng(0).uniform(-0.05, 0.05, self.dim)
 
     @property
     def dim(self) -> int:
@@ -45,7 +49,8 @@ class EmbeddingTable:
     def random(cls, vocab: list[str], dim: int, seed: int) -> "EmbeddingTable":
         rng = np.random.default_rng(seed)
         words = sorted(set(vocab))
-        return cls(words, rng.uniform(-0.05, 0.05, size=(len(words), dim)))
+        # One spare row for <unk>: the words' rows are the first draws, which do not depend on it.
+        return cls(words, rng.uniform(-0.05, 0.05, size=(len(words) + 1, dim)))
 
 
 def read_lines(path: str | Path, parse: Callable[[bytes, int], Any]) -> Iterator[tuple[int, Any]]:
@@ -91,8 +96,9 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no vectors")
-    matrix = np.array(rows)
-    del rows  # the per-line arrays are not alive while the table copies the matrix
+    matrix = np.empty((len(rows) + 1, len(rows[0])))  # and a spare row for <unk>
+    np.concatenate(rows, out=matrix[:-1].reshape(-1))
+    del rows  # the per-line arrays are not alive while the table is built
     return EmbeddingTable(words, matrix)
 
 
@@ -109,9 +115,10 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
         raise ValueError(f"{path}: the first line is not a 'count dim' header")
     count, dim = int(header[0]), int(header[1])
     # A vector takes at least 4 * dim + 1 bytes, so no more than ``fit`` of them
-    # follow the header: only those are allocated, and vector fit + 1 is cut short.
+    # follow the header: only those are allocated, and vector fit + 1 is cut
+    # short.  When all ``count`` fit, a spare row for <unk> follows them.
     fit = (len(buf) - pos) // (4 * dim + 1)
-    matrix = np.empty((min(count, fit), dim), dtype=np.float64)
+    matrix = np.empty((count + 1 if count <= fit else fit, dim), dtype=np.float64)
     words: list[str] = []
     for r in range(count):
         # A word runs to the next space or the end of the file; newlines in it are dropped.
@@ -129,7 +136,7 @@ def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
         if not np.isfinite(row).all():
             raise ValueError(f"{path}: vector {r + 1} of {count} is not finite")
         matrix[r] = row
-    # The file's bytes (``row`` is a view of them) are not alive while the table copies the matrix.
+    # The file's bytes (``row`` is a view of them) are not alive while the table is built.
     buf = row = None
     return EmbeddingTable(words, matrix)
 

@@ -13,8 +13,7 @@ The edge models share it.  All three pipeline stages train through
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,15 +55,18 @@ class FeatureTable(NamedTuple):
         # they would in a gather through a Fortran-ordered grid, or for one row of scalars.
         return x.sum(axis=0) if x[0].size > 1 else x.cumsum(axis=0)[-1]
 
-    def scatter(self, grad: np.ndarray, coeff: np.ndarray) -> None:
-        """Add ``coeff[r]`` to ``grad[id]`` for every id of every row r, row by row
-        and each row left to right, into the C-contiguous ``grad``.  One 1-D
-        ``np.add.at`` over ``grad``'s flat view adds them all, in that order."""
+    def scatter(self, width: int) -> Callable[[np.ndarray, np.ndarray], None]:
+        """The function that adds ``coeff[r]`` to ``grad[id]`` for every id of every
+        row r, row by row and each row left to right, into a C-contiguous ``grad``
+        with rows of ``width`` values: one 1-D ``np.add.at`` over its flat view.
+        Training makes it once per case."""
         ids = self.slots.T
         known = ids >= 0
-        k = math.prod(grad.shape[1:])
-        flat = (ids[known][:, None] * k + np.arange(k)).ravel()
-        np.add.at(grad.reshape(-1), flat, coeff.repeat(known.sum(axis=1), axis=0).ravel())
+        # Training keeps one flat index per case, so it takes the smallest type that holds them all.
+        kind = np.min_scalar_type((ids.max(initial=0) + 1) * width)
+        flat = (ids[known].astype(kind)[:, None] * width + np.arange(width, dtype=kind)).ravel()
+        counts = known.sum(axis=1)
+        return lambda grad, coeff: np.add.at(grad.reshape(-1), flat, coeff.repeat(counts, axis=0).ravel())
 
 
 class CrfModel(Module):
@@ -109,27 +111,43 @@ class CrfModel(Module):
     def _forward_backward(self, emit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, K) log-space scores of the paths up to i ending in tag k (alpha) and
         after i following tag k (beta).  Step i advances alpha[i] and beta[n-1-i]
-        on one (2, K, K) stack of ``w_trans`` and its transpose, summing in order."""
+        together on one (K, 2K) array indexed [previous tag j, direction x tag]:
+        ``w_trans`` beside its transpose, plus the carry of each direction.  The
+        max and the sum over j reduce the outer axis, which numpy adds row by
+        row in the order j = 0, 1, ...; each step writes into buffers."""
         n, k = emit.shape
         w = self.w_trans.data
-        pair, ends = np.stack([w, w.T]), np.stack([emit, emit[::-1]])
-        alpha, beta = np.empty((n, k)), np.zeros((n, k))
-        alpha[0], carry = emit[0], ends[:, 0]
-        for i in range(1, n):
-            a = pair + carry[:, :, None]
-            m = a.max(axis=1)
-            out = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
-            carry = out + ends[:, i]  # alpha[i], and emit + beta at n-1-i
-            alpha[i], beta[n - 1 - i] = carry[0], out[1]
-        return alpha, beta
+        pair = np.concatenate([w, w.T], axis=1).reshape(k, 2, k)
+        # Row i of ``carry`` ends as alpha[i] beside emit + beta at n-1-i, and
+        # row i of ``out`` holds beta[n-1-i] in its second half.
+        carry, out = np.concatenate([emit, emit[::-1]], axis=1), np.zeros((n, 2 * k))
+        prev = carry.reshape(n, 2, k).transpose(0, 2, 1)[..., None]  # [i, j, direction, 1]
+        a, m = np.empty((k, 2 * k)), np.empty(2 * k)
+        a3 = a.reshape(k, 2, k)
+        for p, o, c in zip(prev, out[1:], carry[1:]):
+            np.add(pair, p, out=a3)
+            np.maximum.reduce(a, axis=0, out=m)
+            a -= m
+            np.exp(a, out=a)
+            np.add.reduce(a, axis=0, out=o)
+            np.log(o, out=o)
+            o += m
+            c += o
+        return carry[:, :k], out[::-1, k:]
 
-    def _gold(self, emit: np.ndarray, tags: list[str]) -> tuple[np.ndarray, float]:
-        """The tag ids of ``tags`` and their path score."""
-        if len(tags) != len(emit):
-            raise ValueError(f"{len(tags)} tags for {len(emit)} tokens")
-        y = np.array([self.tag_index[t] for t in tags])
-        score = sum(emit[np.arange(len(y)), y].tolist())
-        return y, score + sum(self.w_trans.data[y[:-1], y[1:]].tolist())
+    def tag_ids(self, tags: list[str]) -> np.ndarray:
+        """The ids of ``tags``; raises ``ValueError`` naming the first tag that
+        the model does not know and its 1-based position."""
+        for i, tag in enumerate(tags, start=1):
+            if tag not in self.tag_index:
+                raise ValueError(f"unknown tag {tag!r} at position {i}")
+        return np.array([self.tag_index[t] for t in tags])
+
+    def training_case(self, doc: Document) -> tuple[FeatureTable, np.ndarray, Callable]:
+        """``nll_and_grad``'s arguments for ``doc``, fixed across epochs: its
+        table, its gold tag ids and the table's scatter."""
+        table = self.features(doc.tokens)
+        return table, self.tag_ids(bio_encode(doc)), table.scatter(len(self.tags))
 
     def viterbi(self, tokens: list[str]) -> list[str]:
         emit = self.emissions(self.features(tokens))
@@ -148,18 +166,24 @@ class CrfModel(Module):
             path.append(int(back[i, path[-1]]))
         return [self.tags[j] for j in path[::-1]]
 
-    def nll_and_grad(self, table: FeatureTable, tags: list[str]
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    def nll_and_grad(self, table: FeatureTable, tags: list[str] | np.ndarray,
+                     scatter: Callable | None = None) -> tuple[float, np.ndarray, np.ndarray]:
         """Negative log-likelihood of one sequence and its exact gradient:
-        expected feature and transition counts minus the gold ones."""
+        expected feature and transition counts minus the gold ones.  ``tags``
+        are names or their ``tag_ids``, and ``scatter`` defaults to the
+        table's: training passes both, made once per case."""
         emit = self.emissions(table)
-        y, score = self._gold(emit, tags)
+        y = tags if isinstance(tags, np.ndarray) else self.tag_ids(tags)
+        if len(y) != len(emit):
+            raise ValueError(f"{len(y)} tags for {len(emit)} tokens")
+        score = sum(emit[np.arange(len(y)), y].tolist())
+        score += sum(self.w_trans.data[y[:-1], y[1:]].tolist())
         alpha, beta = self._forward_backward(emit)
         log_z = _logsumexp(alpha[-1])
         delta = np.exp(alpha + beta - log_z)
         delta[np.arange(len(y)), y] -= 1.0
         g_emit = np.zeros_like(self.w_emit.data)
-        table.scatter(g_emit, delta)
+        (scatter or table.scatter(len(self.tags)))(g_emit, delta)
         # One (N-1, K, K) array of pair marginals, summed over positions.
         pair = alpha[:-1, :, None] + self.w_trans.data + (emit[1:] + beta[1:])[:, None, :]
         g_trans = np.exp(pair - log_z).sum(axis=0)
@@ -185,7 +209,7 @@ def crf_objective(model: CrfModel, docs: list[Document], lam: float
     g_trans = lam * model.w_trans.data.copy()
     total = 0.5 * lam * (np.sum(model.w_emit.data ** 2) + np.sum(model.w_trans.data ** 2))
     for doc in docs:
-        nll, ge, gt = model.nll_and_grad(model.features(doc.tokens), bio_encode(doc))
+        nll, ge, gt = model.nll_and_grad(*model.training_case(doc))
         total += nll
         g_emit += ge
         g_trans += gt
@@ -198,13 +222,13 @@ def train_crf(docs: list[Document], lam: float, epochs: int, lr: float, seed: in
         raise ValueError("empty training corpus")
     model = CrfModel(tagset_from_corpus(docs), feature_index_from_corpus(docs))
 
-    def step(table: FeatureTable, tags: list[str]) -> float:
-        nll, g_emit, g_trans = model.nll_and_grad(table, tags)
+    def step(table: FeatureTable, y: np.ndarray, scatter: Callable) -> float:
+        nll, g_emit, g_trans = model.nll_and_grad(table, y, scatter)
         model.w_emit.grad += g_emit
         model.w_trans.grad += g_trans
         return nll
 
-    cases = [(model.features(doc.tokens), bio_encode(doc)) for doc in docs]
+    cases = [model.training_case(doc) for doc in docs]
     fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed,
         "CrfModel", lam, None)
     return model

@@ -13,7 +13,7 @@ table, built without per-arc strings.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,11 +254,13 @@ def train_mtt(docs: list[Document], epochs: int, lr: float, seed: int) -> MttMod
         raise ValueError("no documents with entities in the training corpus")
     model = MttModel(index)
 
-    def step(table: ArcFeatures, gold: np.ndarray) -> float:
+    def step(table: ArcFeatures, gold: np.ndarray, scatter: Callable, gold_arcs: tuple) -> float:
         theta = table.scores(model.w.data)
         log_z, marg = mtt_log_partition_and_marginals(theta)
-        table.feats.scatter(model.w.grad, marg[table.heads, table.children] - gold)
-        return log_z - theta[table.heads[gold], table.children[gold]].sum()
+        scatter(model.w.grad, marg[table.heads, table.children] - gold)
+        return log_z - theta[gold_arcs].sum()
 
+    # Each case's scatter and gold (head, child) arcs are fixed across epochs.
+    cases = [(t, gold, t.feats.scatter(1), (t.heads[gold], t.children[gold])) for t, gold in cases]
     fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed, "MttModel", 1.0, None)
     return model

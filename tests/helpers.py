@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
-forward and Viterbi loops and a path score, a frozen Chu-Liu-Edmonds, the
+forward and Viterbi loops and a path score, the CRF's earlier stacked
+forward-backward and gradient scatter, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
@@ -15,6 +16,7 @@ against these.  It also holds the few small functions that only tests
 need, such as a tree's summed arc weight and a CRF's log partition.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +114,37 @@ def viterbi_reference(emit, trans):
     for i in range(n - 1, 0, -1):
         path.append(int(back[i, path[-1]]))
     return path[::-1]
+
+
+def crf_forward_backward_reference(w, emit):
+    """A frozen copy of ``CrfModel._forward_backward`` on plain arrays, before
+    it reduced the outer axis: step i advances alpha[i] and beta[n-1-i] on one
+    (2, K, K) stack of ``w`` and its transpose, reducing axis 1 in order.
+
+    w: (K, K) tag-to-tag scores; emit: (N, K) per-position tag scores."""
+    n, k = emit.shape
+    pair, ends = np.stack([w, w.T]), np.stack([emit, emit[::-1]])
+    alpha, beta = np.empty((n, k)), np.zeros((n, k))
+    alpha[0], carry = emit[0], ends[:, 0]
+    for i in range(1, n):
+        a = pair + carry[:, :, None]
+        m = a.max(axis=1)
+        out = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+        carry = out + ends[:, i]  # alpha[i], and emit + beta at n-1-i
+        alpha[i], beta[n - 1 - i] = carry[0], out[1]
+    return alpha, beta
+
+
+def scatter_reference(slots, grad, coeff):
+    """A frozen copy of ``FeatureTable.scatter`` on plain arrays, before its
+    index was worked out once per training case: add ``coeff[r]`` to
+    ``grad[id]`` for every known id of row r of the (width, n) slot grid,
+    row by row and each row left to right, into the C-contiguous ``grad``."""
+    ids = slots.T
+    known = ids >= 0
+    k = math.prod(grad.shape[1:])
+    flat = (ids[known][:, None] * k + np.arange(k)).ravel()
+    np.add.at(grad.reshape(-1), flat, coeff.repeat(known.sum(axis=1), axis=0).ravel())
 
 
 def crf_log_partition(model, tokens):

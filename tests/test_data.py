@@ -18,6 +18,7 @@ from proptree.corpus import (
 from proptree.data import (
     EQUIVALENT,
     PART_OF,
+    ROOT_ID,
     SEGMENT,
     SKIP,
     Document,
@@ -285,6 +286,10 @@ def test_json_roundtrip_and_validation():
     bad["entities"][1]["parent"] = "missing"
     with pytest.raises(ValueError):
         doc_from_json(bad)
+
+    rootless = doc_to_json(doc)
+    del rootless["entities"][1]["parent"]  # a missing parent is the root
+    assert doc_from_json(rootless).entities[1].parent == ROOT_ID
 
 
 def test_corpus_file_roundtrip(tmp_path):

@@ -836,6 +836,16 @@ BAD_READS = [
      ":1: bad mention span [True, 3)"),
     ("type-int", "corpus", _entity_line(b'"type": 5, "mentions": [{"start": 1, "end": 3}]'),
      ":1: document 'a': entity 'T1' has type 5, not a string"),
+    ("id-int", "corpus", _bytes(b'{"id": 7, "tokens": ["b"]}\n'), ":1: document id 7 is not a string"),
+    ("id-null", "corpus", _bytes(b'{"id": null, "tokens": ["b"]}\n'),
+     ":1: document id None is not a string"),
+    ("entity-id-int", "corpus",
+     _bytes(b'{"id": "a", "tokens": ["b", "c"], "entities": [{"id": 3, "mentions": []}]}\n'),
+     ":1: document 'a': entity id 3 is not a string"),
+    ("parent-null", "corpus", _entity_line(b'"mentions": [{"start": 1, "end": 3}], "parent": null'),
+     ":1: document 'a': entity 'T1': parent None is not a string"),
+    ("parent-int", "corpus", _entity_line(b'"mentions": [{"start": 1, "end": 3}], "parent": 3'),
+     ":1: document 'a': entity 'T1': parent 3 is not a string"),
     ("text-word", "text", _bytes(b"a 0.1 abc\n"), ":1: could not convert string to float: 'abc'"),
     ("text-0xff", "text", _bytes(b"2 2\nhuis 0.1 0.2\n\xff 0.3 0.4\n"),
      ":3: 'utf-8' codec can't decode byte 0xff in position 0"),

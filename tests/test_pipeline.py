@@ -34,9 +34,10 @@ from proptree.pipeline.predict import (
 )
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
-from helpers import (SparseFeatureTable, candidate_arcs, crf_log_partition, crf_reference_nll,
-                     edge_index_reference, entity_by_id, extract_edge_features,
-                     finite_difference, max_rel_err, sequence_score, viterbi_reference)
+from helpers import (SparseFeatureTable, candidate_arcs, crf_forward_backward_reference,
+                     crf_log_partition, crf_reference_nll, edge_index_reference, entity_by_id,
+                     extract_edge_features, finite_difference, max_rel_err, scatter_reference,
+                     sequence_score, viterbi_reference)
 from oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 
 
@@ -160,6 +161,59 @@ def test_crf_nll_matches_the_forward_loop_bit_for_bit(n, k, scale, seed):
     assert nll == crf_reference_nll(model.emissions(table), model.w_trans.data, gold)
 
 
+def frozen_scatter(table, width=None):
+    """A scatter for ``table`` that adds through ``scatter_reference``."""
+    return lambda grad, coeff: scatter_reference(table.slots, grad, coeff)
+
+
+@example(n=40, k=16, scale=30.0, seed=0)
+@given(st.integers(1, 40), st.sampled_from([1, 2, 3, 9, 13, 16]),
+       st.sampled_from([1e-3, 0.1, 1.0, 30.0]), st.integers(0, 2**32 - 1))
+def test_crf_recursion_matches_the_stacked_loop_byte_for_byte(n, k, scale, seed):
+    """alpha, beta and the three outputs of ``nll_and_grad`` keep the bytes
+    of the (2, K, K) recursion and of the scatter that worked its index out per call."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(["a", "ab", "Abc", "12"], size=n).tolist()
+    model = random_crf(tokens, k=k, seed=seed)
+    model.w_emit.data[:] *= scale
+    model.w_trans.data[:] *= scale
+    tags = [model.tags[j] for j in rng.integers(0, k, size=n)]
+    table = model.features(tokens)
+    emit = model.emissions(table)
+    for got, want in zip(model._forward_backward(emit),
+                         crf_forward_backward_reference(model.w_trans.data, emit)):
+        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+    new = model.nll_and_grad(table, tags)
+    model._forward_backward = lambda e: crf_forward_backward_reference(model.w_trans.data, e)
+    old = model.nll_and_grad(table, tags, frozen_scatter(table))
+    assert [np.asarray(x).tobytes() for x in new] == [np.asarray(x).tobytes() for x in old]
+
+
+def test_crf_and_mtt_train_byte_for_byte_as_with_the_frozen_recursion(monkeypatch):
+    """Per-case tag ids, scatters and gold arcs, and the outer-axis recursion,
+    train the weights that the frozen recursion and scatter train."""
+    docs = generate_corpus(SyntheticConfig(n_docs=12, seed=4, ambiguous=True))
+
+    def weights():
+        crf, mtt = train_crf(docs, lam=10.0, epochs=3, lr=0.05, seed=0), train_mtt(docs, 3, 0.05, 0)
+        return [p.data.tobytes() for m in (crf, mtt) for p in m.params_named().values()]
+
+    new = weights()
+    monkeypatch.setattr(CrfModel, "_forward_backward",
+                        lambda self, emit: crf_forward_backward_reference(self.w_trans.data, emit))
+    monkeypatch.setattr(FeatureTable, "scatter", frozen_scatter)
+    assert weights() == new
+
+
+def test_crf_names_an_unknown_tag_and_its_position():
+    model = CrfModel(["O", "B-x", "I-x"], {"bias": 0})
+    with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 1$"):
+        model.nll_and_grad(model.features(["a"]), ["B-y"])
+    doc = Document("d", ["a", "b", "c"], [Entity("E1", "y", [Mention(2, 4)])])
+    with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 2$"):
+        crf_objective(model, [doc], lam=0.0)
+
+
 def test_crf_rejects_empty_sequence():
     model = CrfModel(["a"], {"bias": 0})
     with pytest.raises(ValueError):
@@ -200,8 +254,20 @@ def test_feature_table_matches_the_sparse_reference(grid):
     table, ref = FeatureTable(slots), SparseFeatureTable.from_slots(slots)
     assert np.array_equal(table.sums(w), ref.sums(w))
     got, want = start.copy(), start.copy()
-    table.scatter(got, coeff)
+    table.scatter(int(np.prod(got.shape[1:])))(got, coeff)
     ref.scatter(want, coeff)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("top, width", [(254, 1), (255, 1), (21844, 3), (21845, 3), (65535, 1)])
+def test_scatter_index_holds_the_largest_id(top, width):
+    """The scatter keeps its flat index in the smallest type that holds it:
+    ids at the edge of a type still land in their own rows."""
+    slots = np.array([[top, -1, 0], [1, top, -1]], dtype=np.int64)
+    coeff = np.arange(1.0, 3 * width + 1).reshape(3, width)
+    got, want = np.zeros((top + 1, width)), np.zeros((top + 1, width))
+    FeatureTable(slots).scatter(width)(got, coeff)
+    scatter_reference(slots, want, coeff)
     assert np.array_equal(got, want)
 
 
@@ -260,7 +326,7 @@ def test_crf_table_matches_the_string_features(layout):
     assert np.array_equal(emit, loop_emit)
     assert not emit[(table.slots < 0).all(axis=0)].any()
     table_grad = np.zeros_like(model.w_emit.data)
-    table.scatter(table_grad, delta)
+    table.scatter(3)(table_grad, delta)
     assert np.array_equal(table_grad, loop_grad)
 
 
@@ -427,7 +493,7 @@ def test_arc_table_matches_the_string_features(layout):
         assert abs(log_p[h, m] - np.log(max(p, 1e-300))) <= 1e-12
         np.add.at(loop_grad, ids, coeff[i])
     table_grad = np.zeros(len(w))
-    table.feats.scatter(table_grad, coeff)
+    table.feats.scatter(1)(table_grad, coeff)
     assert np.array_equal(table_grad, loop_grad)
 
 
