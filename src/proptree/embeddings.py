@@ -20,9 +20,12 @@ class EmbeddingTable:
 
     def __init__(self, vocab: list[str], matrix: np.ndarray):
         """``matrix`` holds a row for each word of ``vocab`` and may hold one
-        spare row after them.  ``<unk>`` takes the spare row when ``vocab``
-        lacks it, so that the matrix is not copied to add a row; otherwise a
-        spare row is left out."""
+        spare row after them.  A ``vocab`` without ``<unk>`` needs exactly
+        ``len(vocab) + 1`` rows: ``<unk>`` takes the last one, which is
+        overwritten in place when ``matrix`` is float64, so that the matrix is
+        not copied to add a row.  A ``vocab`` that names ``<unk>`` may bring a
+        spare row, which is left out.  Any other row count raises
+        ``ValueError``."""
         self.vocab = list(vocab)
         self.index = {w: i for i, w in enumerate(self.vocab)}
         if UNK not in self.index:

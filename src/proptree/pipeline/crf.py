@@ -166,14 +166,13 @@ class CrfModel(Module):
             path.append(int(back[i, path[-1]]))
         return [self.tags[j] for j in path[::-1]]
 
-    def nll_and_grad(self, table: FeatureTable, tags: list[str] | np.ndarray,
-                     scatter: Callable | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    def nll_and_grad(self, table: FeatureTable, y: np.ndarray,
+                     scatter: Callable) -> tuple[float, np.ndarray, np.ndarray]:
         """Negative log-likelihood of one sequence and its exact gradient:
-        expected feature and transition counts minus the gold ones.  ``tags``
-        are names or their ``tag_ids``, and ``scatter`` defaults to the
-        table's: training passes both, made once per case."""
+        expected feature and transition counts minus the gold ones.  ``y`` are
+        the gold ``tag_ids`` and ``scatter`` is the table's, as
+        ``training_case`` makes them once per case."""
         emit = self.emissions(table)
-        y = tags if isinstance(tags, np.ndarray) else self.tag_ids(tags)
         if len(y) != len(emit):
             raise ValueError(f"{len(y)} tags for {len(emit)} tokens")
         score = sum(emit[np.arange(len(y)), y].tolist())
@@ -183,7 +182,7 @@ class CrfModel(Module):
         delta = np.exp(alpha + beta - log_z)
         delta[np.arange(len(y)), y] -= 1.0
         g_emit = np.zeros_like(self.w_emit.data)
-        (scatter or table.scatter(len(self.tags)))(g_emit, delta)
+        scatter(g_emit, delta)
         # One (N-1, K, K) array of pair marginals, summed over positions.
         pair = alpha[:-1, :, None] + self.w_trans.data + (emit[1:] + beta[1:])[:, None, :]
         g_trans = np.exp(pair - log_z).sum(axis=0)

@@ -936,6 +936,18 @@ def test_embedding_table_basics():
     assert np.array_equal(looked[0], table.matrix[table.index["b"]])
 
 
+def test_embedding_table_takes_the_spare_row_for_unk_or_names_the_row_count():
+    for rows in (1, 3):
+        with pytest.raises(ValueError, match=f"^1 tokens need 2 rows, not {rows}$"):
+            EmbeddingTable(["a"], np.zeros((rows, 2)))
+    matrix = np.zeros((2, 2))
+    table = EmbeddingTable(["a"], matrix)
+    assert table.matrix is not matrix and np.shares_memory(table.matrix, matrix)
+    assert matrix[1].tolist() == table.lookup(["<unk>"])[0].tolist() != [0.0, 0.0]
+    named = EmbeddingTable(["a", "<unk>"], np.arange(6.0).reshape(3, 2))
+    assert named.vocab == ["a", "<unk>"] and named.matrix.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
 def test_word2vec_text_loader(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("2 3\nhuis 0.1 0.2 0.3\ntuin -1 0 1\n")

@@ -104,7 +104,8 @@ def test_crf_zero_weights_partition_is_log_tagset_size():
     model = CrfModel(["a", "b", "c"], {"bias": 0})
     assert crf_log_partition(model, ["x"]) == pytest.approx(np.log(3.0))
     # per-sequence NLL of any single tag is then log 3
-    nll, _, _ = model.nll_and_grad(model.features(["x"]), ["b"])
+    table = model.features(["x"])
+    nll, _, _ = model.nll_and_grad(table, model.tag_ids(["b"]), table.scatter(len(model.tags)))
     assert nll == pytest.approx(np.log(3.0))
 
 
@@ -113,7 +114,8 @@ def test_crf_rejects_mismatched_tag_lists():
     model = random_crf(tokens)
     for tags in (["t0"], ["t0", "t1"], ["t0", "t1", "t2", "t0"]):
         with pytest.raises(ValueError, match=f"{len(tags)} tags for 3 tokens"):
-            model.nll_and_grad(model.features(tokens), tags)
+            table = model.features(tokens)
+            model.nll_and_grad(table, model.tag_ids(tags), table.scatter(len(model.tags)))
 
 
 @example(n=1, k=3, seed=0)
@@ -129,7 +131,7 @@ def test_crf_gradient_matches_enumerated_marginals(n, k, seed):
     gold = rng.integers(0, k, size=n)
     table = model.features(tokens)
     emit = model.emissions(table)
-    nll, g_emit, g_trans = model.nll_and_grad(table, [model.tags[j] for j in gold])
+    nll, g_emit, g_trans = model.nll_and_grad(table, gold, table.scatter(k))
     assert nll == crf_reference_nll(emit, model.w_trans.data, gold)
 
     _, nodes, pairs, _, _ = chain_log_z_marginals_and_best(emit, model.w_trans.data)
@@ -157,7 +159,7 @@ def test_crf_nll_matches_the_forward_loop_bit_for_bit(n, k, scale, seed):
     model.w_trans.data[:] *= scale
     gold = rng.integers(0, k, size=n)
     table = model.features(tokens)
-    nll, _, _ = model.nll_and_grad(table, [model.tags[j] for j in gold])
+    nll, _, _ = model.nll_and_grad(table, gold, table.scatter(k))
     assert nll == crf_reference_nll(model.emissions(table), model.w_trans.data, gold)
 
 
@@ -177,15 +179,15 @@ def test_crf_recursion_matches_the_stacked_loop_byte_for_byte(n, k, scale, seed)
     model = random_crf(tokens, k=k, seed=seed)
     model.w_emit.data[:] *= scale
     model.w_trans.data[:] *= scale
-    tags = [model.tags[j] for j in rng.integers(0, k, size=n)]
+    y = rng.integers(0, k, size=n)
     table = model.features(tokens)
     emit = model.emissions(table)
     for got, want in zip(model._forward_backward(emit),
                          crf_forward_backward_reference(model.w_trans.data, emit)):
         assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
-    new = model.nll_and_grad(table, tags)
+    new = model.nll_and_grad(table, y, table.scatter(k))
     model._forward_backward = lambda e: crf_forward_backward_reference(model.w_trans.data, e)
-    old = model.nll_and_grad(table, tags, frozen_scatter(table))
+    old = model.nll_and_grad(table, y, frozen_scatter(table))
     assert [np.asarray(x).tobytes() for x in new] == [np.asarray(x).tobytes() for x in old]
 
 
@@ -208,7 +210,8 @@ def test_crf_and_mtt_train_byte_for_byte_as_with_the_frozen_recursion(monkeypatc
 def test_crf_names_an_unknown_tag_and_its_position():
     model = CrfModel(["O", "B-x", "I-x"], {"bias": 0})
     with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 1$"):
-        model.nll_and_grad(model.features(["a"]), ["B-y"])
+        table = model.features(["a"])
+        model.nll_and_grad(table, model.tag_ids(["B-y"]), table.scatter(len(model.tags)))
     doc = Document("d", ["a", "b", "c"], [Entity("E1", "y", [Mention(2, 4)])])
     with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 2$"):
         crf_objective(model, [doc], lam=0.0)
