@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Document, Entity, Mention, ROOT_ID, encode_tree_to_heads, first_cycle_node
+from .data import Document, Entity, Mention, ROOT_ID, encode_tree_to_heads
 from .embeddings import read_lines
 
 
@@ -77,22 +77,8 @@ def _validate(doc: Document) -> None:
     for t in doc.tokens:
         if not t or any(ch.isspace() for ch in t):
             raise ValueError(f"document {doc.id!r}: bad token {t!r}")
-    ids = [e.id for e in doc.entities]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"document {doc.id!r}: duplicate entity ids")
-    known = set(ids)
-    for e in doc.entities:
-        if not (e.type is None or isinstance(e.type, str)):
-            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has type {e.type!r}, not a string")
-        if not e.mentions:
-            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has no mentions")
-        if e.parent != ROOT_ID and e.parent not in known:
-            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has unknown parent {e.parent!r}")
-    looped = first_cycle_node({e.id: e.parent for e in doc.entities}, root=ROOT_ID)
-    if looped is not None:
-        raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
-    # Rejects mentions past the last token and overlapping mentions.
-    encode_tree_to_heads(doc).validate_gold()
+    # The entity forest's rule, after the token rules.
+    encode_tree_to_heads(doc)
 
 
 def _parse_doc(line: bytes, lineno: int) -> Document | None:

@@ -128,7 +128,15 @@ class TokenHeadAssignment:
 
 
 def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
-    """Flatten a document's entity forest into per-token (head, label) pairs."""
+    """Flatten a document's entity forest into per-token (head, label) pairs.
+
+    The one owner of the gold-forest rule, which the corpus reader and both
+    trainers apply through it.  It raises ``ValueError`` naming the document,
+    in this order: for duplicate entity ids; for each entity in turn, a type
+    that is neither a string nor None, no mentions, or an unknown parent; for
+    parent links that form a cycle (a self-parent included); then, while
+    encoding, for a mention past the last token or a token in two mentions.
+    An assignment it returns passes ``validate_gold``."""
     n = doc.n
     heads = list(range(1, n + 1))
     labels = [SKIP] * n
@@ -138,7 +146,21 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
             raise ValueError(f"document {doc.id!r}: token {t} assigned twice (overlapping mentions?)")
         heads[t - 1], labels[t - 1] = h, c
 
-    anchors: dict[str, int] = {e.id: e.main_mention().anchor for e in doc.entities}
+    parents = {e.id: e.parent for e in doc.entities}
+    if len(parents) != len(doc.entities):
+        raise ValueError(f"document {doc.id!r}: duplicate entity ids")
+    for e in doc.entities:
+        if not (e.type is None or isinstance(e.type, str)):
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has type {e.type!r}, not a string")
+        if not e.mentions:
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has no mentions")
+        if e.parent != ROOT_ID and e.parent not in parents:
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has unknown parent {e.parent!r}")
+    looped = first_cycle_node(parents, root=ROOT_ID)
+    if looped is not None:
+        raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
+    # The root's position is 0, where a root entity's part-of arc points.
+    anchors = {e.id: e.main_mention().anchor for e in doc.entities} | {ROOT_ID: 0}
 
     for e in doc.entities:
         main = e.main_mention()
@@ -149,10 +171,7 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
                 put(t, m.anchor, SEGMENT)
             if m is not main and (m.start, m.end) != (main.start, main.end):
                 put(m.anchor, main.anchor, EQUIVALENT)
-        if e.parent == ROOT_ID:
-            put(main.anchor, 0, PART_OF)
-        else:
-            put(main.anchor, anchors[e.parent], PART_OF)
+        put(main.anchor, anchors[e.parent], PART_OF)
 
     return TokenHeadAssignment(heads, labels)
 

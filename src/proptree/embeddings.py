@@ -108,15 +108,19 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
 def load_word2vec_binary(path: str | Path) -> EmbeddingTable:
     """Read the word2vec .bin layout: text header, then word + float32 block.
     Raises ``ValueError`` naming the path for a first line that is not a
-    'count dim' header, for a word that is not UTF-8, for a file that ends
-    inside a vector (a header that claims more vectors than the file holds
-    included) and for a vector that is not finite."""
+    'count dim' header, for a count of 0 (no vectors), for a word that is
+    not UTF-8, for a file that ends inside a vector (a header that claims
+    more vectors than the file holds included) and for a vector that is not
+    finite."""
     buf = Path(path).read_bytes()
     pos = buf.find(b"\n") + 1 or len(buf)
     header = buf[:pos].split()
     if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
         raise ValueError(f"{path}: the first line is not a 'count dim' header")
     count, dim = int(header[0]), int(header[1])
+    # Nothing is allocated from the width of a file that holds no vector.
+    if count == 0:
+        raise ValueError(f"{path}: no vectors")
     # A vector takes at least 4 * dim + 1 bytes, so no more than ``fit`` of them
     # follow the header: only those are allocated, and vector fit + 1 is cut
     # short.  When all ``count`` fit, a spare row for <unk> follows them.

@@ -7,8 +7,9 @@ the log-space forward algorithm; training follows the exact gradient
 conditional log-likelihood.  BIO validity is learned, never hard-constrained.
 Feature ids sit in a ``FeatureTable``, one slot grid with -1 for an unknown
 feature: sums add each row left to right, and gradients scatter row-major.
-The edge models share it.  All three pipeline stages train through
-``nn.optim.fit``, the joint parser's loop too.
+The edge models share it, and the ``Recorder`` that numbers a training
+index from the template that builds the tables.  All three pipeline stages
+train through ``nn.optim.fit``, the joint parser's loop too.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ def token_features(w: str) -> list[str]:
     """Feature strings of the token ``w`` itself."""
     return ["bias", f"w={w}", f"lc={w.lower()}", f"p2={w[:2]}", f"p3={w[:3]}",
             f"s2={w[-2:]}", f"s3={w[-3:]}", f"dig={int(w.isdigit())}"]
-
-
-def emission_features(tokens: list[str], i: int) -> list[str]:
-    """Feature strings for position i (0-based within tokens)."""
-    return token_features(tokens[i]) + [
-        f"prev={tokens[i - 1] if i > 0 else '<s>'}",
-        f"next={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}",
-    ]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -69,13 +62,34 @@ class FeatureTable(NamedTuple):
         return lambda grad, coeff: np.add.at(grad.reshape(-1), flat, coeff.repeat(counts, axis=0).ravel())
 
 
+class Recorder(dict):
+    """A feature index that knows every name: ``get`` gives a new one the next id.
+    Both pipeline stages build their training tables over one, so that the
+    template that builds a table is the one that names its features."""
+
+    def get(self, name: str, default=None) -> int:
+        return self.setdefault(name, len(self))
+
+    def renumber(self, tables: list[FeatureTable]) -> tuple[dict[str, int], list[FeatureTable]]:
+        """The index of the features that some row of ``tables`` has, numbered in
+        name order, and the tables in its ids.  A table keeps only the slots where
+        some row has a feature: a recorded name that no row has is not in the index."""
+        used = set().union(*(table.slots.ravel().tolist() for table in tables))
+        index = {f: i for i, f in enumerate(sorted(name for name, old in self.items() if old in used))}
+        # Old id i becomes ids[i]; the slot -1 reads the last entry.
+        ids = np.array([*(index.get(f, -1) for f in self), -1], dtype=np.int64)
+        slots = (ids[table.slots] for table in tables)
+        return index, [FeatureTable(s[(s >= 0).any(axis=1)]) for s in slots]
+
+
 class CrfModel(Module):
     trainable = ("w_emit", "w_trans")
 
     def __init__(self, tags: list[str], feature_index: dict[str, int]):
+        # Kept, not copied: a ``Recorder`` records the names that ``features`` reads.
         self.tags = list(tags)
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
-        self.feature_index = dict(feature_index)
+        self.feature_index = feature_index
         k, f = len(self.tags), len(self.feature_index)
         self.w_emit = Tensor(np.zeros((f, k)), requires_grad=True)
         self.w_trans = Tensor(np.zeros((k, k)), requires_grad=True)
@@ -90,9 +104,11 @@ class CrfModel(Module):
         return [get(f, -1) for f in [*token_features(w), f"prev={w}", f"next={w}"]]
 
     def features(self, tokens: list[str]) -> FeatureTable:
-        """The document's table: one row of known feature ids per position,
-        the ids of ``emission_features``.  A token the index does not name is
-        looked up once per call."""
+        """The document's table, the emission template: position i's slots hold
+        the ids of ``token_features`` of its token, then of ``prev=`` the token
+        before it (``<s>`` at the start) and ``next=`` the token after it
+        (``</s>`` at the end), -1 for a feature the index does not know.  A
+        token the index does not name is looked up once per call."""
         if not tokens:
             raise ValueError("cannot score an empty sequence")
         known, get = self.token_ids, self.feature_index.get
@@ -143,11 +159,16 @@ class CrfModel(Module):
                 raise ValueError(f"unknown tag {tag!r} at position {i}")
         return np.array([self.tag_index[t] for t in tags])
 
-    def training_case(self, doc: Document) -> tuple[FeatureTable, np.ndarray, Callable]:
-        """``nll_and_grad``'s arguments for ``doc``, fixed across epochs: its
-        table, its gold tag ids and the table's scatter."""
-        table = self.features(doc.tokens)
-        return table, self.tag_ids(bio_encode(doc)), table.scatter(len(self.tags))
+    def training_case(self, doc: Document, table: FeatureTable) -> tuple[FeatureTable, np.ndarray, Callable]:
+        """``nll_and_grad``'s arguments for ``doc`` and its ``table``, fixed across
+        epochs: the table, the gold tag ids and the table's scatter.  A tag that
+        the model does not know raises ``ValueError`` naming the document."""
+        tags = bio_encode(doc)
+        try:
+            y = self.tag_ids(tags)
+        except ValueError as exc:
+            raise ValueError(f"document {doc.id!r}: {exc}") from exc
+        return table, y, table.scatter(len(self.tags))
 
     def viterbi(self, tokens: list[str]) -> list[str]:
         emit = self.emissions(self.features(tokens))
@@ -195,12 +216,6 @@ def tagset_from_corpus(docs: list[Document]) -> list[str]:
     return ["O"] + [f"{bi}-{t}" for t in types for bi in ("B", "I")]
 
 
-def feature_index_from_corpus(docs: list[Document]) -> dict[str, int]:
-    feats = {f for doc in docs for i in range(len(doc.tokens))
-             for f in emission_features(doc.tokens, i)}
-    return {f: i for i, f in enumerate(sorted(feats))}
-
-
 def crf_objective(model: CrfModel, docs: list[Document], lam: float
                   ) -> tuple[float, np.ndarray, np.ndarray]:
     """Corpus NLL + (lam/2)||w||^2 with its full analytic gradient."""
@@ -208,7 +223,7 @@ def crf_objective(model: CrfModel, docs: list[Document], lam: float
     g_trans = lam * model.w_trans.data.copy()
     total = 0.5 * lam * (np.sum(model.w_emit.data ** 2) + np.sum(model.w_trans.data ** 2))
     for doc in docs:
-        nll, ge, gt = model.nll_and_grad(*model.training_case(doc))
+        nll, ge, gt = model.nll_and_grad(*model.training_case(doc, model.features(doc.tokens)))
         total += nll
         g_emit += ge
         g_trans += gt
@@ -216,10 +231,15 @@ def crf_objective(model: CrfModel, docs: list[Document], lam: float
 
 
 def train_crf(docs: list[Document], lam: float, epochs: int, lr: float, seed: int) -> CrfModel:
-    """Per-document Adam steps on the regularized NLL, shuffled each epoch."""
+    """Per-document Adam steps on the regularized NLL, shuffled each epoch.
+    The index holds the features of the training positions, in name order,
+    as ``CrfModel.features`` records them while it builds their tables."""
     if not docs:
         raise ValueError("empty training corpus")
-    model = CrfModel(tagset_from_corpus(docs), feature_index_from_corpus(docs))
+    # The recording model, and its recorder, are dropped before training.
+    model = CrfModel(tagset_from_corpus(docs), Recorder())
+    index, tables = model.feature_index.renumber([model.features(doc.tokens) for doc in docs])
+    model = CrfModel(model.tags, index)
 
     def step(table: FeatureTable, y: np.ndarray, scatter: Callable) -> float:
         nll, g_emit, g_trans = model.nll_and_grad(table, y, scatter)
@@ -227,7 +247,7 @@ def train_crf(docs: list[Document], lam: float, epochs: int, lr: float, seed: in
         model.w_trans.grad += g_trans
         return nll
 
-    cases = [model.training_case(doc) for doc in docs]
+    cases = [model.training_case(doc, table) for doc, table in zip(docs, tables)]
     fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed,
         "CrfModel", lam, None)
     return model

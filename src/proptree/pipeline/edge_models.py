@@ -20,7 +20,7 @@ import numpy as np
 from ..data import Document, Entity
 from ..nn import Adam, Module, Tensor
 from ..nn.optim import fit
-from .crf import FeatureTable
+from .crf import FeatureTable, Recorder
 
 ROOT_TOKEN = "<root>"
 
@@ -198,33 +198,21 @@ def _reachable_from_root(arcs: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-class _Recorder(dict):
-    """A feature index that knows every name: ``get`` gives a new one the next id."""
-
-    def get(self, name: str, default=None) -> int:
-        return self.setdefault(name, len(self))
-
-
 def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     """The corpus's feature index, and per document with entities its arc
     table and whether each arc is gold.  The index holds the features that
-    some arc has, numbered in name order.  A table keeps only the slots where
-    some arc has a known id: the recording index gives every distinct token a
-    ``btw=`` slot, which stays empty when the token lies between no two spans."""
-    recorder, cases, used = _Recorder(), [], set()
+    some arc has, numbered in name order (``Recorder.renumber``).  A table
+    keeps only the slots where some arc has a known id: the recording index
+    gives every distinct token a ``btw=`` slot, which stays empty when the
+    token lies between no two spans."""
+    recorder, cases = Recorder(), []
     for doc in (d for d in docs if d.entities):
         node = {e.id: i for i, e in enumerate(doc.entities, start=1)}
         parents = np.array([node.get(e.parent, 0) for e in doc.entities])
         table = arc_features(doc.entities, doc.tokens, recorder)
         cases.append((table, table.heads == parents[table.children - 1]))
-        used.update(table.feats.slots.ravel().tolist())
-    names = list(recorder)
-    index = {f: i for i, f in enumerate(sorted(names[i] for i in used - {-1}))}
-    renumber = np.array([*(index.get(f, -1) for f in names), -1], dtype=np.int64)
-    for i, (table, gold) in enumerate(cases):
-        slots = renumber[table.feats.slots]
-        cases[i] = table._replace(feats=FeatureTable(slots[(slots >= 0).any(axis=1)])), gold
-    return index, cases
+    index, tables = recorder.renumber([table.feats for table, _ in cases])
+    return index, [(table._replace(feats=feats), gold) for (table, gold), feats in zip(cases, tables)]
 
 
 def train_ltm(docs: list[Document], epochs: int, lr: float, seed: int) -> LtmModel:

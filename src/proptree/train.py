@@ -259,8 +259,6 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     model = JointParser(table, config)
     runner = JointRunner(model)
     golds = [encode_tree_to_heads(doc) for doc in train_docs]
-    for g in golds:
-        g.validate_gold()
     # Validation on the training split keeps early stopping defined for
     # corpora too small to carve a dev set from.
     val_docs = dev_docs if dev_docs else train_docs
@@ -305,6 +303,9 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
 def train_pipeline(config: TrainConfig, train_docs: list[Document],
                    dev_docs: list[Document] | None = None) -> tuple[PipelineRunner, TrainLog]:
     started = time.perf_counter()
+    # Both stages read the gold forest, so it must keep the rule that the joint model's gold keeps.
+    for doc in train_docs:
+        encode_tree_to_heads(doc)
     crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
                     lr=config.lr, seed=config.seed)
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the package internals:
 finite differences on plain callables, a parent walk, per-position CRF
 forward and Viterbi loops and a path score, the CRF's earlier stacked
-forward-backward and gradient scatter, a frozen Chu-Liu-Edmonds, the
+forward-backward and gradient scatter, its emission features as strings
+and the training index they make, a frozen Chu-Liu-Edmonds, the
 pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
@@ -145,6 +146,25 @@ def scatter_reference(slots, grad, coeff):
     k = math.prod(grad.shape[1:])
     flat = (ids[known][:, None] * k + np.arange(k)).ravel()
     np.add.at(grad.reshape(-1), flat, coeff.repeat(known.sum(axis=1), axis=0).ravel())
+
+
+def emission_features(tokens, i):
+    """A frozen copy of the CRF's emission-feature strings for position i
+    (0-based) of ``tokens``, in template order: the reference for
+    ``CrfModel.features`` and the training index."""
+    w = tokens[i]
+    return ["bias", f"w={w}", f"lc={w.lower()}", f"p2={w[:2]}", f"p3={w[:3]}",
+            f"s2={w[-2:]}", f"s3={w[-3:]}", f"dig={int(w.isdigit())}",
+            f"prev={tokens[i - 1] if i > 0 else '<s>'}",
+            f"next={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}"]
+
+
+def feature_index_from_corpus(docs):
+    """The CRF's training index as the strings built it: every emission
+    feature of every position of ``docs``, numbered in name order."""
+    feats = {f for doc in docs for i in range(len(doc.tokens))
+             for f in emission_features(doc.tokens, i)}
+    return {f: i for i, f in enumerate(sorted(feats))}
 
 
 def crf_log_partition(model, tokens):

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import arborescence_weight, crf_log_partition, finite_difference, has_crossing_arcs
+from helpers import (arborescence_weight, crf_log_partition, emission_features,
+                     feature_index_from_corpus, finite_difference, has_crossing_arcs)
 from oracle import (arborescence_log_z_and_marginals, best_arborescence_weight,
                     chain_log_z_marginals_and_best)
 from proptree.attention import SCORE_VARIANTS, VARIANTS, attention_weights
@@ -39,11 +40,7 @@ from proptree.joint import JointParser
 from proptree.mst import WeightedDigraph, chu_liu_edmonds
 from proptree.nn import Tape
 from proptree.pipeline import CrfModel, crf_objective, mtt_log_partition_and_marginals
-from proptree.pipeline.crf import (
-    emission_features,
-    feature_index_from_corpus,
-    tagset_from_corpus,
-)
+from proptree.pipeline.crf import tagset_from_corpus
 from proptree.synthetic import SyntheticConfig, generate_corpus
 from proptree.train import TrainConfig, train_joint, train_pipeline
 

@@ -306,6 +306,53 @@ def test_corpus_file_roundtrip(tmp_path):
         read_corpus(path)
 
 
+# Gold documents with repeats, crossing arcs and nested parents, for ``broken_forests`` to edit.
+FOREST_POOL = generate_corpus(SyntheticConfig(n_docs=40, seed=11, equivalent_rate=0.3,
+                                              nonprojective_rate=0.5))
+
+
+@st.composite
+def broken_forests(draw):
+    """A gold document after up to three edits, each of which may break the
+    gold-forest rule in one of its ways: an entity takes another's id, a
+    parent (unknown, itself, another entity or the root), a type that is not
+    a string, no mentions, or a new span, which may run past the last token
+    or share tokens with another mention."""
+    doc = draw(st.sampled_from(FOREST_POOL))
+    entities = [Entity(e.id, e.type, list(e.mentions), e.parent) for e in doc.entities]
+    for edit in draw(st.lists(st.sampled_from(["id", "parent", "type", "mentions", "span"]),
+                              max_size=3 if entities else 0)):
+        e = draw(st.sampled_from(entities))
+        if edit == "id":
+            e.id = draw(st.sampled_from(entities)).id
+        elif edit == "parent":
+            e.parent = draw(st.sampled_from([ROOT_ID, "Z", *(o.id for o in entities)]))
+        elif edit == "type":
+            e.type = 3
+        elif edit == "mentions":
+            e.mentions = []
+        else:
+            # Replaces mention i, or adds one when i is past the last.
+            i, start = draw(st.integers(0, len(e.mentions))), draw(st.integers(1, doc.n + 1))
+            e.mentions[i:i + 1] = [Mention(start, draw(st.integers(start + 1, doc.n + 2)))]
+    return Document(doc.id, doc.tokens, entities)
+
+
+@settings(max_examples=400)
+@example(repeat_doc())
+@example(crossing_doc())
+@given(broken_forests())
+def test_a_forest_that_encodes_passes_validate_gold(doc):
+    """``encode_tree_to_heads`` owns the gold-forest rule: an assignment that it
+    returns meets ``validate_gold``'s invariants, and it refuses every other
+    document with a ``ValueError``."""
+    try:
+        gold = encode_tree_to_heads(doc)
+    except ValueError:
+        return
+    gold.validate_gold()
+
+
 def entity_json(eid, start, end, parent="ROOT"):
     return {"id": eid, "type": "space", "mentions": [{"start": start, "end": end}],
             "parent": parent}

@@ -23,7 +23,8 @@ from proptree import cli, nn, pipeline
 from proptree import train as train_module
 from proptree.attention import VARIANTS, scorer_input_width
 from proptree.corpus import read_corpus, write_corpus
-from proptree.data import EQUIVALENT, PART_OF, ROOT_ID, SEGMENT, SKIP, decode_heads_to_tree
+from proptree.data import (EQUIVALENT, PART_OF, ROOT_ID, SEGMENT, SKIP, Document, Entity,
+                           Mention, decode_heads_to_tree)
 from proptree.embeddings import (
     EmbeddingTable,
     load_embeddings,
@@ -348,6 +349,36 @@ def test_training_stops_on_non_finite_values(monkeypatch):
     first = docs[np.random.default_rng(0).permutation(len(docs))[0]]
     with pytest.raises(FloatingPointError, match=f"epoch 1, document '{first.id}'"):
         train_joint(tiny_config(), docs, [])
+
+
+BROKEN_FORESTS = {
+    "cycle": Document("cyc", ["a", "b"], [Entity("A", "x", [Mention(1, 2)], "B"),
+                                          Entity("B", "x", [Mention(2, 3)], "A")]),
+    "self-parent": Document("self", ["a"], [Entity("A", "x", [Mention(1, 2)], "A")]),
+    "unknown-parent": Document("unknown", ["a"], [Entity("A", "x", [Mention(1, 2)], "Z")]),
+    "duplicate-id": Document("dup", ["a", "b"], [Entity("A", "x", [Mention(1, 2)]),
+                                                 Entity("A", "x", [Mention(2, 3)])]),
+}
+
+
+@pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt"])
+@pytest.mark.parametrize("fault", sorted(BROKEN_FORESTS))
+def test_training_rejects_a_broken_forest_with_the_corpus_readers_message(tmp_path, kind, fault):
+    """Every trainer applies the gold-forest rule that the corpus reader applies,
+    through ``encode_tree_to_heads``, and names the document as the reader does."""
+    bad, path = BROKEN_FORESTS[fault], tmp_path / "bad.jsonl"
+    write_corpus(path, [bad])
+    with pytest.raises(ValueError) as read:
+        read_corpus(path)
+    message = str(read.value).removeprefix(f"{path}:1: ")
+    assert message != str(read.value) and repr(bad.id) in message
+    docs = small_corpus(n=4) + [bad]
+    with pytest.raises(ValueError) as trained:
+        if kind == "joint":
+            train_joint(tiny_config(max_epochs=1), docs, [])
+        else:
+            train_pipeline(tiny_config(model=kind, max_epochs=1), docs)
+    assert str(trained.value) == message
 
 
 @pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt"])
@@ -1007,6 +1038,9 @@ def test_word2vec_binary_loader(tmp_path):
     # Headers that claim more than the file holds, checked before anything is allocated.
     (b"99999999999 4\n", "vector 1 of 99999999999 is cut short"),
     (b"1 99999999999\nhuis " + struct.pack("<f", 1.0), "vector 1 of 1 is cut short"),
+    # No vectors: nothing is allocated from the width, as the text reader reads none.
+    (b"0 4\n", "no vectors"),
+    (b"0 99999999999\n", "no vectors"),
     (b"3 2\nhuis " + struct.pack("<2f", 1.0, 2.0) + b"tuin ", "vector 2 of 3 is cut short"),
     # The first fault in file order is named.
     (b"2 2\nhuis " + struct.pack("<2f", 1.0, float("inf")) + b"tuin " + struct.pack("<f", 3.0),

@@ -1,5 +1,7 @@
 """Pipeline stages: CRF tagger, arc models, tree assembly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,8 +12,6 @@ from proptree.pipeline.crf import (
     CrfModel,
     FeatureTable,
     crf_objective,
-    emission_features,
-    feature_index_from_corpus,
     tagset_from_corpus,
     train_crf,
 )
@@ -35,9 +35,10 @@ from proptree.pipeline.predict import (
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 from helpers import (SparseFeatureTable, candidate_arcs, crf_forward_backward_reference,
-                     crf_log_partition, crf_reference_nll, edge_index_reference, entity_by_id,
-                     extract_edge_features, finite_difference, max_rel_err, scatter_reference,
-                     sequence_score, viterbi_reference)
+                     crf_log_partition, crf_reference_nll, edge_index_reference, emission_features,
+                     entity_by_id, extract_edge_features, feature_index_from_corpus,
+                     finite_difference, max_rel_err, scatter_reference, sequence_score,
+                     viterbi_reference)
 from oracle import arborescence_log_z_and_marginals, chain_log_z_marginals_and_best
 
 
@@ -212,9 +213,11 @@ def test_crf_names_an_unknown_tag_and_its_position():
     with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 1$"):
         table = model.features(["a"])
         model.nll_and_grad(table, model.tag_ids(["B-y"]), table.scatter(len(model.tags)))
+    # The objective names the document that holds the tag, after one that the model can score.
+    known = Document("c", ["a", "b"], [Entity("E1", "x", [Mention(1, 3)])])
     doc = Document("d", ["a", "b", "c"], [Entity("E1", "y", [Mention(2, 4)])])
-    with pytest.raises(ValueError, match=r"^unknown tag 'B-y' at position 2$"):
-        crf_objective(model, [doc], lam=0.0)
+    with pytest.raises(ValueError, match=r"^document 'd': unknown tag 'B-y' at position 2$"):
+        crf_objective(model, [known, doc], lam=0.0)
 
 
 def test_crf_rejects_empty_sequence():
@@ -536,6 +539,53 @@ def test_training_index_matches_the_string_features(docs):
     ids=["plain", "ambiguous", "nonprojective"])
 def test_training_index_matches_the_string_features_on_synthetic_corpora(config):
     check_training_cases(generate_corpus(SyntheticConfig(n_docs=30, seed=5, **config)))
+
+
+def check_crf_training_index(docs):
+    """``train_crf`` numbers the emission features that some training position
+    has in name order, as the string reference does, and it trains on the
+    tables that ``CrfModel.features`` builds over that index."""
+    with mock.patch("proptree.pipeline.crf.fit") as fit:
+        model = train_crf(docs, lam=1.0, epochs=1, lr=0.1, seed=0)
+    assert list(model.feature_index.items()) == list(feature_index_from_corpus(docs).items())
+    cases = fit.call_args.args[1]
+    assert len(cases) == len(docs)
+    for doc, (table, y, _) in zip(docs, cases):
+        want = model.features(doc.tokens).slots
+        assert table.slots.dtype == want.dtype and table.slots.flags.c_contiguous
+        assert np.array_equal(table.slots, want)
+        assert y.tolist() == [model.tag_index[t] for t in bio_encode(doc)]
+
+
+@st.composite
+def crf_corpora(draw):
+    """One to four documents over a few words, the literal <s> and </s> among
+    them, each with single-mention entities of two types on random spans."""
+    docs = []
+    for d in range(draw(st.integers(1, 4))):
+        tokens = draw(st.lists(st.sampled_from(["a", "Ab", "12", "<s>", "</s>"]), min_size=1, max_size=6))
+        entities, t = [], 1
+        while t <= len(tokens):
+            width = draw(st.integers(0, 2))
+            if width and t + width <= len(tokens) + 1:
+                entities.append(Entity(f"E{t}", draw(st.sampled_from(["x", "y"])), [Mention(t, t + width)]))
+            t += max(width, 1)
+        docs.append(Document(f"d{d}", tokens, entities))
+    return docs
+
+
+# A one-token document, a token seen only first and one seen only last (their
+# next= and prev= are recorded but on no position), and the literal <s> and </s>.
+@example([Document("one", ["solo"], []),
+          Document("ends", ["top", "a", "last"], [Entity("E1", "x", [Mention(2, 4)])]),
+          Document("marks", ["<s>", "a", "</s>"], [])])
+@given(crf_corpora())
+def test_crf_training_index_matches_the_string_features(docs):
+    check_crf_training_index(docs)
+
+
+def test_crf_training_index_matches_the_string_features_on_a_synthetic_corpus():
+    check_crf_training_index(generate_corpus(SyntheticConfig(n_docs=30, seed=5, ambiguous=True)))
 
 
 def test_training_tables_have_no_empty_slot():

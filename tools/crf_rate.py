@@ -2,7 +2,8 @@
 
 Each run is a fresh ``python`` whose ``PYTHONPATH`` is SRC.  It rebuilds the
 pipeline benchmark's training ads (``training_ads``), builds a CRF over them
-with weights drawn from a fixed seed, and times:
+through ``train_crf`` with no epochs, draws its weights from a fixed seed,
+and times:
 
 - ``CrfModel._forward_backward`` over every ad's emissions, ``repeats``
   times, as microseconds per document;
@@ -47,10 +48,11 @@ def child(ads: int, epochs: int, repeats: int) -> None:
     import time
 
     import numpy as np
-    from proptree.pipeline.crf import CrfModel, feature_index_from_corpus, tagset_from_corpus, train_crf
+    from proptree.pipeline.crf import train_crf
 
     docs = training_ads(ads)
-    model = CrfModel(tagset_from_corpus(docs), feature_index_from_corpus(docs))
+    # No epochs: the model that training builds over these ads, with its index.
+    model = train_crf(docs, lam=10.0, epochs=0, lr=0.05, seed=0)
     rng = np.random.default_rng(0)
     model.w_emit.data[:] = rng.normal(size=model.w_emit.shape)
     model.w_trans.data[:] = rng.normal(size=model.w_trans.shape)
