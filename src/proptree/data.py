@@ -132,10 +132,12 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
 
     The one owner of the gold-forest rule, which the corpus reader and both
     trainers apply through it.  It raises ``ValueError`` naming the document,
-    in this order: for duplicate entity ids; for each entity in turn, a type
-    that is neither a string nor None, no mentions, or an unknown parent; for
-    parent links that form a cycle (a self-parent included); then, while
-    encoding, for a mention past the last token or a token in two mentions.
+    in this order: for duplicate entity ids; for an entity id ``ROOT``, the
+    name that a parent uses for the document root; for each entity in turn,
+    a type that is neither a string nor None, no mentions, or an unknown
+    parent; for parent links that form a cycle (a self-parent included);
+    then, while encoding, for a mention past the last token or a token in
+    two mentions.
     An assignment it returns passes ``validate_gold``."""
     n = doc.n
     heads = list(range(1, n + 1))
@@ -149,6 +151,8 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
     parents = {e.id: e.parent for e in doc.entities}
     if len(parents) != len(doc.entities):
         raise ValueError(f"document {doc.id!r}: duplicate entity ids")
+    if ROOT_ID in parents:
+        raise ValueError(f"document {doc.id!r}: entity id {ROOT_ID!r} names the document root")
     for e in doc.entities:
         if not (e.type is None or isinstance(e.type, str)):
             raise ValueError(f"document {doc.id!r}: entity {e.id!r} has type {e.type!r}, not a string")

@@ -22,6 +22,7 @@ from .attention import READERS, augment, make_attention, scorer_input_width
 from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
+from .nn.autodiff import pair_scores, softmax_in_place
 
 N_LABELS = 4
 
@@ -49,6 +50,13 @@ class LabelScorer:
             for k in range(N_LABELS)
         ], axis=2)
 
+    def score_into(self, dependents: np.ndarray, heads: np.ndarray, out: np.ndarray) -> None:
+        """``score_matrix`` on plain arrays, written into the (R, C, 4) array
+        ``out`` by the same products and kernel; nothing is taped."""
+        for k in range(N_LABELS):
+            pair_scores(dependents @ self.w[k].data.T, heads @ self.u[k].data.T,
+                        self.b[k].data, self.v[k].data, out[:, :, k], False)
+
 
 class JointDistribution:
     """P[i][j][k] per dependent i >= 1; row 0 (the root) is all zeros."""
@@ -65,22 +73,28 @@ class JointDistribution:
         return TokenHeadAssignment((flat // N_LABELS).tolist(), (flat % N_LABELS).tolist())
 
 
-def distribution_rows(scorer: LabelScorer, states: nn.Tensor) -> nn.Tensor:
+def distribution_rows(scorer: LabelScorer, states: nn.Tensor,
+                      p: np.ndarray | None = None) -> nn.Tensor | None:
     """(N, (N+1)*4) per-dependent joint score rows, over [head j, label k].
 
     Only the dependents states[1:] are scored; the root is never one.  A
     row's softmax is that dependent's joint distribution.
+
+    Given ``p``, an (N+1, N+1, 4) array, with no tape active, the
+    distribution is written into ``p`` instead and nothing is returned: row 0
+    is zeroed, the scores go straight into p[1:] (``LabelScorer.score_into``)
+    and each row is normalized there in place (``softmax_in_place``), so no
+    other array of p's size is made.  These are the values and operations,
+    in the same order, of the returned rows' ``nn.softmax``.
     """
     m_pos = states.shape[0]
-    scores = scorer.score_matrix(nn.narrow(states, 0, 1, m_pos), states)
-    return nn.reshape(scores, (m_pos - 1, m_pos * N_LABELS))
-
-
-def rows_to_distribution(rows: nn.Tensor) -> JointDistribution:
-    n = rows.shape[0]
-    p = np.zeros((n + 1, n + 1, N_LABELS))
-    p[1:] = nn.softmax(rows, axis=1).data.reshape(n, n + 1, N_LABELS)
-    return JointDistribution(p)
+    if p is None:
+        scores = scorer.score_matrix(nn.narrow(states, 0, 1, m_pos), states)
+        return nn.reshape(scores, (m_pos - 1, m_pos * N_LABELS))
+    p[0] = 0.0
+    scorer.score_into(states.data[1:], states.data, p[1:])
+    softmax_in_place(p[1:].reshape(m_pos - 1, m_pos * N_LABELS), 1)
+    return None
 
 
 def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
@@ -124,7 +138,10 @@ class JointParser:
         return distribution_rows(self.scorer, augment(states, self.attention))
 
     def distribution(self, tokens: list[str]) -> JointDistribution:
-        return rows_to_distribution(self.forward_rows(tokens))
+        states = augment(self.encoder.encode(tokens), self.attention)
+        p = np.empty((states.shape[0], states.shape[0], N_LABELS))
+        distribution_rows(self.scorer, states, p)
+        return JointDistribution(p)
 
     def loss(self, tokens: list[str], gold: TokenHeadAssignment,
              rng: np.random.Generator | None = None) -> nn.Tensor:

@@ -242,19 +242,44 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     return _record(out, (x, wx, wh, b), bwd)
 
 
-# Rows per block in ``pair_mlp``: one (block, C, l) buffer is added to,
+# Rows per block in ``pair_scores``: one (block, C, l) buffer is added to,
 # squashed and reduced while it is still in cache.
 PAIR_BLOCK = 16
+
+
+def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray,
+                out: np.ndarray, keep: bool) -> np.ndarray:
+    """Writes out[r, c] = v . tanh((rows[r] + cols[c]) + b) on plain arrays.
+
+    ``out`` is any (R, C) array, a strided view too.  The rows are added and
+    squashed PAIR_BLOCK at a time in place in one (block, C, l) buffer.  With
+    ``keep`` the buffer is one (R, C, l) array that keeps every tanh value,
+    and it is returned.
+    """
+    l = v.shape[0]
+    n_rows, n_cols = rows.shape[0], cols.shape[0]
+    y = np.empty((n_rows if keep else min(PAIR_BLOCK, n_rows), n_cols, l))
+    # cols[c] + rows[r] equals rows[r] + cols[c] exactly.  Copying cols and
+    # adding b as whole (C, l) slabs is faster than broadcasting along l.
+    b_cols = np.empty((n_cols, l))
+    b_cols[...] = b
+    for r0 in range(0, n_rows, PAIR_BLOCK):
+        r1 = min(r0 + PAIR_BLOCK, n_rows)
+        blk = y[r0:r1] if keep else y[:r1 - r0]
+        blk[...] = cols
+        blk += rows[r0:r1, None, :]
+        blk += b_cols
+        np.tanh(blk, out=blk)
+        out[r0:r1] = (blk.reshape(-1, l) @ v).reshape(r1 - r0, n_cols)
+    return y
 
 
 def pair_mlp(rows: Tensor, cols: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """Pairwise one-layer MLP scores, recorded as a single op.
 
     ``rows`` is (R, l), ``cols`` (C, l), ``b`` and ``v`` (l,).  Returns the
-    (R, C) matrix out[r, c] = v . tanh((rows[r] + cols[c]) + b).
-
-    The forward pass adds and squashes PAIR_BLOCK rows at a time in place in
-    one (block, C, l) buffer; with no tape active nothing else is kept.  With
+    (R, C) matrix out[r, c] = v . tanh((rows[r] + cols[c]) + b), computed by
+    ``pair_scores``: with no tape active nothing but the output is kept.  With
     a tape the tanh values y are kept, one (R, C, l) array, and the backward
     pass reads 1 - y^2 from them instead of recomputing tanh.
     """
@@ -266,20 +291,8 @@ def pair_mlp(rows: Tensor, cols: Tensor, b: Tensor, v: Tensor) -> Tensor:
                          f"for b {bd.shape} and v {vd.shape}")
     n_rows, n_cols = rd.shape[0], cd.shape[0]
     taped = bool(_ACTIVE_TAPES)
-    y = np.empty((n_rows if taped else min(PAIR_BLOCK, n_rows), n_cols, l))
     out = np.empty((n_rows, n_cols))
-    # cols[c] + rows[r] equals rows[r] + cols[c] exactly.  Copying cols and
-    # adding b as whole (C, l) slabs is faster than broadcasting along l.
-    b_cols = np.empty((n_cols, l))
-    b_cols[...] = bd
-    for r0 in range(0, n_rows, PAIR_BLOCK):
-        r1 = min(r0 + PAIR_BLOCK, n_rows)
-        blk = y[r0:r1] if taped else y[:r1 - r0]
-        blk[...] = cd
-        blk += rd[r0:r1, None, :]
-        blk += b_cols
-        np.tanh(blk, out=blk)
-        out[r0:r1] = (blk.reshape(-1, l) @ vd).reshape(r1 - r0, n_cols)
+    y = pair_scores(rd, cd, bd, vd, out, taped)
     if not taped:
         return Tensor(out)
 
@@ -343,11 +356,17 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; rows sum to 1."""
-    y = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax_in_place(y: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of ``y`` along ``axis``, written over ``y``."""
+    y -= y.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Max-shifted softmax along ``axis``; rows sum to 1."""
+    y = softmax_in_place(a.data.copy(order="K"), axis)
     out = Tensor(y)
 
     def bwd(g):

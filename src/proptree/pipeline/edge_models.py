@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..data import Document, Entity
+from ..data import ROOT_ID, Document, Entity, encode_tree_to_heads
 from ..nn import Adam, Module, Tensor
 from ..nn.optim import fit
 from .crf import FeatureTable, Recorder
@@ -204,11 +204,13 @@ def _training_cases(docs: list[Document]) -> tuple[dict[str, int], list]:
     some arc has, numbered in name order (``Recorder.renumber``).  A table
     keeps only the slots where some arc has a known id: the recording index
     gives every distinct token a ``btw=`` slot, which stays empty when the
-    token lies between no two spans."""
+    token lies between no two spans.  Each document must keep the gold-forest
+    rule: ``encode_tree_to_heads`` raises its ``ValueError`` otherwise."""
     recorder, cases = Recorder(), []
     for doc in (d for d in docs if d.entities):
-        node = {e.id: i for i, e in enumerate(doc.entities, start=1)}
-        parents = np.array([node.get(e.parent, 0) for e in doc.entities])
+        encode_tree_to_heads(doc)
+        node = {ROOT_ID: 0} | {e.id: i for i, e in enumerate(doc.entities, start=1)}
+        parents = np.array([node[e.parent] for e in doc.entities])
         table = arc_features(doc.entities, doc.tokens, recorder)
         cases.append((table, table.heads == parents[table.children - 1]))
     index, tables = recorder.renumber([table.feats for table, _ in cases])

@@ -485,6 +485,32 @@ def lstm_sequence_reference(x, wx, wh, b, g, reverse=False):
             (dx[::-1] if reverse else dx, dZ.T @ xs, dZ.T @ H[:-1], dZ.sum(axis=0)))
 
 
+def distribution_reference(scorer, states):
+    """A frozen copy of the joint distribution as ``JointParser.distribution``
+    built it before it was written in place (``rows_to_distribution`` over
+    ``distribution_rows``), on plain arrays: per label the projections of
+    ``states[1:]`` and ``states``, ``pair_mlp``'s forward pass over blocks of
+    16 rows, then the (R, C, 4) stack, its rows' softmax, and a zero-filled
+    array with the root row.  Returns the (M, M, 4) array P."""
+    m_pos, n_labels = states.shape[0], len(scorer.w)
+    labels = []
+    for w, u, b, v in zip(scorer.w, scorer.u, scorer.b, scorer.v):
+        rows, cols = states[1:] @ w.data.T, states @ u.data.T
+        out = np.empty((m_pos - 1, m_pos))
+        for r0 in range(0, m_pos - 1, 16):
+            blk = cols + rows[r0:r0 + 16, None, :]
+            blk += b.data
+            out[r0:r0 + 16] = (np.tanh(blk).reshape(-1, v.shape[0]) @ v.data).reshape(-1, m_pos)
+        labels.append(out)
+    rows = np.stack(labels, axis=2).reshape(m_pos - 1, m_pos * n_labels)
+    y = rows - rows.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    p = np.zeros((m_pos, m_pos, n_labels))
+    p[1:] = y.reshape(m_pos - 1, m_pos, n_labels)
+    return p
+
+
 def bio_decode_spans_reference(tags):
     """The BIO span decoder with one branch per tag kind, each with its own
     close and open: ``O`` closes, ``B-`` closes and opens, and an ``I-``

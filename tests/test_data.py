@@ -367,6 +367,9 @@ def entity_json(eid, start, end, parent="ROOT"):
     ({"id": "c", "tokens": ["a", "b"],
       "entities": [entity_json("A", 1, 2, parent="B"), entity_json("B", 2, 3, parent="A")]},
      "parent links form a cycle through 'A'"),
+    ({"id": "r", "tokens": ["a", "b"],
+      "entities": [entity_json("ROOT", 1, 2), entity_json("E2", 2, 3)]},
+     "document 'r': entity id 'ROOT' names the document root"),
     (["x"], "expected a JSON object, got list"),
     ({"id": "t", "tokens": 5}, "'int' object is not iterable"),
 ])
@@ -376,6 +379,14 @@ def test_read_corpus_rejects_what_cannot_be_encoded_with_its_line(tmp_path, obj,
     path.write_text(f"{good}\n\n{json.dumps(obj)}\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:3: .*" + re.escape(message)):
         read_corpus(path)
+
+
+def test_an_entity_may_not_take_the_roots_name():
+    # A child that names the parent ROOT would be attached to the root.
+    doc = Document("r", ["a", "b"], [Entity("ROOT", "space", [Mention(1, 2)], ROOT_ID),
+                                     Entity("E2", "space", [Mention(2, 3)], "ROOT")])
+    with pytest.raises(ValueError, match=r"^document 'r': entity id 'ROOT' names the document root$"):
+        encode_tree_to_heads(doc)
 
 
 def test_split_corpus_partitions_without_overlap():

@@ -23,3 +23,14 @@ def test_two_runs_print_the_same_digests(capsys):
     assert sum(line[1] == "losses" for line in lines) == 1
     assert sum(line[1] == "predict" for line in lines) == exact.ADS - exact.TRAIN - exact.DEV
     assert all(len(line[-1]) == 64 for line in lines)
+
+
+def test_joint_runs_print_a_distribution_digest_per_document(capsys):
+    assert exact.main(["exact.py", str(ROOT / "src")], kinds=("joint",), seeds=(1,)) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    runs = {line[0] for line in lines}
+    assert len(runs) == 7  # no attention and each of the six variants
+    for run in runs:
+        kinds = [line[1] for line in lines if line[0] == run]
+        documents = exact.ADS - exact.TRAIN - exact.DEV
+        assert kinds.count("distribution") == kinds.count("predict") == documents

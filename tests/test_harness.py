@@ -361,11 +361,13 @@ BROKEN_FORESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt"])
+@pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt",
+                                  "train_ltm", "train_mtt"])
 @pytest.mark.parametrize("fault", sorted(BROKEN_FORESTS))
 def test_training_rejects_a_broken_forest_with_the_corpus_readers_message(tmp_path, kind, fault):
     """Every trainer applies the gold-forest rule that the corpus reader applies,
-    through ``encode_tree_to_heads``, and names the document as the reader does."""
+    through ``encode_tree_to_heads``, and names the document as the reader does;
+    so do the edge-model trainers when they are called directly."""
     bad, path = BROKEN_FORESTS[fault], tmp_path / "bad.jsonl"
     write_corpus(path, [bad])
     with pytest.raises(ValueError) as read:
@@ -376,8 +378,10 @@ def test_training_rejects_a_broken_forest_with_the_corpus_readers_message(tmp_pa
     with pytest.raises(ValueError) as trained:
         if kind == "joint":
             train_joint(tiny_config(max_epochs=1), docs, [])
-        else:
+        elif kind.startswith("pipeline"):
             train_pipeline(tiny_config(model=kind, max_epochs=1), docs)
+        else:
+            getattr(edge_models, kind)(docs, epochs=1, lr=0.05, seed=0)
     assert str(trained.value) == message
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from proptree import nn
+from proptree.attention import VARIANTS, augment
 from proptree.data import PART_OF, SEGMENT, SKIP, TokenHeadAssignment
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import (
@@ -16,12 +17,11 @@ from proptree.joint import (
     LabelScorer,
     distribution_rows,
     loss_from_rows,
-    rows_to_distribution,
 )
 from proptree.mst import is_tree, repair
 from proptree.train import JointRunner, TrainConfig
 
-from helpers import finite_difference, max_rel_err
+from helpers import distribution_reference, finite_difference, max_rel_err
 
 
 def scorer_and_states(m=6, l=3, positions=4, seed=0):
@@ -62,15 +62,24 @@ def test_score_triple_matches_formula():
         assert full[2, 1, k] == pytest.approx(score_formula(scorer, h_j, h_i, k))
 
 
+def filled_distribution(scorer, states) -> JointDistribution:
+    """The distribution that ``distribution_rows`` writes into a buffer."""
+    p = np.full((len(states), len(states), N_LABELS), np.nan)
+    assert distribution_rows(scorer, nn.Tensor(states), p) is None
+    return JointDistribution(p)
+
+
 def test_distribution_rows_normalize():
     scorer, states = scorer_and_states(positions=5)
     rows = distribution_rows(scorer, nn.Tensor(states))
     assert rows.shape == (4, 20)
     assert np.allclose(nn.softmax(rows, axis=1).data.sum(axis=1), 1.0, atol=1e-12)
-    dist = rows_to_distribution(rows)
+    dist = filled_distribution(scorer, states)
     assert dist.n == 4
     assert np.all(dist.p[0] == 0.0)
     assert np.allclose(dist.p[1:].reshape(4, -1).sum(axis=1), 1.0, atol=1e-12)
+    # the buffer holds the rows' softmax, bit for bit
+    assert dist.p[1:].reshape(4, -1).tobytes() == nn.softmax(rows, axis=1).data.tobytes()
 
 
 def test_greedy_prefers_smallest_head_then_label_on_ties():
@@ -220,7 +229,7 @@ def test_distribution_matches_composed_reference(m_pos):
     for b in scorer.b:
         b.data[:] = np.random.default_rng(1).normal(size=5)
     states = np.random.default_rng(m_pos).normal(size=(m_pos, 12))
-    got = rows_to_distribution(distribution_rows(scorer, nn.Tensor(states))).p
+    got = filled_distribution(scorer, states).p
     assert np.max(np.abs(got - reference_distribution(scorer, states).p)) <= 1e-12
 
 
@@ -234,6 +243,30 @@ def test_predict_doc_matches_composed_reference_on_edge_documents(tokens):
     assert np.max(np.abs(model.distribution(tokens).p - ref.p)) <= 1e-12
     greedy = ref.greedy()
     assert runner.predict_doc(tokens) == (repair(ref, greedy), is_tree(greedy))
+
+
+@pytest.mark.parametrize("model, attention", [("joint", None), *(("joint", v) for v in VARIANTS),
+                                              ("joint-2layer", None)])
+def test_distribution_is_the_frozen_reference_byte_for_byte(model, attention):
+    """The in-place distribution holds the bytes that the stacked rows' softmax
+    held, at lengths on both sides of PAIR_BLOCK (16 rows), and ``predict_doc``
+    decodes it as it decoded the reference."""
+    vocab = [f"w{i}" for i in range(30)]
+    table = EmbeddingTable.random(vocab, 6, seed=0)
+    config = TrainConfig(model=model, attention=attention, d=6, l=5, seed=3)
+    runner = JointRunner(JointParser(table, config))
+    parser = runner.model
+    for b in parser.scorer.b:
+        b.data[:] = np.random.default_rng(1).normal(size=5)
+    rng = np.random.default_rng(2)
+    for n in (1, 15, 16, 17, 32, 33, 210):
+        tokens = [vocab[i] for i in rng.integers(0, len(vocab), n)]
+        states = augment(parser.encoder.encode(tokens), parser.attention).data
+        ref = JointDistribution(distribution_reference(parser.scorer, states))
+        assert parser.distribution(tokens).p.tobytes() == ref.p.tobytes()
+        greedy = ref.greedy()
+        assert runner.predict_doc(tokens) == ((greedy, True) if is_tree(greedy)
+                                              else (repair(ref, greedy), False))
 
 
 def test_predict_doc_keeps_greedy_trees_through_log_ties():
@@ -302,3 +335,25 @@ def test_scorer_memory_at_longest_benchmark_document(taped):
     else:
         # row blocks only: never one whole pair tensor
         assert peak < pair_tensor / 2
+
+
+def test_predict_doc_memory_on_a_long_document():
+    """``predict_doc`` keeps one (n+1, n+1, 4) distribution and makes no other
+    array of its size: its peak is at most 1.5 times that array, plus the
+    repair graph's arrays of about 7 k^2 floats, where k counts the root and
+    the greedy output's non-skip tokens (3.0 times before the distribution
+    was written in place)."""
+    vocab = [f"w{i}" for i in range(50)]
+    tokens = [vocab[i] for i in np.random.default_rng(0).integers(0, len(vocab), 875)]
+    table = EmbeddingTable.random(vocab, 4, seed=0)
+    runner = JointRunner(JointParser(table, TrainConfig(d=4, l=3, seed=1)))
+    k = 1 + sum(label != SKIP for label in runner.model.distribution(tokens).greedy().labels)
+    distribution = (len(tokens) + 1) ** 2 * N_LABELS * 8
+    tracemalloc.start()
+    try:
+        _, was_tree = runner.predict_doc(tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not was_tree  # an untrained model's greedy output is repaired
+    assert peak <= 1.5 * distribution + 7 * k * k * 8

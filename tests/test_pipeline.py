@@ -1,5 +1,7 @@
 """Pipeline stages: CRF tagger, arc models, tree assembly."""
 
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from proptree.data import ROOT_ID, Document, Entity, Mention, bio_encode
+from proptree.data import ROOT_ID, Document, Entity, Mention, bio_encode, encode_tree_to_heads
 from proptree.pipeline.crf import (
     CrfModel,
     FeatureTable,
@@ -506,7 +508,15 @@ def test_arc_table_matches_the_string_features(layout):
 def check_training_cases(docs):
     """``_training_cases`` numbers the features that some candidate arc has
     in name order, as the string reference does, and its tables are
-    ``arc_features`` over that index."""
+    ``arc_features`` over that index.  A corpus with a broken forest raises
+    the message that ``encode_tree_to_heads`` gives its first such document."""
+    for doc in docs:
+        try:
+            encode_tree_to_heads(doc)
+        except ValueError as broken:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(broken))}$"):
+                _training_cases(docs)
+            return
     index, cases = _training_cases(docs)
     assert list(index.items()) == list(edge_index_reference(docs).items())
     with_entities = [doc for doc in docs if doc.entities]
@@ -520,16 +530,35 @@ def check_training_cases(docs):
                               (feats.ids, want_feats.ids), (feats.rows, want_feats.rows)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert feats.n == want_feats.n
-        ids = {e.id for e in doc.entities}
-        assert gold.tolist() == [getattr(parent, "id", None) == (child.parent if child.parent in ids
-                                                                 else None)
+        assert gold.tolist() == [getattr(parent, "id", ROOT_ID) == child.parent
                                  for _, _, parent, child in candidate_arcs(doc.entities)]
 
 
+@st.composite
+def training_corpora(draw):
+    """One to three gold forests from ``entity_layouts``: an entity whose
+    mentions would share a token with an earlier one's is left out, and each
+    parent is the root or an earlier entity."""
+    docs = []
+    for i in range(draw(st.integers(1, 3))):
+        tokens, entities = draw(entity_layouts())
+        kept, used = [], set()
+        for e in entities:
+            span = [t for m in e.mentions for t in range(m.start, m.end)]
+            if used.isdisjoint(span) and len(set(span)) == len(span):
+                used.update(span)
+                parent = draw(st.sampled_from([ROOT_ID] + [k.id for k in kept]))
+                kept.append(replace(e, parent=parent))
+        docs.append(Document(f"d{i}", tokens, kept))
+    return docs
+
+
+# REPEATS' E3 overlaps E2, and "Z" is no entity's id: both corpora are refused.
 @example(docs=[Document("d0", REPEATS[0], REPEATS[1])])
-@given(st.lists(entity_layouts(), min_size=1, max_size=3).map(
-    lambda layouts: [Document(f"d{i}", tokens, entities)
-                     for i, (tokens, entities) in enumerate(layouts)]))
+@example(docs=[Document("d0", REPEATS[0], REPEATS[1][:2]),
+               Document("d1", ["a"], [Entity("A", "x", [Mention(1, 2)], "Z")])])
+@example(docs=[Document("d0", REPEATS[0], REPEATS[1][:2])])
+@given(training_corpora())
 def test_training_index_matches_the_string_features(docs):
     check_training_cases(docs + [Document("empty", ["a"], [])])
 

@@ -8,7 +8,9 @@ and predicts 8 more ads.  For each run it prints one line per digest of:
 - each trained parameter's bytes;
 - each member of the saved checkpoint;
 - the epoch losses, as float hex;
-- each document's predicted heads, labels and was-tree flag.
+- each document's predicted heads, labels and was-tree flag;
+- for the joint kinds, each document's ``JointDistribution.p``, so that a
+  1-ulp change that flips no decision still shows.
 
 Two trees train and predict byte for byte alike when their outputs are equal:
 
@@ -70,6 +72,9 @@ def child(kinds: list[str], seeds: list[int]) -> None:
                     assignment, was_tree = runner.predict_doc(doc.tokens)
                     out = json.dumps([assignment.heads, assignment.labels, was_tree])
                     print(run, "predict", doc.id, sha(out.encode()))
+                    if joint:
+                        p = runner.model.distribution(doc.tokens).p
+                        print(run, "distribution", doc.id, sha(p.tobytes()))
 
 
 def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS) -> int:
