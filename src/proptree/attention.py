@@ -29,8 +29,10 @@ class AdditiveAttention(nn.Module):
         self.b = nn.zeros_param((l,))
 
     def scores(self, encoded: nn.Tensor) -> nn.Tensor:
-        return nn.pair_mlp(nn.matmul(encoded, nn.transpose(self.u)),
-                           nn.matmul(encoded, nn.transpose(self.w)), self.b, self.v)
+        """One ``nn.pair_mlp`` head: u projects the rows j, w the columns i."""
+        m = encoded.shape[0]
+        return nn.pair_mlp(encoded, encoded, [(self.u, self.w, self.b, self.v)],
+                           np.empty((m, m, 1)))
 
 
 class BilinearAttention(nn.Module):

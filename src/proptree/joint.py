@@ -22,7 +22,7 @@ from .attention import READERS, augment, make_attention, scorer_input_width
 from .data import TokenHeadAssignment
 from .embeddings import EmbeddingTable
 from .encoder import Encoder
-from .nn.autodiff import pair_scores, softmax_in_place
+from .nn.autodiff import softmax_in_place
 
 N_LABELS = 4
 
@@ -41,21 +41,6 @@ class LabelScorer:
     def params_named(self, prefix: str = "") -> dict[str, nn.Tensor]:
         return {f"{prefix}{base}{k}": getattr(self, base)[k]
                 for k in range(N_LABELS) for base in ("u", "w", "v", "b")}
-
-    def score_matrix(self, dependents: nn.Tensor, heads: nn.Tensor) -> nn.Tensor:
-        """(R, C, 4) scores; axes are [dependent i, head j, label k]."""
-        return nn.stack([
-            nn.pair_mlp(nn.matmul(dependents, nn.transpose(self.w[k])),
-                        nn.matmul(heads, nn.transpose(self.u[k])), self.b[k], self.v[k])
-            for k in range(N_LABELS)
-        ], axis=2)
-
-    def score_into(self, dependents: np.ndarray, heads: np.ndarray, out: np.ndarray) -> None:
-        """``score_matrix`` on plain arrays, written into the (R, C, 4) array
-        ``out`` by the same products and kernel; nothing is taped."""
-        for k in range(N_LABELS):
-            pair_scores(dependents @ self.w[k].data.T, heads @ self.u[k].data.T,
-                        self.b[k].data, self.v[k].data, out[:, :, k], False)
 
 
 class JointDistribution:
@@ -78,22 +63,25 @@ def distribution_rows(scorer: LabelScorer, states: nn.Tensor,
     """(N, (N+1)*4) per-dependent joint score rows, over [head j, label k].
 
     Only the dependents states[1:] are scored; the root is never one.  A
-    row's softmax is that dependent's joint distribution.
+    row's softmax is that dependent's joint distribution.  One ``nn.pair_mlp``
+    op scores all four labels, with the dependents as rows and every
+    position as a head.
 
     Given ``p``, an (N+1, N+1, 4) array, with no tape active, the
     distribution is written into ``p`` instead and nothing is returned: row 0
-    is zeroed, the scores go straight into p[1:] (``LabelScorer.score_into``)
-    and each row is normalized there in place (``softmax_in_place``), so no
-    other array of p's size is made.  These are the values and operations,
-    in the same order, of the returned rows' ``nn.softmax``.
+    is zeroed, the scores go straight into p[1:] and each row is normalized
+    there in place (``softmax_in_place``), so no other array of p's size is
+    made.  These are the values and operations, in the same order, of the
+    returned rows' ``nn.softmax``.
     """
     m_pos = states.shape[0]
+    out = np.empty((m_pos - 1, m_pos, N_LABELS)) if p is None else p[1:]
+    rows = nn.pair_mlp(nn.narrow(states, 0, 1, m_pos), states,
+                       list(zip(scorer.w, scorer.u, scorer.b, scorer.v)), out)
     if p is None:
-        scores = scorer.score_matrix(nn.narrow(states, 0, 1, m_pos), states)
-        return nn.reshape(scores, (m_pos - 1, m_pos * N_LABELS))
+        return rows
     p[0] = 0.0
-    scorer.score_into(states.data[1:], states.data, p[1:])
-    softmax_in_place(p[1:].reshape(m_pos - 1, m_pos * N_LABELS), 1)
+    softmax_in_place(rows.data, 1)
     return None
 
 

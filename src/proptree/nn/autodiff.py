@@ -248,13 +248,13 @@ PAIR_BLOCK = 16
 
 
 def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray,
-                out: np.ndarray, keep: bool) -> np.ndarray:
+                out: np.ndarray, keep: bool) -> np.ndarray | None:
     """Writes out[r, c] = v . tanh((rows[r] + cols[c]) + b) on plain arrays.
 
     ``out`` is any (R, C) array, a strided view too.  The rows are added and
     squashed PAIR_BLOCK at a time in place in one (block, C, l) buffer.  With
     ``keep`` the buffer is one (R, C, l) array that keeps every tanh value,
-    and it is returned.
+    and it is returned; otherwise None is.
     """
     l = v.shape[0]
     n_rows, n_cols = rows.shape[0], cols.shape[0]
@@ -271,52 +271,71 @@ def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray
         blk += b_cols
         np.tanh(blk, out=blk)
         out[r0:r1] = (blk.reshape(-1, l) @ v).reshape(r1 - r0, n_cols)
-    return y
+    return y if keep else None
 
 
-def pair_mlp(rows: Tensor, cols: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """Pairwise one-layer MLP scores, recorded as a single op.
+def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
+             out: np.ndarray) -> Tensor:
+    """Pairwise one-layer MLP scores under K heads, recorded as a single op.
 
-    ``rows`` is (R, l), ``cols`` (C, l), ``b`` and ``v`` (l,).  Returns the
-    (R, C) matrix out[r, c] = v . tanh((rows[r] + cols[c]) + b), computed by
-    ``pair_scores``: with no tape active nothing but the output is kept.  With
-    a tape the tanh values y are kept, one (R, C, l) array, and the backward
-    pass reads 1 - y^2 from them instead of recomputing tanh.
+    ``rows`` is (R, m) and ``cols`` (C, n); head k is ``(w, u, b, v)`` with w
+    (l, m), u (l, n), b and v (l,).  Writes
+    out[r, c, k] = v . tanh((rows[r] @ w.T + cols[c] @ u.T) + b) into the
+    (R, C, K) array ``out``, a strided view too, and returns it as (R, C*K)
+    rows.  Each head's inputs are projected once and ``pair_scores`` pairs
+    them: with no tape active nothing but ``out`` is kept.  With a tape each
+    head keeps its tanh values y, one (R, C, l) array, and the backward pass
+    reads 1 - y^2 from them instead of recomputing tanh.
+
+    The inputs are recorded as (cols, rows, w0, u0, b0, v0, ...): when rows
+    is cols, its cols gradient is added first.  The backward pass walks the
+    heads from K-1 down to 0 and sums the input gradients in that order.
+    Both orders fix the bytes of training (``tests/helpers.pair_mlp_reference``).
     """
-    rd, cd, bd, vd = rows.data, cols.data, b.data, v.data
-    l = vd.shape[0]
-    if not (rd.ndim == cd.ndim == 2 and rd.shape[1] == cd.shape[1] == l
-            and bd.shape == vd.shape == (l,)):
-        raise ValueError(f"pair_mlp: rows {rd.shape} and cols {cd.shape} must be (*, {l}) "
-                         f"for b {bd.shape} and v {vd.shape}")
-    n_rows, n_cols = rd.shape[0], cd.shape[0]
+    rd, cd = rows.data, cols.data
+    if not (rd.ndim == cd.ndim == 2 and out.shape == (len(rd), len(cd), len(heads)) and all(
+            w.shape == v.shape + rd.shape[1:] and u.shape == v.shape + cd.shape[1:]
+            and b.shape == v.shape == v.shape[:1] for w, u, b, v in heads)):
+        raise ValueError(f"pair_mlp: rows {rd.shape} and cols {cd.shape} do not fit the heads "
+                         f"{[tuple(t.shape for t in head) for head in heads]} and out {out.shape}")
+    n_rows, n_cols = out.shape[:2]
     taped = bool(_ACTIVE_TAPES)
-    out = np.empty((n_rows, n_cols))
-    y = pair_scores(rd, cd, bd, vd, out, taped)
+    ys = [pair_scores(rd @ w.data.T, cd @ u.data.T, b.data, v.data, out[:, :, k], taped)
+          for k, (w, u, b, v) in enumerate(heads)]
+    scores = Tensor(out.reshape(n_rows, n_cols * len(heads)))
     if not taped:
-        return Tensor(out)
+        return scores
 
     def bwd(g):
-        # dz = (g v) * (1 - y^2), one block of rows at a time.
-        dz = np.empty((min(PAIR_BLOCK, n_rows), n_cols, l))
-        slope = np.empty_like(dz)
-        drows = np.empty_like(rd)
-        dcols = np.zeros_like(cd)
-        dv = np.zeros(l)
-        for r0 in range(0, n_rows, PAIR_BLOCK):
-            r1 = min(r0 + PAIR_BLOCK, n_rows)
-            yb, gb = y[r0:r1], g[r0:r1]
-            d, s = dz[:r1 - r0], slope[:r1 - r0]
-            np.multiply(gb[:, :, None], vd, out=d)
-            np.multiply(yb, yb, out=s)
-            np.subtract(1.0, s, out=s)
-            d *= s
-            drows[r0:r1] = d.sum(axis=1)
-            dcols += d.sum(axis=0)
-            dv += gb.reshape(-1) @ yb.reshape(-1, l)
-        return drows, dcols, dcols.sum(axis=0), dv
+        g = g.reshape(out.shape)
+        leaf_grads = []
+        for k in range(len(heads) - 1, -1, -1):
+            (w, u, b, v), y = heads[k], ys[k]
+            # A contiguous copy of head k's g: BLAS rounds a strided gemv differently.
+            gk, l = np.ascontiguousarray(g[:, :, k]), v.shape[0]
+            # dz = (g v) * (1 - y^2), one block of rows at a time.
+            dz = np.empty((min(PAIR_BLOCK, n_rows), n_cols, l))
+            slope = np.empty_like(dz)
+            drows = np.empty((n_rows, l))
+            dcols = np.zeros((n_cols, l))
+            dv = np.zeros(l)
+            for r0 in range(0, n_rows, PAIR_BLOCK):
+                r1 = min(r0 + PAIR_BLOCK, n_rows)
+                yb, gb = y[r0:r1], gk[r0:r1]
+                d, s = dz[:r1 - r0], slope[:r1 - r0]
+                np.multiply(gb[:, :, None], v.data, out=d)
+                np.multiply(yb, yb, out=s)
+                np.subtract(1.0, s, out=s)
+                d *= s
+                drows[r0:r1] = d.sum(axis=1)
+                dcols += d.sum(axis=0)
+                dv += gb.reshape(-1) @ yb.reshape(-1, l)
+            dc_u, dr_w = dcols @ u.data, drows @ w.data
+            d_cols, d_rows = (dc_u, dr_w) if k == len(heads) - 1 else (d_cols + dc_u, d_rows + dr_w)
+            leaf_grads[:0] = ((rd.T @ drows).T, (cd.T @ dcols).T, dcols.sum(axis=0), dv)
+        return d_cols, d_rows, *leaf_grads
 
-    return _record(Tensor(out), (rows, cols, b, v), bwd)
+    return _record(scores, (cols, rows, *(t for head in heads for t in head)), bwd)
 
 
 def log_softmax_nll(scores: Tensor, idx: np.ndarray) -> Tensor:
@@ -386,15 +405,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(parts))
         )
-
-    return _record(out, tuple(parts), bwd)
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-
-    def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
 
     return _record(out, tuple(parts), bwd)
 

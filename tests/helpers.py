@@ -9,8 +9,9 @@ pipeline's earlier sparse feature table, and its earlier per-arc edge
 features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
 per step, the two training loops that ``nn.optim.fit`` replaced, the
-three-branch BIO span decoder, and the tape's backward loop that held
-every gradient until its end.
+three-branch BIO span decoder, the tape's backward loop that held
+every gradient until its end, and the per-head route of the pairwise MLP
+scores.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -509,6 +510,49 @@ def distribution_reference(scorer, states):
     p = np.zeros((m_pos, m_pos, n_labels))
     p[1:] = y.reshape(m_pos - 1, m_pos, n_labels)
     return p
+
+
+def pair_mlp_reference(rows, cols, heads, g):
+    """A frozen copy of the pairwise MLP scores as the joint scorer and
+    additive attention built them from per-head tape ops, before
+    ``nn.pair_mlp`` took every head, on plain arrays.
+
+    Per head k = (w, u, b, v): the projections ``rows @ w.T`` and
+    ``cols @ u.T``, then the pair op's forward pass over blocks of 16 rows,
+    and its backward pass from the contiguous slice ``g[:, :, k]`` (the
+    backward pass of the old stack).  The tape walked the heads from K-1
+    down to 0 and summed each input's gradients in that order, the first by
+    assignment and each later one as ``a + b``.  Returns the (R, C, K)
+    scores, the cols and rows gradients and the leaf gradients
+    [dw0, du0, db0, dv0, dw1, ...]."""
+    n_rows, n_cols = rows.shape[0], cols.shape[0]
+    scores = np.empty((n_rows, n_cols, len(heads)))
+    kept = []
+    for k, (w, u, b, v) in enumerate(heads):
+        pr, pc = rows @ w.T, cols @ u.T
+        y = np.empty((n_rows, n_cols, v.shape[0]))
+        for r0 in range(0, n_rows, 16):
+            blk = y[r0:r0 + 16]
+            blk[...] = pc + pr[r0:r0 + 16, None, :]
+            blk += b
+            np.tanh(blk, out=blk)
+            scores[r0:r0 + 16, :, k] = (blk.reshape(-1, v.shape[0]) @ v).reshape(-1, n_cols)
+        kept.append(y)
+    d_cols = d_rows = None
+    leaf = [None] * (4 * len(heads))
+    for k in range(len(heads) - 1, -1, -1):
+        (w, u, b, v), y, gk = heads[k], kept[k], np.take(g, k, axis=2)
+        dr, dc, dv = np.empty((n_rows, v.shape[0])), np.zeros((n_cols, v.shape[0])), 0.0
+        for r0 in range(0, n_rows, 16):
+            yb, gb = y[r0:r0 + 16], gk[r0:r0 + 16]
+            d = gb[:, :, None] * v * (1.0 - yb * yb)
+            dr[r0:r0 + 16] = d.sum(axis=1)
+            dc += d.sum(axis=0)
+            dv = dv + gb.reshape(-1) @ yb.reshape(-1, v.shape[0])
+        d_cols = dc @ u if d_cols is None else d_cols + dc @ u
+        d_rows = dr @ w if d_rows is None else d_rows + dr @ w
+        leaf[4 * k:4 * k + 4] = (rows.T @ dr).T, (cols.T @ dc).T, dc.sum(axis=0), dv
+    return scores, d_cols, d_rows, leaf
 
 
 def bio_decode_spans_reference(tags):

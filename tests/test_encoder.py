@@ -57,7 +57,7 @@ def test_initial_state_is_zero():
     d = 2
     direction = LstmDirection(d, d, np.random.default_rng(1))
     x = np.array([0.3, -0.7])
-    out = nn.lstm_sequence(nn.stack([nn.Tensor(x)]), direction.wx, direction.wh,
+    out = nn.lstm_sequence(nn.Tensor(x[None, :]), direction.wx, direction.wh,
                            direction.b).data[0]
     z = direction.wx.data @ x + direction.b.data
     i = 1 / (1 + np.exp(-z[:d]))

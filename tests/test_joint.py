@@ -43,23 +43,43 @@ def score_formula(scorer, h_j, h_i, k):
         scorer.u[k].data @ h_j + scorer.w[k].data @ h_i + scorer.b[k].data)
 
 
-def test_score_matrix_matches_per_triple_scores():
+def scored_triples(scorer, states):
+    """The scores that ``distribution_rows`` gives, as (i - 1, j, k) for
+    dependent i >= 1, head j and label k."""
+    rows = distribution_rows(scorer, nn.Tensor(states)).data
+    return rows.reshape(len(states) - 1, len(states), N_LABELS)
+
+
+def test_distribution_rows_match_per_triple_scores():
     scorer, states = scorer_and_states()
-    full = scorer.score_matrix(nn.Tensor(states), nn.Tensor(states)).data
-    assert full.shape == (4, 4, 4)
-    for i in range(4):
+    full = scored_triples(scorer, states)
+    assert full.shape == (3, 4, 4)
+    for i in range(1, 4):
         for j in range(4):
             for k in range(4):
                 one = score_formula(scorer, states[j], states[i], k)
-                assert full[i, j, k] == pytest.approx(one)
+                assert full[i - 1, j, k] == pytest.approx(one)
 
 
 def test_score_triple_matches_formula():
     scorer, states = scorer_and_states()
     h_j, h_i = states[1], states[2]
-    full = scorer.score_matrix(nn.Tensor(states), nn.Tensor(states)).data
+    full = scored_triples(scorer, states)
     for k in range(4):
-        assert full[2, 1, k] == pytest.approx(score_formula(scorer, h_j, h_i, k))
+        assert full[1, 1, k] == pytest.approx(score_formula(scorer, h_j, h_i, k))
+
+
+@pytest.mark.parametrize("attention, records", [(None, 8), ("additive", 12)])
+def test_a_training_step_tapes_one_scorer_op(attention, records):
+    """One ``JointParser.loss`` step with dropout: the four labels are one
+    ``nn.pair_mlp`` record beside the ``narrow`` of the dependents, and
+    additive attention is one more."""
+    table = EmbeddingTable.random(["a", "b", "c"], 4, seed=0)
+    parser = JointParser(table, TrainConfig(d=4, l=3, attention=attention, seed=1))
+    gold = TokenHeadAssignment([0, 1, 3], [PART_OF, SEGMENT, SKIP])
+    with nn.Tape() as tape:
+        parser.loss(["a", "c", "b"], gold, rng=np.random.default_rng(0))
+    assert len(tape) == records
 
 
 def filled_distribution(scorer, states) -> JointDistribution:

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import array_shapes
 from proptree import nn
 from proptree.nn import Tape, Tensor
 
-from helpers import (adam_step_reference, finite_difference, max_rel_err, sigmoid,
-                     tape_backward_reference)
+from helpers import (adam_step_reference, finite_difference, max_rel_err, pair_mlp_reference,
+                     sigmoid, tape_backward_reference)
 
 TOL = 1e-4
 
@@ -132,8 +132,7 @@ def test_shape_op_grads():
         t = nn.transpose(tb)  # (4, 3)
         piece = nn.narrow(flat, 1, 2, 6)  # (3, 4)
         joined = nn.concat([piece, nn.transpose(t)], axis=1)  # (3, 8)
-        stacked = nn.stack([joined, joined], axis=0)
-        return nn.reduce_sum(nn.tanh(stacked))
+        return nn.reduce_sum(nn.tanh(joined))
 
     assert_grads_match(build, a, b)
 
@@ -218,7 +217,7 @@ def test_grads_accumulate_across_tapes():
     assert x.grad == pytest.approx(0.0)
 
 
-GRAPH_OPS = ("matmul", "add", "tanh", "concat", "stack", "transpose")
+GRAPH_OPS = ("matmul", "add", "tanh", "concat", "transpose")
 
 
 def random_graph(leaf_arrays, plan, shared):
@@ -231,7 +230,6 @@ def random_graph(leaf_arrays, plan, shared):
     values = list(leaves)
     fits = {"matmul": lambda a, b: a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0],
             "add": lambda a, b: a.shape == b.shape,
-            "stack": lambda a, b: a.shape == b.shape,
             "concat": lambda a, b: a.ndim == b.ndim and a.shape[1:] == b.shape[1:]}
     with Tape() as tape:
         for step, (op, i, j) in enumerate(plan):
@@ -242,8 +240,8 @@ def random_graph(leaf_arrays, plan, shared):
                 values.append(nn.transpose(a))
             elif b is None:
                 values.append(nn.tanh(a))
-            elif op in ("concat", "stack"):
-                values.append(getattr(nn, op)([a, b], axis=0))
+            elif op == "concat":
+                values.append(nn.concat([a, b], axis=0))
             else:
                 values.append(getattr(nn, op)(a, b))
         loss = nn.reduce_sum(nn.tanh(values[len(leaves)]))
@@ -317,12 +315,13 @@ def test_every_primitive_returns_one_gradient_per_input():
         "lstm_sequence": lambda: nn.lstm_sequence(t(5, 3), t(8, 3), t(8, 2), t(8), reverse=True),
         "matmul": lambda: nn.matmul(t(2, 3), t(3)),
         "narrow": lambda: nn.narrow(t(3, 5), 1, 1, 4),
-        "pair_mlp": lambda: nn.pair_mlp(t(3, 4), t(2, 4), t(4), t(4)),
+        "pair_mlp": lambda: nn.pair_mlp(t(3, 4), t(2, 5), [(t(6, 4), t(6, 5), t(6), t(6)),
+                                                         (t(2, 4), t(2, 5), t(2), t(2))],
+                                        np.empty((3, 2, 2))),
         "reduce_sum": lambda: nn.reduce_sum(t(3, 4), axis=1),
         "reshape": lambda: nn.reshape(t(3, 4), (2, 6)),
         "scale": lambda: nn.scale(t(3, 4), 0.5),
         "softmax": lambda: nn.softmax(t(3, 4)),
-        "stack": lambda: nn.stack([t(3), t(3)], axis=1),
         "tanh": lambda: nn.tanh(t(3, 4)),
         "transpose": lambda: nn.transpose(t(3, 4)),
         "transpose axes=(2, 0, 1)": lambda: nn.transpose(t(2, 3, 4), (2, 0, 1)),
@@ -490,17 +489,30 @@ def test_adam_rejects_non_contiguous_parameters():
         nn.Adam([p], lr=1e-3)
 
 
-def composed_pair_mlp(rows, cols, b, v):
-    """v . tanh((rows[r] + cols[c]) + b) from elementary tape ops."""
-    (r, l), c = rows.shape, cols.shape[0]
-    pair = nn.tanh(nn.reshape(rows, (r, 1, l)) + nn.reshape(cols, (1, c, l)) + b)
-    return nn.reshape(nn.matmul(nn.reshape(pair, (r * c, l)), v), (r, c))
+def composed_pair_mlp(rows, cols, *params):
+    """v . tanh((rows[r] @ w.T + cols[c] @ u.T) + b) per head (w, u, b, v),
+    from elementary tape ops, as (R, C*K) rows."""
+    r, c = rows.shape[0], cols.shape[0]
+    scores = []
+    for w, u, b, v in zip(*[iter(params)] * 4):
+        l = v.shape[0]
+        pair = nn.tanh(nn.reshape(nn.matmul(rows, nn.transpose(w)), (r, 1, l))
+                       + nn.reshape(nn.matmul(cols, nn.transpose(u)), (1, c, l)) + b)
+        scores.append(nn.reshape(nn.matmul(nn.reshape(pair, (r * c, l)), v), (r, c, 1)))
+    return nn.reshape(nn.concat(scores, axis=2), (r, -1))
 
 
-def pair_mlp_inputs(n_rows, n_cols, l=5, seed=10):
+def pair_mlp_op(rows, cols, *params):
+    """``nn.pair_mlp`` over heads given flat as w0, u0, b0, v0, w1, ..."""
+    heads = list(zip(*[iter(params)] * 4))
+    return nn.pair_mlp(rows, cols, heads, np.empty((rows.shape[0], cols.shape[0], len(heads))))
+
+
+def pair_mlp_inputs(n_rows, n_cols, l=5, n_heads=2, m=4, n=3, seed=10):
+    """rows (R, m), cols (C, n), then per head w (l, m), u (l, n), b and v (l,)."""
     rng = np.random.default_rng(seed)
-    return [rng.normal(size=(n_rows, l)), rng.normal(size=(n_cols, l)),
-            rng.normal(size=l), rng.normal(size=l)]
+    head = [(l, m), (l, n), (l,), (l,)]
+    return [rng.normal(size=shape) for shape in [(n_rows, m), (n_cols, n)] + head * n_heads]
 
 
 def pair_mlp_value_and_grads(op, arrays, weights):
@@ -520,10 +532,10 @@ SIZES = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 40)
 @pytest.mark.parametrize("n_cols", SIZES)
 def test_pair_mlp_matches_composed_ops(n_rows, n_cols):
     arrays = pair_mlp_inputs(n_rows, n_cols)
-    weights = np.random.default_rng(11).normal(size=(n_rows, n_cols))
-    out, grads = pair_mlp_value_and_grads(nn.pair_mlp, arrays, weights)
+    weights = np.random.default_rng(11).normal(size=(n_rows, 2 * n_cols))
+    out, grads = pair_mlp_value_and_grads(pair_mlp_op, arrays, weights)
     ref_out, ref_grads = pair_mlp_value_and_grads(composed_pair_mlp, arrays, weights)
-    assert out.shape == (n_rows, n_cols)
+    assert out.shape == (n_rows, 2 * n_cols)
     assert np.max(np.abs(out - ref_out)) <= 1e-12
     for g, ref in zip(grads, ref_grads):
         assert g.shape == ref.shape
@@ -531,27 +543,100 @@ def test_pair_mlp_matches_composed_ops(n_rows, n_cols):
 
 
 def test_pair_mlp_forward_is_the_same_with_and_without_tape():
-    tensors = [Tensor(a) for a in pair_mlp_inputs(2 * BLOCK + 3, 29, l=8)]
-    untaped = nn.pair_mlp(*tensors).data
+    tensors = [Tensor(a) for a in pair_mlp_inputs(2 * BLOCK + 3, 29, l=8, n_heads=4)]
+    untaped = pair_mlp_op(*tensors).data
     with Tape() as tape:
-        taped = nn.pair_mlp(*tensors).data
+        taped = pair_mlp_op(*tensors).data
     assert len(tape) == 1
     assert np.array_equal(untaped, taped)
 
 
 def test_pair_mlp_grads():
-    def build(rows, cols, b, v):
-        return nn.reduce_sum(nn.tanh(nn.pair_mlp(rows, cols, b, v)))
+    def build(*tensors):
+        return nn.reduce_sum(nn.tanh(pair_mlp_op(*tensors)))
 
     assert_grads_match(build, *pair_mlp_inputs(BLOCK + 2, 3, l=3))
 
 
 def test_pair_mlp_shape_errors():
-    rows, cols, b, v = (Tensor(a) for a in pair_mlp_inputs(3, 4, l=5))
+    rows, cols, w, u, b, v = (Tensor(a) for a in pair_mlp_inputs(3, 4, l=5, n_heads=1))
+    out = np.empty((3, 4, 1))
+    nn.pair_mlp(rows, cols, [(w, u, b, v)], out)
     with pytest.raises(ValueError):
-        nn.pair_mlp(rows, Tensor(np.zeros((4, 6))), b, v)
+        nn.pair_mlp(rows, Tensor(np.zeros((4, 6))), [(w, u, b, v)], out)
     with pytest.raises(ValueError):
-        nn.pair_mlp(rows, cols, Tensor(np.zeros(4)), v)
+        nn.pair_mlp(rows, cols, [(w, u, Tensor(np.zeros(4)), v)], out)
+    with pytest.raises(ValueError):
+        nn.pair_mlp(rows, cols, [(u, w, b, v)], out)
+    with pytest.raises(ValueError):
+        nn.pair_mlp(rows, cols, [(w, u, b, v)] * 2, out)
+    with pytest.raises(ValueError):
+        nn.pair_mlp(Tensor(np.zeros(4)), cols, [(w, u, b, v)], out)
+
+
+def model_rows(states, n_heads):
+    """The rows as the model passes them with ``states`` as cols: additive
+    attention's (one head) are the states, the joint scorer's (four) are
+    states[1:]."""
+    return nn.narrow(states, 0, 1, len(states.data)) if n_heads > 1 else states
+
+
+def frozen_pair_inputs(n, n_heads):
+    """States (n x m for one head, (n + 1) x m for four), heads, an upstream
+    gradient G of the n x len(states) x K scores, and the frozen per-head
+    route's scores and gradients for them."""
+    rng = np.random.default_rng(1000 * n + n_heads)
+    m, l = 6, 5
+    states = Tensor(rng.normal(size=(n + (n_heads > 1), m)), requires_grad=True)
+    heads = [tuple(Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in [(l, m), (l, m), (l,), (l,)]) for _ in range(n_heads)]
+    g = rng.normal(size=(n, len(states.data), n_heads))
+    ref = pair_mlp_reference(model_rows(states, n_heads).data, states.data,
+                             [tuple(t.data for t in head) for head in heads], g)
+    return states, heads, g, ref
+
+
+PAIR_CASES = [(n, n_heads) for n in (1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3) for n_heads in (1, 4)]
+
+
+@pytest.mark.parametrize("n, n_heads", PAIR_CASES)
+def test_pair_mlp_taped_is_the_frozen_per_head_route_byte_for_byte(n, n_heads):
+    """The scores, the states' gradient and every head's leaf gradients.
+
+    The loss is sum(scores * G) + sum(states * P).  P is taped after the
+    scores, so it is the states' first gradient, and the order in which the
+    op's cols and rows gradients then join it shows in the bytes."""
+    states, heads, g, (ref, d_cols, d_rows, leaf_grads) = frozen_pair_inputs(n, n_heads)
+    prior = np.random.default_rng(n).normal(size=states.shape)
+    with Tape() as tape:
+        scores = nn.pair_mlp(model_rows(states, n_heads), states, heads, np.empty(g.shape))
+        loss = nn.reduce_sum(nn.matmul(nn.reshape(scores, (1, -1)), Tensor(g.ravel())))
+        loss = loss + nn.reduce_sum(nn.matmul(nn.reshape(states, (1, -1)), Tensor(prior.ravel())))
+    assert len(tape) == 8 + (n_heads > 1)
+    tape.backward(loss)
+    assert scores.data.tobytes() == ref.reshape(scores.shape).tobytes()
+    padded = d_rows
+    if n_heads > 1:  # ``narrow``'s backward pass pads the rows' gradient with zeros
+        padded = np.zeros_like(states.data)
+        padded[1:] = d_rows
+    assert states.grad.tobytes() == ((prior + d_cols) + padded).tobytes()
+    for leaf, grad in zip([t for head in heads for t in head], leaf_grads, strict=True):
+        assert leaf.grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("n, n_heads", PAIR_CASES)
+def test_pair_mlp_untaped_fills_a_strided_view_with_the_frozen_bytes(n, n_heads):
+    """Untaped, the scores go into a view of an (n+1, n+1, 4) array: p[1:]
+    for the scorer, and a one-label slice of it for one head."""
+    states, heads, _, (ref, *_) = frozen_pair_inputs(n, n_heads)
+    p = np.full((n + 1, n + 1, 4), np.nan)
+    out = p[1:] if n_heads > 1 else p[1:, 1:, 2:3]
+    scores = nn.pair_mlp(model_rows(states, n_heads), states, heads, out)
+    assert out.tobytes() == ref.tobytes()
+    assert scores.data.tobytes() == ref.reshape(scores.shape).tobytes()
+    assert np.isnan(p).sum() == p.size - out.size
+    if n_heads > 1:  # the returned rows are p[1:] itself
+        assert np.shares_memory(scores.data, p)
 
 
 def test_log_softmax_nll_value_and_grads():
