@@ -14,7 +14,9 @@ leaves before an optimizer step.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import os
+import threading
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -274,6 +276,57 @@ def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray
     return y if keep else None
 
 
+def split_heads_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
+    """Whether untaped ``pair_mlp`` may score half of its heads on a second
+    thread: the process may use at least two CPUs and BLAS runs one thread.
+
+    OpenBLAS takes its thread count, when it loads, from the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
+    positive number, and uses every core when none does.  A threaded BLAS
+    serves both threads' products from its own threads, and the split then
+    loses time.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return cpus >= 2 and int(value) == 1
+    return False
+
+
+# Read once, as OpenBLAS reads its variables once.
+SPLIT_HEADS = split_heads_allowed(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, os.environ)
+# Untaped ``pair_mlp`` splits its heads from this many rows on: the crossover
+# of the sweep in README "Joint scorer".  Below it, starting the thread and the
+# two threads' turns at the interpreter lock cost more than the second core saves.
+SPLIT_ROWS = 56
+
+
+def _beside(fn: Callable, there, here) -> None:
+    """Runs fn(there) on a new thread while fn(here) runs on this one.
+
+    The thread is joined before this returns, also when fn(here) raises, and
+    an exception of fn(there) is raised here.  A thread per call leaves
+    nothing behind that a forked child could inherit half-held.
+    """
+    raised = []
+
+    def work():
+        try:
+            fn(there)
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        fn(here)
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
+
+
 def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
              out: np.ndarray) -> Tensor:
     """Pairwise one-layer MLP scores under K heads, recorded as a single op.
@@ -286,6 +339,10 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
     them: with no tape active nothing but ``out`` is kept.  With a tape each
     head keeps its tanh values y, one (R, C, l) array, and the backward pass
     reads 1 - y^2 from them instead of recomputing tanh.
+
+    With no tape, at least SPLIT_ROWS rows, two heads or more and SPLIT_HEADS
+    set, the later half of the heads is scored on a second thread.  Each head
+    makes the same calls either way, so ``out`` holds the same bytes.
 
     The inputs are recorded as (cols, rows, w0, u0, b0, v0, ...): when rows
     is cols, its cols gradient is added first.  The backward pass walks the
@@ -300,9 +357,17 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
                          f"{[tuple(t.shape for t in head) for head in heads]} and out {out.shape}")
     n_rows, n_cols = out.shape[:2]
     taped = bool(_ACTIVE_TAPES)
-    ys = [pair_scores(rd @ w.data.T, cd @ u.data.T, b.data, v.data, out[:, :, k], taped)
-          for k, (w, u, b, v) in enumerate(heads)]
+
+    def score(numbered):
+        return [pair_scores(rd @ w.data.T, cd @ u.data.T, b.data, v.data, out[:, :, k], taped)
+                for k, (w, u, b, v) in numbered]
+
+    numbered, half = list(enumerate(heads)), len(heads) // 2
     scores = Tensor(out.reshape(n_rows, n_cols * len(heads)))
+    if not taped and half and n_rows >= SPLIT_ROWS and SPLIT_HEADS:
+        _beside(score, numbered[half:], numbered[:half])
+        return scores
+    ys = score(numbered)
     if not taped:
         return scores
 

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from proptree.nn.autodiff import SPLIT_ROWS
+from proptree.synthetic import SyntheticConfig, generate_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "exact.py"
 spec = importlib.util.spec_from_file_location("exact", TOOL)
@@ -26,11 +29,15 @@ def test_two_runs_print_the_same_digests(capsys):
 
 
 def test_joint_runs_print_a_distribution_digest_per_document(capsys):
+    """Per test ad, and per joined document long enough to split the scorer's heads."""
     assert exact.main(["exact.py", str(ROOT / "src")], kinds=("joint",), seeds=(1,)) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     runs = {line[0] for line in lines}
     assert len(runs) == 7  # no attention and each of the six variants
     for run in runs:
         kinds = [line[1] for line in lines if line[0] == run]
-        documents = exact.ADS - exact.TRAIN - exact.DEV
+        documents = exact.ADS - exact.TRAIN - exact.DEV + len(exact.JOINED)
         assert kinds.count("distribution") == kinds.count("predict") == documents
+    ads = generate_corpus(SyntheticConfig(n_docs=exact.ADS, seed=exact.CORPUS_SEED, ambiguous=True))
+    test = ads[exact.TRAIN + exact.DEV:]
+    assert min(sum(len(ad.tokens) for ad in test[a:b]) for a, b in exact.JOINED) >= SPLIT_ROWS

@@ -12,6 +12,14 @@ and predicts 8 more ads.  For each run it prints one line per digest of:
 - for the joint kinds, each document's ``JointDistribution.p``, so that a
   1-ulp change that flips no decision still shows.
 
+The joint kinds also predict three documents of joined test ads (60, 74 and
+134 tokens), long enough that prediction scores half of the labels on a
+second thread when the machine has two CPUs.  The child runs with one BLAS
+thread, which allows that split (``proptree.nn.autodiff.split_heads_allowed``)
+and fixes the bytes: with two BLAS threads OpenBLAS splits biaffine
+attention's larger products too, and the 134-token distribution rounds
+differently, with or without the split.
+
 Two trees train and predict byte for byte alike when their outputs are equal:
 
     python tools/exact.py OTHER/src > other.txt
@@ -32,6 +40,8 @@ KINDS = ("joint", "joint-2layer", "pipeline-crf+ltm", "pipeline-crf+mtt")
 SEEDS = (1, 2)
 # The ads: 16 to train on, 4 to validate on and 8 to predict, from one corpus seed.
 ADS, TRAIN, DEV, CORPUS_SEED = 28, 16, 4, 7
+# The joined documents, as slices of the 8 test ads.
+JOINED = ((0, 4), (4, 8), (0, 8))
 
 
 def child(kinds: list[str], seeds: list[int]) -> None:
@@ -50,6 +60,7 @@ def child(kinds: list[str], seeds: list[int]) -> None:
 
     docs = generate_corpus(SyntheticConfig(n_docs=ADS, seed=CORPUS_SEED, ambiguous=True))
     train, dev, test = docs[:TRAIN], docs[TRAIN:TRAIN + DEV], docs[TRAIN + DEV:]
+    joined = [(f"joined-{a}-{b}", [t for doc in test[a:b] for t in doc.tokens]) for a, b in JOINED]
     for kind in kinds:
         joint = kind.startswith("joint")
         for attention in (None, *VARIANTS) if joint else (None,):
@@ -68,18 +79,18 @@ def child(kinds: list[str], seeds: list[int]) -> None:
                             print(run, "checkpoint", member, sha(zf.read(member)))
                 losses = " ".join(float(r.loss).hex() for r in log.records)
                 print(run, "losses", sha(losses.encode()))
-                for doc in test:
-                    assignment, was_tree = runner.predict_doc(doc.tokens)
+                for doc_id, tokens in [(doc.id, doc.tokens) for doc in test] + (joined if joint else []):
+                    assignment, was_tree = runner.predict_doc(tokens)
                     out = json.dumps([assignment.heads, assignment.labels, was_tree])
-                    print(run, "predict", doc.id, sha(out.encode()))
+                    print(run, "predict", doc_id, sha(out.encode()))
                     if joint:
-                        p = runner.model.distribution(doc.tokens).p
-                        print(run, "distribution", doc.id, sha(p.tobytes()))
+                        p = runner.model.distribution(tokens).p
+                        print(run, "distribution", doc_id, sha(p.tobytes()))
 
 
 def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS) -> int:
     src = str(Path(argv[1] if len(argv) > 1 else "src").resolve())
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, __file__, "--child", ",".join(kinds),
                           ",".join(map(str, seeds))],
                          env=env, check=True, capture_output=True, text=True).stdout
