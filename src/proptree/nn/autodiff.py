@@ -276,9 +276,12 @@ def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray
     return y if keep else None
 
 
-def split_heads_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
-    """Whether untaped ``pair_mlp`` may score half of its heads on a second
-    thread: the process may use at least two CPUs and BLAS runs one thread.
+def second_core_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
+    """Whether proptree may put work on a second core: untaped ``pair_mlp``
+    scores half of its heads on a second thread, and training runs the
+    pipeline's edge stage and joint validations in a forked child
+    (``train.beside``).  The process may use at least two CPUs and BLAS runs
+    one thread.
 
     OpenBLAS takes its thread count, when it loads, from the first of
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
@@ -294,7 +297,7 @@ def split_heads_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
 
 
 # Read once, as OpenBLAS reads its variables once.
-SPLIT_HEADS = split_heads_allowed(
+SECOND_CORE = second_core_allowed(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, os.environ)
 # Untaped ``pair_mlp`` splits its heads from this many rows on: the crossover
 # of the sweep in README "Joint scorer".  Below it, starting the thread and the
@@ -340,7 +343,7 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
     head keeps its tanh values y, one (R, C, l) array, and the backward pass
     reads 1 - y^2 from them instead of recomputing tanh.
 
-    With no tape, at least SPLIT_ROWS rows, two heads or more and SPLIT_HEADS
+    With no tape, at least SPLIT_ROWS rows, two heads or more and SECOND_CORE
     set, the later half of the heads is scored on a second thread.  Each head
     makes the same calls either way, so ``out`` holds the same bytes.
 
@@ -364,7 +367,7 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
 
     numbered, half = list(enumerate(heads)), len(heads) // 2
     scores = Tensor(out.reshape(n_rows, n_cols * len(heads)))
-    if not taped and half and n_rows >= SPLIT_ROWS and SPLIT_HEADS:
+    if not taped and half and n_rows >= SPLIT_ROWS and SECOND_CORE:
         _beside(score, numbered[half:], numbered[:half])
         return scores
     ys = score(numbered)

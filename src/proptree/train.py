@@ -4,14 +4,22 @@ Both model families train document by document (batch size 1) with Adam,
 through the one loop ``nn.optim.fit``.  The joint model's end-of-epoch
 callback early-stops on validation overall F1, computed after tree
 enforcement, and the best-epoch weights are the ones kept.  Pipelines train
-their two stages for a fixed epoch budget.  Runners wrap trained models
+their two stages for a fixed epoch budget.  With a second core free
+(``in_child``), a pipeline trains its edge stage beside its CRF, and the joint
+model validates an epoch beside the next one.  Runners wrap trained models
 behind one interface (evaluate / predict_doc / save) so the CLI and tests
 never branch on model family.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
+import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -25,7 +33,7 @@ from .embeddings import EmbeddingTable
 from .joint import JointParser
 from .metrics import MetricsReport, aggregate, score_edges
 from .mst import is_tree, repair
-from .nn import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
+from .nn import Adam, Tape, Tensor, autodiff, load_checkpoint, save_checkpoint
 from .nn.optim import fit
 from .pipeline import CrfModel, LtmModel, MttModel, pipeline_predict, train_crf, train_ltm, train_mtt
 from .synthetic import vocabulary
@@ -249,6 +257,66 @@ def _names_in_order(index: dict[str, int]) -> list[str]:
     return [name for name, _ in sorted(index.items(), key=lambda kv: kv[1])]
 
 
+def in_child(fn: Callable, stage: str) -> Callable:
+    """Runs ``fn()`` in a forked child beside the caller and returns a handle:
+    calling it waits for the child, then returns fn's value or raises its
+    exception.  The handle is called once, and no child outlives it: an
+    interrupt while it waits kills the child.
+
+    It forks only when ``nn.autodiff.SECOND_CORE`` holds, where ``os.fork``
+    exists, and from a process with no other thread (a lock that one holds
+    would stay held in the child).  Otherwise ``fn()`` runs now, and the
+    handle returns what it returned or raises what it raised.  Either way
+    the value or exception is pickled: one that does not pickle arrives as a
+    RuntimeError with its type and message, and a child that ends without a
+    result raises a RuntimeError naming ``stage``.
+    """
+    if not (autodiff.SECOND_CORE and hasattr(os, "fork") and threading.active_count() == 1):
+        blob = _pickled(fn, stage)
+        return lambda: _unpickled(blob)
+    read, write = os.pipe()
+    if not (pid := os.fork()):
+        try:
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(_pickled(fn, stage))
+        finally:
+            os._exit(0)
+    os.close(write)
+
+    def handle():
+        try:
+            with os.fdopen(read, "rb") as pipe:
+                blob = pipe.read()
+        except BaseException:  # an interrupt while waiting ends the child too
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if not blob:
+            raise RuntimeError(f"{stage}: the child ended without a result, wait status {status}")
+        return _unpickled(blob)
+    return handle
+
+
+def _pickled(fn: Callable, stage: str) -> bytes:
+    """(True, fn's value) or (False, the exception it raised), pickled.  A
+    value that does not pickle counts as that error, and an exception that
+    does not survive the round trip becomes a RuntimeError that names it."""
+    try:
+        return pickle.dumps((True, fn()))
+    except Exception as exc:
+        with suppress(Exception):
+            return pickle.dumps((False, pickle.loads(pickle.dumps(exc))))
+        return pickle.dumps((False, RuntimeError(f"{stage}: {exc!r}")))
+
+
+def _unpickled(blob: bytes):
+    ok, value = pickle.loads(blob)
+    if not ok:
+        raise value
+    return value
+
+
 def train_joint(config: TrainConfig, train_docs: list[Document],
                 dev_docs: list[Document],
                 table: EmbeddingTable | None = None) -> tuple[JointRunner, TrainLog]:
@@ -269,33 +337,61 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     # The best epoch's weights are copied into one buffer, in place: freeing a
     # snapshot as large as the whole store lifts glibc's mmap threshold above
     # the largest parameter's temporaries, which then stay resident in the heap.
-    best_params = np.empty_like(opt.data)
+    # The buffer is a shared mapping, so a validation in a child writes it too.
+    best_params = np.frombuffer(mmap.mmap(-1, opt.data.nbytes))
+    # The (epoch, loss, seconds, handle) of the one validation not yet logged:
+    # one that runs in a child, or one that ``end_epoch`` runs here at once.
+    pending = []
     started = time.perf_counter()
 
     def step(doc: Document, gold: TokenHeadAssignment) -> float:
         with Tape() as tape:
             loss = model.loss(doc.tokens, gold, rng=drop_rng)
         tape.backward(loss)
-        # A NaN or infinity anywhere makes this sum non-finite.  The log holds
-        # one record per finished epoch.
+        # A NaN or infinity anywhere makes this sum non-finite.  Each finished
+        # epoch is logged or pending.
         if not np.isfinite(loss.item() + opt.grad.sum()):
             raise FloatingPointError(f"non-finite loss or gradient in epoch "
-                                     f"{len(log.records) + 1}, document {doc.id!r}")
+                                     f"{len(log.records) + len(pending) + 1}, document {doc.id!r}")
         return loss.item()
 
-    def end_epoch(epoch: int, loss: float) -> bool:
-        """Validate, keep the weights of the first epoch with the best F1, and
-        stop after ``patience`` epochs without a better one."""
-        nonlocal started
-        log.add(epoch, loss, runner.evaluate(val_docs), time.perf_counter() - started)
-        log.best_epoch = max(log.records, key=lambda r: r.report.overall.f1).epoch
-        if log.best_epoch == epoch:
+    def validate() -> MetricsReport:
+        """The validation report.  The weights are kept when F1 beats every
+        logged epoch's, so the first epoch with the best F1 is the one kept."""
+        report = runner.evaluate(val_docs)
+        if report.overall.f1 > max((r.report.overall.f1 for r in log.records), default=-np.inf):
             best_params[...] = opt.data
-        started = time.perf_counter()
+        return report
+
+    def collect() -> bool:
+        """Logs the pending validation, if any, and says whether to stop."""
+        return bool(pending) and record(*pending.pop())
+
+    def record(epoch: int, loss: float, seconds: float, handle: Callable) -> bool:
+        """Logs the epoch; training stops after ``patience`` epochs without a better F1."""
+        log.add(epoch, loss, handle(), seconds)
+        log.best_epoch = max(log.records, key=lambda r: r.report.overall.f1).epoch
         return epoch - log.best_epoch >= config.patience
 
-    fit(opt, list(zip(train_docs, golds)), step, config.max_epochs, config.seed,
-        "JointParser", 0.0, end_epoch)
+    def end_epoch(epoch: int, loss: float) -> bool:
+        """Validates beside the next epoch when this epoch's F1 cannot stop
+        training, and now otherwise, so no epoch trains that sequential
+        training would not train."""
+        nonlocal started
+        seconds = time.perf_counter() - started
+        collect()  # the epoch before, whose F1 could not stop training
+        forks = epoch < config.max_epochs and epoch - log.best_epoch < config.patience
+        pending.append((epoch, loss, seconds,
+                        in_child(validate, f"validation of epoch {epoch}") if forks else validate))
+        stop = not forks and collect()  # validates now, on this epoch's weights
+        started = time.perf_counter()
+        return stop
+
+    try:
+        fit(opt, list(zip(train_docs, golds)), step, config.max_epochs, config.seed,
+            "JointParser", 0.0, end_epoch)
+    finally:
+        collect()  # after an error, one of the validation before comes first
     opt.data[...] = best_params  # set by epoch 1 at the latest
     return runner, log
 
@@ -306,16 +402,22 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
     # Both stages read the gold forest, so it must keep the rule that the joint model's gold keeps.
     for doc in train_docs:
         encode_tree_to_heads(doc)
-    crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
-                    lr=config.lr, seed=config.seed)
+    # The edge stage trains on gold entities and never reads the CRF.
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt
-    edge_model = trainer(train_docs, epochs=config.max_epochs,
-                         lr=config.lr, seed=config.seed)
-    runner = PipelineRunner(crf, edge_model)
+    edge = in_child(lambda: trainer(train_docs, epochs=config.max_epochs, lr=config.lr,
+                                    seed=config.seed), f"{config.model}'s edge stage")
+    try:
+        crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
+                        lr=config.lr, seed=config.seed)
+    except BaseException:
+        with suppress(Exception):
+            edge()  # the CRF's error comes first, as it trains first
+        raise
+    runner = PipelineRunner(crf, edge())
     log = TrainLog()
     val = dev_docs if dev_docs else train_docs
     # A two-stage pipeline has no single training loss; the seconds cover
-    # both stages and the validation pass, as a joint epoch's do.
+    # both stages and the validation pass.
     log.add(config.max_epochs, float("nan"), runner.evaluate(val),
             time.perf_counter() - started)
     log.best_epoch = config.max_epochs

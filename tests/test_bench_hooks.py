@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from proptree import train
+from proptree.nn import autodiff
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,7 +32,10 @@ def test_tracer_installs_and_uninstalls():
     t.uninstall()
 
 
-def test_tracer_sees_both_pipeline_training_stages():
+def test_tracer_sees_both_pipeline_training_stages(monkeypatch):
+    # The patch table records spans in one process: the edge stage stays in
+    # this one, whatever the caller's BLAS variables.
+    monkeypatch.setattr(autodiff, "SECOND_CORE", False)
     docs = generate_corpus(SyntheticConfig(n_docs=6, seed=1))
     t = tracer()
     t.install()

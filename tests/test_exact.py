@@ -33,7 +33,8 @@ def test_joint_runs_print_a_distribution_digest_per_document(capsys):
     assert exact.main(["exact.py", str(ROOT / "src")], kinds=("joint",), seeds=(1,)) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     runs = {line[0] for line in lines}
-    assert len(runs) == 7  # no attention and each of the six variants
+    # No attention and each of the six variants, and the early-stopping run.
+    assert len(runs) == 8 and "joint/-/seed1/patience1" in runs
     for run in runs:
         kinds = [line[1] for line in lines if line[0] == run]
         documents = exact.ADS - exact.TRAIN - exact.DEV + len(exact.JOINED)

@@ -317,24 +317,34 @@ def fake_f1_report(f1_target):
         tree_rate=0.0, n_docs=1)
 
 
-def test_early_stopping_keeps_best_epoch(monkeypatch):
+def test_early_stopping_keeps_best_epoch(monkeypatch, tmp_path):
+    """With the second core, epochs 1-3 validate in forked children, so each
+    validation's weights go to a file under ``tmp_path``, numbered in order."""
     docs = small_corpus(n=4)
     sequence = [50.0, 60.0, 59.0, 58.0, 57.0, 56.0]
-    snapshots = []
+    for second_core in (False, True):
+        monkeypatch.setattr(nn.autodiff, "SECOND_CORE", second_core)
+        folder = tmp_path / f"second-core-{second_core}"
+        folder.mkdir()
 
-    def scripted_evaluate(self, _docs):
-        snapshots.append([p.data.copy() for p in self.model.params_named().values()])
-        return fake_f1_report(sequence[len(snapshots) - 1])
+        def snapshots():
+            files = sorted(folder.glob("*.npz"), key=lambda f: int(f.stem))
+            return [[z[f"arr_{i}"] for i in range(len(z.files))] for z in map(np.load, files)]
 
-    monkeypatch.setattr(JointRunner, "evaluate", scripted_evaluate)
-    runner, log = train_joint(tiny_config(max_epochs=10, patience=2), docs, [])
+        def scripted_evaluate(self, _docs):
+            arrays = [p.data for p in self.model.params_named().values()]
+            np.savez(folder / f"{len(snapshots())}.npz", *arrays)
+            return fake_f1_report(sequence[len(snapshots()) - 1])
 
-    # stops after the second non-improving epoch, keeps the epoch-2 weights
-    assert [r.epoch for r in log.records] == [1, 2, 3, 4]
-    assert log.best_epoch == 2
-    assert log.best_report.overall.f1 == 60.0
-    for p, snap in zip(runner.model.params_named().values(), snapshots[1]):
-        assert np.array_equal(p.data, snap)
+        monkeypatch.setattr(JointRunner, "evaluate", scripted_evaluate)
+        runner, log = train_joint(tiny_config(max_epochs=10, patience=2), docs, [])
+
+        # stops after the second non-improving epoch, keeps the epoch-2 weights
+        assert [r.epoch for r in log.records] == [1, 2, 3, 4]
+        assert log.best_epoch == 2
+        assert log.best_report.overall.f1 == 60.0
+        for p, snap in zip(runner.model.params_named().values(), snapshots()[1]):
+            assert np.array_equal(p.data, snap)
 
 
 def test_training_stops_on_non_finite_values(monkeypatch):
@@ -1077,6 +1087,8 @@ def run_cli(argv):
 
 
 def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys, monkeypatch):
+    """Trains without and with the second core.  With it, epoch 1 validates in
+    a forked child, so the predicted documents are counted in a file."""
     corpus = tmp_path / "corpus.jsonl"
     assert run_cli(["generate", "--out", corpus, "--n-docs", "16", "--seed", "3"]) == 0
     assert len(read_corpus(corpus)) == 16
@@ -1086,40 +1098,44 @@ def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys, monkeypatch
                     "--dev-frac", "0.25", "--test-frac", "0.25"]) == 0
     assert len(read_corpus(splits / "train.jsonl")) == 8
 
-    out = tmp_path / "run"
-    predicted = []
-    predict_doc = JointRunner.predict_doc
+    for second_core in (False, True):
+        out = tmp_path / f"run-{second_core}"
+        predicted_file = tmp_path / f"predicted-{second_core}.jsonl"
+        predict_doc = JointRunner.predict_doc
 
-    def counted_predict_doc(self, tokens):
-        predicted.append(tokens)
-        return predict_doc(self, tokens)
+        def counted_predict_doc(self, tokens):
+            with open(predicted_file, "a") as f:
+                f.write(json.dumps(tokens) + "\n")
+            return predict_doc(self, tokens)
 
-    monkeypatch.setattr(JointRunner, "predict_doc", counted_predict_doc)
-    assert run_cli(["train", "--train", splits / "train.jsonl",
-                    "--dev", splits / "dev.jsonl", "--model", "joint",
-                    "--d", "8", "--l", "4", "--lr", "0.01", "--dropout", "0",
-                    "--max-epochs", "2", "--patience", "2", "--out", out]) == 0
-    # Each epoch validates the 4 dev documents; metrics.json reuses the kept epoch's report.
-    assert len(predicted) == 8
-    monkeypatch.undo()
-    assert (out / "checkpoint.zip").exists()
-    assert (out / "trainlog.csv").read_text().startswith("epoch,loss,val_f1,seconds")
-    dev = read_corpus(splits / "dev.jsonl")
-    assert (out / "metrics.json").read_text() == \
-        load_runner(out / "checkpoint.zip").evaluate(dev).dumps() + "\n"
-    assert json.loads((out / "metrics.json").read_text())["n_docs"] == 4
+        with monkeypatch.context() as patched:
+            patched.setattr(nn.autodiff, "SECOND_CORE", second_core)
+            patched.setattr(JointRunner, "predict_doc", counted_predict_doc)
+            assert run_cli(["train", "--train", splits / "train.jsonl",
+                            "--dev", splits / "dev.jsonl", "--model", "joint",
+                            "--d", "8", "--l", "4", "--lr", "0.01", "--dropout", "0",
+                            "--max-epochs", "2", "--patience", "2", "--out", out]) == 0
+        # Each epoch validates the 4 dev documents; metrics.json reuses the kept epoch's report.
+        predicted = predicted_file.read_text().splitlines()
+        assert len(predicted) == 8
+        assert (out / "checkpoint.zip").exists()
+        assert (out / "trainlog.csv").read_text().startswith("epoch,loss,val_f1,seconds")
+        dev = read_corpus(splits / "dev.jsonl")
+        assert (out / "metrics.json").read_text() == \
+            load_runner(out / "checkpoint.zip").evaluate(dev).dumps() + "\n"
+        assert json.loads((out / "metrics.json").read_text())["n_docs"] == 4
 
-    metrics = tmp_path / "eval.json"
-    assert run_cli(["evaluate", "--checkpoint", out / "checkpoint.zip",
-                    "--data", splits / "test.jsonl", "--out", metrics]) == 0
-    blob = json.loads(metrics.read_text())
-    assert set(blob["labels"]) == {"part-of", "segment", "equivalent"}
+        metrics = tmp_path / f"eval-{second_core}.json"
+        assert run_cli(["evaluate", "--checkpoint", out / "checkpoint.zip",
+                        "--data", splits / "test.jsonl", "--out", metrics]) == 0
+        blob = json.loads(metrics.read_text())
+        assert set(blob["labels"]) == {"part-of", "segment", "equivalent"}
 
-    pred_path = tmp_path / "pred.jsonl"
-    assert run_cli(["predict", "--checkpoint", out / "checkpoint.zip",
-                    "--data", splits / "test.jsonl", "--out", pred_path]) == 0
-    records = [json.loads(line) for line in pred_path.read_text().splitlines()]
-    assert len(records) == len(read_corpus(splits / "test.jsonl"))
+        pred_path = tmp_path / f"pred-{second_core}.jsonl"
+        assert run_cli(["predict", "--checkpoint", out / "checkpoint.zip",
+                        "--data", splits / "test.jsonl", "--out", pred_path]) == 0
+        records = [json.loads(line) for line in pred_path.read_text().splitlines()]
+        assert len(records) == len(read_corpus(splits / "test.jsonl"))
     capsys.readouterr()
 
 

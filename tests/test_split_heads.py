@@ -14,7 +14,7 @@ import pytest
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import JointParser
 from proptree.nn import Tensor, autodiff
-from proptree.nn.autodiff import SPLIT_ROWS, split_heads_allowed
+from proptree.nn.autodiff import SPLIT_ROWS, second_core_allowed
 from proptree.train import JointRunner, TrainConfig
 
 from helpers import pair_mlp_reference
@@ -46,7 +46,7 @@ def splits(monkeypatch):
         calls.append(args)
         return beside(*args)
 
-    monkeypatch.setattr(autodiff, "SPLIT_HEADS", True)
+    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
     monkeypatch.setattr(autodiff, "_beside", counted)
     return calls
 
@@ -67,9 +67,9 @@ def test_split_distribution_and_prediction_are_byte_identical(monkeypatch, split
         # One split per ``distribution`` call (the scorer's four heads); the
         # additive attention's one head never splits.
         assert len(splits) == (2 if n >= SPLIT_ROWS else 0), n
-        monkeypatch.setattr(autodiff, "SPLIT_HEADS", False)
+        monkeypatch.setattr(autodiff, "SECOND_CORE", False)
         assert outputs(runner, tokens) == split, n
-        monkeypatch.setattr(autodiff, "SPLIT_HEADS", True)
+        monkeypatch.setattr(autodiff, "SECOND_CORE", True)
 
 
 def test_split_pair_mlp_is_the_frozen_per_head_route(splits):
@@ -155,20 +155,20 @@ def test_a_forked_child_predicts_after_the_parent_split(splits):
     (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
 ])
 def test_the_gate_reads_blas_variables_in_openblas_order(cpus, environ, allowed):
-    assert split_heads_allowed(cpus, environ) is allowed
+    assert second_core_allowed(cpus, environ) is allowed
 
 
 @pytest.mark.parametrize("blas_threads, one_cpu", [("1", False), ("2", False), (None, False),
                                                    ("1", True)])
 def test_the_gate_is_read_at_import(blas_threads, one_cpu):
-    """A fresh process sets SPLIT_HEADS from its own CPUs and variables."""
+    """A fresh process sets SECOND_CORE from its own CPUs and variables."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = str(SRC)
     if blas_threads:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     pin = "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); " if one_cpu else ""
-    code = f"import os; {pin}from proptree.nn import autodiff; print(autodiff.SPLIT_HEADS)"
+    code = f"import os; {pin}from proptree.nn import autodiff; print(autodiff.SECOND_CORE)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     cpus = 1 if one_cpu else len(os.sched_getaffinity(0))

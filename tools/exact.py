@@ -3,7 +3,10 @@
 One fresh ``python`` whose ``PYTHONPATH`` is SRC trains every model kind, the
 joint kinds with no attention and with each attention variant, at seeds 1
 and 2 and a tiny size (d 8, l 4; 2 epochs on 16 synthetic ads, 4 dev ads),
-and predicts 8 more ads.  For each run it prints one line per digest of:
+and predicts 8 more ads.  One more joint run, at patience 1, stops early
+(``EARLY_STOP``): every epoch's F1 can stop it, so every validation runs in
+the training process, and its digests pin that rule.  For each run it prints
+one line per digest of:
 
 - each trained parameter's bytes;
 - each member of the saved checkpoint;
@@ -15,10 +18,14 @@ and predicts 8 more ads.  For each run it prints one line per digest of:
 The joint kinds also predict three documents of joined test ads (60, 74 and
 134 tokens), long enough that prediction scores half of the labels on a
 second thread when the machine has two CPUs.  The child runs with one BLAS
-thread, which allows that split (``proptree.nn.autodiff.split_heads_allowed``)
-and fixes the bytes: with two BLAS threads OpenBLAS splits biaffine
-attention's larger products too, and the 134-token distribution rounds
-differently, with or without the split.
+thread, which turns the second-core gate on
+(``proptree.nn.autodiff.second_core_allowed``) on a machine with two CPUs:
+prediction splits those heads, a pipeline trains its edge stage in a forked
+child, and a joint epoch validates in a forked child beside the next epoch.
+Diffing against a parent tree without the gate therefore compares forked
+training with sequential training.  One BLAS thread also fixes the bytes:
+with two, OpenBLAS splits biaffine attention's larger products too, and the
+134-token distribution rounds differently, with or without the split.
 
 Two trees train and predict byte for byte alike when their outputs are equal:
 
@@ -42,6 +49,10 @@ SEEDS = (1, 2)
 ADS, TRAIN, DEV, CORPUS_SEED = 28, 16, 4, 7
 # The joined documents, as slices of the 8 test ads.
 JOINED = ((0, 4), (4, 8), (0, 8))
+# The early-stopping joint run: seed, epoch budget and learning rate.  Its
+# validation F1 reads 0, 2.63 and 2.63: it stops after 3 of 8 epochs and keeps
+# epoch 2, the first of the tied best.
+EARLY_STOP = (1, 8, 0.05)
 
 
 def child(kinds: list[str], seeds: list[int]) -> None:
@@ -61,31 +72,38 @@ def child(kinds: list[str], seeds: list[int]) -> None:
     docs = generate_corpus(SyntheticConfig(n_docs=ADS, seed=CORPUS_SEED, ambiguous=True))
     train, dev, test = docs[:TRAIN], docs[TRAIN:TRAIN + DEV], docs[TRAIN + DEV:]
     joined = [(f"joined-{a}-{b}", [t for doc in test[a:b] for t in doc.tokens]) for a, b in JOINED]
+    runs = []
     for kind in kinds:
         joint = kind.startswith("joint")
         for attention in (None, *VARIANTS) if joint else (None,):
             for seed in seeds:
                 options = (dict(d=8, l=4, lr=0.01, patience=2, attention=attention) if joint
                            else dict(lr=0.05))
-                runner, log = train_model(TrainConfig(kind, max_epochs=2, seed=seed, **options),
-                                          train, dev, None)
-                run = f"{kind}/{attention or '-'}/seed{seed}"
-                for name, p in runner.params_named().items():
-                    print(run, "param", name, sha(p.data.tobytes()))
-                with tempfile.TemporaryDirectory() as tmp:
-                    runner.save(Path(tmp) / "checkpoint.zip")
-                    with zipfile.ZipFile(Path(tmp) / "checkpoint.zip") as zf:
-                        for member in sorted(zf.namelist()):
-                            print(run, "checkpoint", member, sha(zf.read(member)))
-                losses = " ".join(float(r.loss).hex() for r in log.records)
-                print(run, "losses", sha(losses.encode()))
-                for doc_id, tokens in [(doc.id, doc.tokens) for doc in test] + (joined if joint else []):
-                    assignment, was_tree = runner.predict_doc(tokens)
-                    out = json.dumps([assignment.heads, assignment.labels, was_tree])
-                    print(run, "predict", doc_id, sha(out.encode()))
-                    if joint:
-                        p = runner.model.distribution(tokens).p
-                        print(run, "distribution", doc_id, sha(p.tobytes()))
+                runs.append((f"{kind}/{attention or '-'}/seed{seed}",
+                             TrainConfig(kind, max_epochs=2, seed=seed, **options)))
+    if "joint" in kinds:
+        seed, epochs, lr = EARLY_STOP
+        runs.append((f"joint/-/seed{seed}/patience1",
+                     TrainConfig("joint", d=8, l=4, lr=lr, max_epochs=epochs, patience=1, seed=seed)))
+    for run, config in runs:
+        runner, log = train_model(config, train, dev, None)
+        joint = config.model.startswith("joint")
+        for name, p in runner.params_named().items():
+            print(run, "param", name, sha(p.data.tobytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            runner.save(Path(tmp) / "checkpoint.zip")
+            with zipfile.ZipFile(Path(tmp) / "checkpoint.zip") as zf:
+                for member in sorted(zf.namelist()):
+                    print(run, "checkpoint", member, sha(zf.read(member)))
+        losses = " ".join(float(r.loss).hex() for r in log.records)
+        print(run, "losses", sha(losses.encode()))
+        for doc_id, tokens in [(doc.id, doc.tokens) for doc in test] + (joined if joint else []):
+            assignment, was_tree = runner.predict_doc(tokens)
+            out = json.dumps([assignment.heads, assignment.labels, was_tree])
+            print(run, "predict", doc_id, sha(out.encode()))
+            if joint:
+                p = runner.model.distribution(tokens).p
+                print(run, "distribution", doc_id, sha(p.tobytes()))
 
 
 def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS) -> int:
