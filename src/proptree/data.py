@@ -130,14 +130,15 @@ class TokenHeadAssignment:
 def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
     """Flatten a document's entity forest into per-token (head, label) pairs.
 
-    The one owner of the gold-forest rule, which the corpus reader and both
-    trainers apply through it.  It raises ``ValueError`` naming the document,
+    The one owner of the gold-forest rule, which the corpus reader, the
+    joint trainer and each pipeline stage's trainer apply through it.  It
+    raises ``ValueError`` naming the document,
     in this order: for duplicate entity ids; for an entity id ``ROOT``, the
     name that a parent uses for the document root; for each entity in turn,
     a type that is neither a string nor None, no mentions, or an unknown
     parent; for parent links that form a cycle (a self-parent included);
     then, while encoding, for a mention past the last token or a token in
-    two mentions.
+    two mentions, an entity's repeated span included.
     An assignment it returns passes ``validate_gold``."""
     n = doc.n
     heads = list(range(1, n + 1))
@@ -173,7 +174,7 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
                 raise ValueError(f"document {doc.id!r}: mention [{m.start}, {m.end}) exceeds {n} tokens")
             for t in range(m.start, m.end - 1):
                 put(t, m.anchor, SEGMENT)
-            if m is not main and (m.start, m.end) != (main.start, main.end):
+            if m is not main:
                 put(m.anchor, main.anchor, EQUIVALENT)
         put(main.anchor, anchors[e.parent], PART_OF)
 

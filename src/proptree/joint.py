@@ -59,30 +59,19 @@ class JointDistribution:
 
 
 def distribution_rows(scorer: LabelScorer, states: nn.Tensor,
-                      p: np.ndarray | None = None) -> nn.Tensor | None:
+                      out: np.ndarray | None = None) -> nn.Tensor:
     """(N, (N+1)*4) per-dependent joint score rows, over [head j, label k].
 
     Only the dependents states[1:] are scored; the root is never one.  A
     row's softmax is that dependent's joint distribution.  One ``nn.pair_mlp``
     op scores all four labels, with the dependents as rows and every
-    position as a head.
-
-    Given ``p``, an (N+1, N+1, 4) array, with no tape active, the
-    distribution is written into ``p`` instead and nothing is returned: row 0
-    is zeroed, the scores go straight into p[1:] and each row is normalized
-    there in place (``softmax_in_place``), so no other array of p's size is
-    made.  These are the values and operations, in the same order, of the
-    returned rows' ``nn.softmax``.
+    position as a head, into ``out``: an (N, N+1, 4) array, a fresh one when
+    None, which the rows view.
     """
     m_pos = states.shape[0]
-    out = np.empty((m_pos - 1, m_pos, N_LABELS)) if p is None else p[1:]
-    rows = nn.pair_mlp(nn.narrow(states, 0, 1, m_pos), states,
+    out = np.empty((m_pos - 1, m_pos, N_LABELS)) if out is None else out
+    return nn.pair_mlp(nn.narrow(states, 0, 1, m_pos), states,
                        list(zip(scorer.w, scorer.u, scorer.b, scorer.v)), out)
-    if p is None:
-        return rows
-    p[0] = 0.0
-    softmax_in_place(rows.data, 1)
-    return None
 
 
 def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
@@ -90,10 +79,10 @@ def loss_from_rows(rows: nn.Tensor, gold: TokenHeadAssignment) -> nn.Tensor:
     n = rows.shape[0]
     if gold.n != n:
         raise ValueError(f"gold covers {gold.n} tokens, distribution covers {n}")
-    for t in range(1, n + 1):
-        if not 0 <= gold.head_of(t) <= n:
-            raise ValueError(f"token {t}: gold head {gold.head_of(t)} out of range")
-    idx = np.array([gold.head_of(t) * N_LABELS + gold.label_of(t) for t in range(1, n + 1)])
+    for t, (head, label) in enumerate(zip(gold.heads, gold.labels), start=1):
+        if not (0 <= head <= n and 0 <= label < N_LABELS):
+            raise ValueError(f"token {t}: gold head {head} and label {label} out of range")
+    idx = np.array([head * N_LABELS + label for head, label in zip(gold.heads, gold.labels)])
     return nn.log_softmax_nll(rows, idx)
 
 
@@ -126,9 +115,13 @@ class JointParser:
         return distribution_rows(self.scorer, augment(states, self.attention))
 
     def distribution(self, tokens: list[str]) -> JointDistribution:
+        """The rows' softmax, written in place into one (N+1, N+1, 4) array
+        whose row 0 is zeroed, so that no other array of its size is made:
+        the values and operations, in the same order, of ``nn.softmax``."""
         states = augment(self.encoder.encode(tokens), self.attention)
         p = np.empty((states.shape[0], states.shape[0], N_LABELS))
-        distribution_rows(self.scorer, states, p)
+        p[0] = 0.0
+        softmax_in_place(distribution_rows(self.scorer, states, p[1:]).data, 1)
         return JointDistribution(p)
 
     def loss(self, tokens: list[str], gold: TokenHeadAssignment,

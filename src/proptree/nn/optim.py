@@ -104,9 +104,10 @@ def fit(opt: Adam, cases: list, step: Callable[..., float], epochs: int, seed: i
     step returns the case's loss.  After each epoch ``end_epoch(epoch, mean
     loss)`` may return True to stop.
 
-    Raises ``ValueError`` from a step with ``stage`` and the epoch before its
-    message, and ``FloatingPointError`` after an epoch that leaves a
-    parameter non-finite."""
+    A step's ``ValueError`` (a subclass included) or ``FloatingPointError``
+    is raised again as that type, with ``stage`` and the epoch before its
+    message and the original as its cause.  ``FloatingPointError`` also
+    follows an epoch that leaves a parameter non-finite."""
     reg = lam / len(cases)
     rng = np.random.default_rng(seed)
     # numpy's overflow warnings stay quiet: the finite check below is the one report.
@@ -119,8 +120,9 @@ def fit(opt: Adam, cases: list, step: Callable[..., float], epochs: int, seed: i
                     opt.grad += reg * opt.data
                 try:
                     total += step(*cases[idx])
-                except ValueError as exc:
-                    raise ValueError(f"{stage}: epoch {epoch}: {exc}") from exc
+                except (ValueError, FloatingPointError) as exc:
+                    kind = ValueError if isinstance(exc, ValueError) else FloatingPointError
+                    raise kind(f"{stage}: epoch {epoch}: {exc}") from exc
                 opt.step()
             # Once per epoch: a per-step gradient check costs about 2% of pipeline training.
             if not np.isfinite(opt.data).all():

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..data import Document, bio_encode
+from ..data import Document, bio_encode, encode_tree_to_heads
 from ..nn import Adam, Module, Tensor
 from ..nn.optim import fit
 
@@ -161,8 +161,11 @@ class CrfModel(Module):
 
     def training_case(self, doc: Document, table: FeatureTable) -> tuple[FeatureTable, np.ndarray, Callable]:
         """``nll_and_grad``'s arguments for ``doc`` and its ``table``, fixed across
-        epochs: the table, the gold tag ids and the table's scatter.  A tag that
-        the model does not know raises ``ValueError`` naming the document."""
+        epochs: the table, the gold tag ids and the table's scatter.  It
+        raises ``encode_tree_to_heads``'s ``ValueError`` for a gold forest that
+        breaks the rule, and one naming the document for a tag that the model
+        does not know."""
+        encode_tree_to_heads(doc)
         tags = bio_encode(doc)
         try:
             y = self.tag_ids(tags)
@@ -212,7 +215,9 @@ class CrfModel(Module):
 
 
 def tagset_from_corpus(docs: list[Document]) -> list[str]:
-    types = sorted({e.type for doc in docs for e in doc.entities if e.type})
+    # By text, so that a type that is not a string sorts too, and
+    # ``training_case`` refuses its document with the corpus reader's message.
+    types = sorted({e.type for doc in docs for e in doc.entities if e.type}, key=str)
     return ["O"] + [f"{bi}-{t}" for t in types for bi in ("B", "I")]
 
 

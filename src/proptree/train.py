@@ -348,11 +348,9 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         with Tape() as tape:
             loss = model.loss(doc.tokens, gold, rng=drop_rng)
         tape.backward(loss)
-        # A NaN or infinity anywhere makes this sum non-finite.  Each finished
-        # epoch is logged or pending.
+        # A NaN or infinity anywhere makes this sum non-finite; ``fit`` names the epoch.
         if not np.isfinite(loss.item() + opt.grad.sum()):
-            raise FloatingPointError(f"non-finite loss or gradient in epoch "
-                                     f"{len(log.records) + len(pending) + 1}, document {doc.id!r}")
+            raise FloatingPointError(f"non-finite loss or gradient, document {doc.id!r}")
         return loss.item()
 
     def validate() -> MetricsReport:
@@ -363,15 +361,15 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
             best_params[...] = opt.data
         return report
 
-    def collect() -> bool:
-        """Logs the pending validation, if any, and says whether to stop."""
-        return bool(pending) and record(*pending.pop())
-
-    def record(epoch: int, loss: float, seconds: float, handle: Callable) -> bool:
-        """Logs the epoch; training stops after ``patience`` epochs without a better F1."""
-        log.add(epoch, loss, handle(), seconds)
-        log.best_epoch = max(log.records, key=lambda r: r.report.overall.f1).epoch
-        return epoch - log.best_epoch >= config.patience
+    def collect() -> bool | None:
+        """Logs the pending validation, if any, and says whether to stop:
+        training stops after ``patience`` epochs without a better F1.  With
+        none pending there is nothing to say, and it returns None."""
+        if pending:
+            epoch, loss, seconds, handle = pending.pop()
+            log.add(epoch, loss, handle(), seconds)
+            log.best_epoch = max(log.records, key=lambda r: r.report.overall.f1).epoch
+            return epoch - log.best_epoch >= config.patience
 
     def end_epoch(epoch: int, loss: float) -> bool:
         """Validates beside the next epoch when this epoch's F1 cannot stop
@@ -399,10 +397,8 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
 def train_pipeline(config: TrainConfig, train_docs: list[Document],
                    dev_docs: list[Document] | None = None) -> tuple[PipelineRunner, TrainLog]:
     started = time.perf_counter()
-    # Both stages read the gold forest, so it must keep the rule that the joint model's gold keeps.
-    for doc in train_docs:
-        encode_tree_to_heads(doc)
-    # The edge stage trains on gold entities and never reads the CRF.
+    # The edge stage trains on gold entities and never reads the CRF.  Each
+    # stage's trainer refuses a broken gold forest before its first step.
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt
     edge = in_child(lambda: trainer(train_docs, epochs=config.max_epochs, lr=config.lr,
                                     seed=config.seed), f"{config.model}'s edge stage")

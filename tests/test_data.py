@@ -341,6 +341,8 @@ def broken_forests(draw):
 @settings(max_examples=400)
 @example(repeat_doc())
 @example(crossing_doc())
+@example(Document("rep", ["a", "b", "c"],
+                  [Entity("E1", "property", [Mention(2, 3), Mention(2, 3)])]))
 @given(broken_forests())
 def test_a_forest_that_encodes_passes_validate_gold(doc):
     """``encode_tree_to_heads`` owns the gold-forest rule: an assignment that it
@@ -362,6 +364,11 @@ def entity_json(eid, start, end, parent="ROOT"):
     ({"id": "o", "tokens": ["a", "b", "c"],
       "entities": [entity_json("A", 1, 3), entity_json("B", 2, 4)]},
      "token 2 assigned twice"),
+    # An entity that names one token twice: its repeat would point at itself.
+    ({"id": "p", "tokens": ["a", "b", "c"],
+      "entities": [{"id": "A", "type": "space", "parent": "ROOT",
+                    "mentions": [{"start": 2, "end": 3}, {"start": 2, "end": 3}]}]},
+     "document 'p': token 2 assigned twice"),
     ({"id": "s", "tokens": ["a"], "entities": [entity_json("A", 1, 2, parent="A")]},
      "parent links form a cycle through 'A'"),
     ({"id": "c", "tokens": ["a", "b"],

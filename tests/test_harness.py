@@ -357,7 +357,8 @@ def test_training_stops_on_non_finite_values(monkeypatch):
 
     monkeypatch.setattr(train_module, "JointParser", PoisonedParser)
     first = docs[np.random.default_rng(0).permutation(len(docs))[0]]
-    with pytest.raises(FloatingPointError, match=f"epoch 1, document '{first.id}'"):
+    with pytest.raises(FloatingPointError, match=f"^JointParser: epoch 1: non-finite loss or "
+                                                 f"gradient, document '{first.id}'$"):
         train_joint(tiny_config(), docs, [])
 
 
@@ -368,16 +369,23 @@ BROKEN_FORESTS = {
     "unknown-parent": Document("unknown", ["a"], [Entity("A", "x", [Mention(1, 2)], "Z")]),
     "duplicate-id": Document("dup", ["a", "b"], [Entity("A", "x", [Mention(1, 2)]),
                                                  Entity("A", "x", [Mention(2, 3)])]),
+    # A type that is not a string, beside one that is: the CRF's tag set must
+    # not fail to sort them before its trainer applies the rule.
+    "type": Document("typ", ["a", "b"], [Entity("A", 3, [Mention(1, 2)]),
+                                         Entity("B", "x", [Mention(2, 3)])]),
+    # One token named twice by one entity: the CRF's BIO tags would put it in two mentions.
+    "repeated-span": Document("rep", ["a", "b"], [Entity("A", "x", [Mention(2, 3),
+                                                                    Mention(2, 3)])]),
 }
 
 
 @pytest.mark.parametrize("kind", ["joint", "pipeline-crf+ltm", "pipeline-crf+mtt",
-                                  "train_ltm", "train_mtt"])
+                                  "train_ltm", "train_mtt", "train_crf"])
 @pytest.mark.parametrize("fault", sorted(BROKEN_FORESTS))
 def test_training_rejects_a_broken_forest_with_the_corpus_readers_message(tmp_path, kind, fault):
     """Every trainer applies the gold-forest rule that the corpus reader applies,
     through ``encode_tree_to_heads``, and names the document as the reader does;
-    so do the edge-model trainers when they are called directly."""
+    so does each pipeline stage's trainer when it is called directly."""
     bad, path = BROKEN_FORESTS[fault], tmp_path / "bad.jsonl"
     write_corpus(path, [bad])
     with pytest.raises(ValueError) as read:
@@ -390,6 +398,8 @@ def test_training_rejects_a_broken_forest_with_the_corpus_readers_message(tmp_pa
             train_joint(tiny_config(max_epochs=1), docs, [])
         elif kind.startswith("pipeline"):
             train_pipeline(tiny_config(model=kind, max_epochs=1), docs)
+        elif kind == "train_crf":
+            crf_module.train_crf(docs, lam=10.0, epochs=1, lr=0.05, seed=0)
         else:
             getattr(edge_models, kind)(docs, epochs=1, lr=0.05, seed=0)
     assert str(trained.value) == message
@@ -460,6 +470,28 @@ def test_fit_on_a_toy_quadratic():
     with pytest.raises(ValueError, match="^toy: epoch 1: no arborescence$") as info:
         fit(opt, [(1.0,)], refuse, 3, 0, "toy", 1.0, None)
     assert str(info.value.__cause__) == "no arborescence"
+
+
+@pytest.mark.parametrize("error, kind", [(ValueError, ValueError),
+                                         (FloatingPointError, FloatingPointError),
+                                         (np.linalg.LinAlgError, ValueError)])
+def test_fit_names_the_stage_and_epoch_of_a_step_error(error, kind):
+    """``fit`` owns a step error's epoch: it raises the error's type again, a
+    ValueError subclass as ValueError, prefixed with the stage and the epoch,
+    and chains the original."""
+    w = nn.Tensor(np.array([1.0]), requires_grad=True)
+    opt, steps = nn.Adam([w], lr=0.1), []
+
+    def step(case):
+        steps.append(case)
+        if len(steps) == 5:  # the first case of epoch 3
+            raise error("went wrong")
+        return 0.0
+
+    with pytest.raises(kind) as info:
+        fit(opt, [(1,), (2,)], step, 4, 0, "toy", 0.0, None)
+    assert type(info.value) is kind and str(info.value) == "toy: epoch 3: went wrong"
+    assert type(info.value.__cause__) is error and str(info.value.__cause__) == "went wrong"
 
 
 @pytest.mark.parametrize("block", [7, nn.optim.ADAM_BLOCK])

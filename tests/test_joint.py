@@ -19,6 +19,7 @@ from proptree.joint import (
     loss_from_rows,
 )
 from proptree.mst import is_tree, repair
+from proptree.nn.autodiff import softmax_in_place
 from proptree.train import JointRunner, TrainConfig
 
 from helpers import distribution_reference, finite_difference, max_rel_err
@@ -83,9 +84,14 @@ def test_a_training_step_tapes_one_scorer_op(attention, records):
 
 
 def filled_distribution(scorer, states) -> JointDistribution:
-    """The distribution that ``distribution_rows`` writes into a buffer."""
+    """The distribution filled in place as ``JointParser.distribution`` fills
+    it: ``distribution_rows`` scores into p[1:], row 0 is zeroed and each row
+    is normalized where it lies."""
     p = np.full((len(states), len(states), N_LABELS), np.nan)
-    assert distribution_rows(scorer, nn.Tensor(states), p) is None
+    rows = distribution_rows(scorer, nn.Tensor(states), p[1:])
+    assert np.shares_memory(rows.data, p)
+    p[0] = 0.0
+    softmax_in_place(rows.data, 1)
     return JointDistribution(p)
 
 
@@ -145,6 +151,16 @@ def test_loss_validates_gold():
         loss_from_rows(rows, TokenHeadAssignment([0], [PART_OF]))
     with pytest.raises(ValueError):
         loss_from_rows(rows, TokenHeadAssignment([9, 0, 1], [0, 0, SKIP]))
+
+
+@pytest.mark.parametrize("label", [N_LABELS, -1])
+def test_loss_refuses_a_gold_label_out_of_range(label):
+    """A label past 3 would index the next head's cells, and -1 the previous
+    head's last label, so the loss of another assignment would come out."""
+    scorer, states = scorer_and_states()
+    rows = distribution_rows(scorer, nn.Tensor(states))
+    with pytest.raises(ValueError, match=rf"^token 2: gold head 1 and label {label} out of range$"):
+        loss_from_rows(rows, TokenHeadAssignment([0, 1, 1], [PART_OF, label, SKIP]))
 
 
 def test_loss_decreases_along_gradient():

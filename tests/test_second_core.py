@@ -136,7 +136,8 @@ def test_a_non_finite_gradient_names_the_epoch_in_training(second_core, monkeypa
     rng = np.random.default_rng(config.seed)
     first = [TRAIN[rng.permutation(len(TRAIN))[0]] for _ in range(PoisonedParser.POISON)][-1]
     threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"in epoch 3, document '{first.id}'$"):
+    with pytest.raises(FloatingPointError, match=f"^JointParser: epoch 3: non-finite loss or "
+                                                 f"gradient, document '{first.id}'$"):
         train_model(config, TRAIN, DEV, None)
     # Epochs 1 and 2 validated in children, the second one beside epoch 3.
     assert len(forks) == (2 if second_core else 0)
