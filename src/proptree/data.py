@@ -40,9 +40,10 @@ ARC_LABELS = (PART_OF, SEGMENT, EQUIVALENT)
 STRUCTURED_LABELS = (SEGMENT, PART_OF)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Mention:
-    """Contiguous token span, 1-based, half-open: tokens start .. end-1."""
+    """Contiguous token span, 1-based, half-open: tokens start .. end-1.
+    Mentions order by (start, end), which is text order."""
 
     start: int
     end: int
@@ -67,7 +68,7 @@ class Entity:
 
     def main_mention(self) -> Mention:
         """First mention in text order; later ones are treated as repeats."""
-        return min(self.mentions, key=lambda m: (m.start, m.end))
+        return min(self.mentions)
 
 
 @dataclass(slots=True)
@@ -164,11 +165,11 @@ def encode_tree_to_heads(doc: Document) -> TokenHeadAssignment:
     looped = first_cycle_node(parents, root=ROOT_ID)
     if looped is not None:
         raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
+    mains = [e.main_mention() for e in doc.entities]
     # The root's position is 0, where a root entity's part-of arc points.
-    anchors = {e.id: e.main_mention().anchor for e in doc.entities} | {ROOT_ID: 0}
+    anchors = {e.id: main.anchor for e, main in zip(doc.entities, mains)} | {ROOT_ID: 0}
 
-    for e in doc.entities:
-        main = e.main_mention()
+    for e, main in zip(doc.entities, mains):
         for m in e.mentions:
             if not m.end - 1 <= n:
                 raise ValueError(f"document {doc.id!r}: mention [{m.start}, {m.end}) exceeds {n} tokens")
@@ -194,22 +195,27 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
         raise ValueError(f"{len(tokens)} tokens but assignment covers {n}")
 
     heads, labels = assignment.heads, assignment.labels
+    resolved: dict[int, int] = {}
 
     def resolve_anchor(t: int) -> int:
         """Follow segment arcs from token t to its mention anchor; any other
-        token is its own anchor."""
-        seen = []
-        while labels[t - 1] == SEGMENT:
-            seen.append(t)
+        token is its own anchor.  Every token walked is memoized, so each
+        segment token is walked once; a walk that fails has met no memoized
+        token, so its message lists the whole walk."""
+        seen: dict[int, None] = {}
+        while labels[t - 1] == SEGMENT and t not in resolved:
+            seen[t] = None
             t = heads[t - 1]
             if t == 0 or t in seen:
-                raise ValueError(f"segment arcs from token {seen[0]} do not reach an anchor: {seen + [t]}")
-        return t
+                raise ValueError(f"segment arcs from token {next(iter(seen))} do not reach an anchor: {[*seen, t]}")
+        a = resolved.get(t, t)
+        resolved.update(dict.fromkeys(seen, a))
+        return a
 
-    anchor_positions = [t for t in range(1, n + 1) if labels[t - 1] in (PART_OF, EQUIVALENT)]
+    anchor_positions = [t for t, c in enumerate(labels, 1) if c in (PART_OF, EQUIVALENT)]
     members: dict[int, list[int]] = {a: [a] for a in anchor_positions}
-    for t in range(1, n + 1):
-        if labels[t - 1] == SEGMENT:
+    for t, c in enumerate(labels, 1):
+        if c == SEGMENT:
             a = resolve_anchor(t)
             if labels[a - 1] == SKIP:
                 raise ValueError(f"token {t}: segment arc resolves to skip token {a}")
@@ -220,23 +226,25 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
         lo, hi = min(ts), max(ts)
         if hi != a:
             raise ValueError(f"anchor {a} is not the last token of its span [{lo}, {hi}]")
-        if sorted(ts) != list(range(lo, hi + 1)):
+        # Distinct tokens: each is an anchor or a segment token, and joins one mention.
+        if hi - lo + 1 != len(ts):
             raise ValueError(f"mention at anchor {a} is not contiguous: {sorted(ts)}")
         spans[a] = Mention(lo, hi + 1)
 
-    mains = sorted(a for a in anchor_positions if labels[a - 1] == PART_OF)
+    mains = [a for a in anchor_positions if labels[a - 1] == PART_OF]
     ids = {a: f"T{i + 1}" for i, a in enumerate(mains)}
 
     # Group each mention with its entity's first mention: a part-of anchor is
     # its own, and an equivalent arc must point back at a part-of anchor.
-    group_of: dict[int, int] = {}
+    # Spans are disjoint, so ascending anchors are the mentions in text order.
+    groups: dict[int, list[int]] = {a: [] for a in mains}
     for a in anchor_positions:
         first = heads[a - 1] if labels[a - 1] == EQUIVALENT else a
         if first not in ids:
             raise ValueError(f"token {a}: repeat-mention arc points at {first}, which anchors no first mention")
         if first > a:
             raise ValueError(f"token {a}: repeat-mention arc must point backwards, got head {first}")
-        group_of[a] = first
+        groups[first].append(a)
 
     entities: list[Entity] = []
     for a in mains:
@@ -248,8 +256,7 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
             if p not in ids:
                 raise ValueError(f"token {a}: parent arc points at {h}, which anchors no entity")
             parent = ids[p]
-        own = sorted((m for m, g in group_of.items() if g == a), key=lambda m: spans[m].start)
-        entities.append(Entity(ids[a], None, [spans[m] for m in own], parent))
+        entities.append(Entity(ids[a], None, [spans[m] for m in groups[a]], parent))
 
     looped = first_cycle_node({e.id: e.parent for e in entities}, root=ROOT_ID)
     if looped is not None:

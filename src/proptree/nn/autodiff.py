@@ -280,7 +280,7 @@ def second_core_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
     """Whether proptree may put work on a second core: untaped ``pair_mlp``
     scores half of its heads on a second thread, and training runs the
     pipeline's edge stage and joint validations in a forked child
-    (``train.beside``).  The process may use at least two CPUs and BLAS runs
+    (``train.in_child``).  The process may use at least two CPUs and BLAS runs
     one thread.
 
     OpenBLAS takes its thread count, when it loads, from the first of
@@ -309,14 +309,18 @@ def _beside(fn: Callable, there, here) -> None:
     """Runs fn(there) on a new thread while fn(here) runs on this one.
 
     The thread is joined before this returns, also when fn(here) raises, and
-    an exception of fn(there) is raised here.  A thread per call leaves
-    nothing behind that a forked child could inherit half-held.
+    an exception of fn(there) is raised here.  The thread runs under this
+    thread's numpy error state, which ``np.errstate`` does not pass to a new
+    thread.  A thread per call leaves nothing behind that a forked child
+    could inherit half-held.
     """
     raised = []
+    errors = np.geterr()
 
     def work():
         try:
-            fn(there)
+            with np.errstate(**errors):
+                fn(there)
         except BaseException as exc:
             raised.append(exc)
 

@@ -10,8 +10,9 @@ features as strings with the candidate arcs they were read over,
 Adam's step over whole arrays, the LSTM recurrence with fresh arrays
 per step, the two training loops that ``nn.optim.fit`` replaced, the
 three-branch BIO span decoder, the tape's backward loop that held
-every gradient until its end, and the per-head route of the pairwise MLP
-scores.
+every gradient until its end, the per-head route of the pairwise MLP
+scores, and the tree <-> heads codec with its quadratic grouping and its
+segment walks that start over from every token.
 Brute-force enumeration over tag paths and arborescences lives beside it
 in ``oracle``.  Tests compare the package's analytic/algorithmic answers
 against these.  It also holds the few small functions that only tests
@@ -24,7 +25,19 @@ from typing import NamedTuple
 import numpy as np
 
 from proptree import nn
-from proptree.data import EQUIVALENT, PART_OF, encode_tree_to_heads
+from proptree.data import (
+    EQUIVALENT,
+    PART_OF,
+    ROOT_ID,
+    SEGMENT,
+    SKIP,
+    Document,
+    Entity,
+    Mention,
+    TokenHeadAssignment,
+    encode_tree_to_heads,
+    first_cycle_node,
+)
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import JointParser
 from proptree.nn.optim import BETA1, BETA2, EPS
@@ -581,6 +594,122 @@ def bio_decode_spans_reference(tags):
     if start is not None:
         spans.append((start, len(tags) + 1, cur))
     return spans
+
+
+def encode_tree_to_heads_reference(doc):
+    """``data.encode_tree_to_heads`` as it was, finding each entity's first
+    mention twice with a key function: the same checks, in the same order,
+    with the same messages."""
+
+    def main_mention(e):
+        return min(e.mentions, key=lambda m: (m.start, m.end))
+
+    n = doc.n
+    heads = list(range(1, n + 1))
+    labels = [SKIP] * n
+
+    def put(t, h, c):
+        if labels[t - 1] != SKIP:
+            raise ValueError(f"document {doc.id!r}: token {t} assigned twice (overlapping mentions?)")
+        heads[t - 1], labels[t - 1] = h, c
+
+    parents = {e.id: e.parent for e in doc.entities}
+    if len(parents) != len(doc.entities):
+        raise ValueError(f"document {doc.id!r}: duplicate entity ids")
+    if ROOT_ID in parents:
+        raise ValueError(f"document {doc.id!r}: entity id {ROOT_ID!r} names the document root")
+    for e in doc.entities:
+        if not (e.type is None or isinstance(e.type, str)):
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has type {e.type!r}, not a string")
+        if not e.mentions:
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has no mentions")
+        if e.parent != ROOT_ID and e.parent not in parents:
+            raise ValueError(f"document {doc.id!r}: entity {e.id!r} has unknown parent {e.parent!r}")
+    looped = first_cycle_node(parents, root=ROOT_ID)
+    if looped is not None:
+        raise ValueError(f"document {doc.id!r}: parent links form a cycle through {looped!r}")
+    anchors = {e.id: main_mention(e).anchor for e in doc.entities} | {ROOT_ID: 0}
+
+    for e in doc.entities:
+        main = main_mention(e)
+        for m in e.mentions:
+            if not m.end - 1 <= n:
+                raise ValueError(f"document {doc.id!r}: mention [{m.start}, {m.end}) exceeds {n} tokens")
+            for t in range(m.start, m.end - 1):
+                put(t, m.anchor, SEGMENT)
+            if m is not main:
+                put(m.anchor, main.anchor, EQUIVALENT)
+        put(main.anchor, anchors[e.parent], PART_OF)
+
+    return TokenHeadAssignment(heads, labels)
+
+
+def decode_heads_to_tree_reference(assignment, tokens, doc_id="decoded"):
+    """``data.decode_heads_to_tree`` as it was: each segment token walks its
+    chain afresh with a list lookup (O(L^3) for a chain of L tokens), and
+    each entity scans every mention for its own (O(E^2))."""
+    n = assignment.n
+    if len(tokens) != n:
+        raise ValueError(f"{len(tokens)} tokens but assignment covers {n}")
+
+    heads, labels = assignment.heads, assignment.labels
+
+    def resolve_anchor(t):
+        seen = []
+        while labels[t - 1] == SEGMENT:
+            seen.append(t)
+            t = heads[t - 1]
+            if t == 0 or t in seen:
+                raise ValueError(f"segment arcs from token {seen[0]} do not reach an anchor: {seen + [t]}")
+        return t
+
+    anchor_positions = [t for t in range(1, n + 1) if labels[t - 1] in (PART_OF, EQUIVALENT)]
+    members = {a: [a] for a in anchor_positions}
+    for t in range(1, n + 1):
+        if labels[t - 1] == SEGMENT:
+            a = resolve_anchor(t)
+            if labels[a - 1] == SKIP:
+                raise ValueError(f"token {t}: segment arc resolves to skip token {a}")
+            members[a].append(t)
+
+    spans = {}
+    for a, ts in members.items():
+        lo, hi = min(ts), max(ts)
+        if hi != a:
+            raise ValueError(f"anchor {a} is not the last token of its span [{lo}, {hi}]")
+        if sorted(ts) != list(range(lo, hi + 1)):
+            raise ValueError(f"mention at anchor {a} is not contiguous: {sorted(ts)}")
+        spans[a] = Mention(lo, hi + 1)
+
+    mains = sorted(a for a in anchor_positions if labels[a - 1] == PART_OF)
+    ids = {a: f"T{i + 1}" for i, a in enumerate(mains)}
+
+    group_of = {}
+    for a in anchor_positions:
+        first = heads[a - 1] if labels[a - 1] == EQUIVALENT else a
+        if first not in ids:
+            raise ValueError(f"token {a}: repeat-mention arc points at {first}, which anchors no first mention")
+        if first > a:
+            raise ValueError(f"token {a}: repeat-mention arc must point backwards, got head {first}")
+        group_of[a] = first
+
+    entities = []
+    for a in mains:
+        h = heads[a - 1]
+        if h == 0:
+            parent = ROOT_ID
+        else:
+            p = resolve_anchor(h)
+            if p not in ids:
+                raise ValueError(f"token {a}: parent arc points at {h}, which anchors no entity")
+            parent = ids[p]
+        own = sorted((m for m, g in group_of.items() if g == a), key=lambda m: spans[m].start)
+        entities.append(Entity(ids[a], None, [spans[m] for m in own], parent))
+
+    looped = first_cycle_node({e.id: e.parent for e in entities}, root=ROOT_ID)
+    if looped is not None:
+        raise ValueError(f"document {doc_id!r}: parent links form a cycle through {looped!r}")
+    return Document(doc_id, list(tokens), entities)
 
 
 def sigmoid(a):

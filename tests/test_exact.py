@@ -16,7 +16,8 @@ spec.loader.exec_module(exact)
 def test_two_runs_print_the_same_digests(capsys):
     runs = []
     for _ in range(2):
-        assert exact.main(["exact.py", str(ROOT / "src")], kinds=("pipeline-crf+ltm",), seeds=(1,)) == 0
+        assert exact.main(["exact.py", str(ROOT / "src")], kinds=("pipeline-crf+ltm",), seeds=(1,),
+                          corpus_seeds=()) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     lines = [line.split() for line in runs[0]]
@@ -30,7 +31,8 @@ def test_two_runs_print_the_same_digests(capsys):
 
 def test_joint_runs_print_a_distribution_digest_per_document(capsys):
     """Per test ad, and per joined document long enough to split the scorer's heads."""
-    assert exact.main(["exact.py", str(ROOT / "src")], kinds=("joint",), seeds=(1,)) == 0
+    assert exact.main(["exact.py", str(ROOT / "src")], kinds=("joint",), seeds=(1,),
+                      corpus_seeds=()) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     runs = {line[0] for line in lines}
     # No attention and each of the six variants, and the early-stopping run.
@@ -42,3 +44,17 @@ def test_joint_runs_print_a_distribution_digest_per_document(capsys):
     ads = generate_corpus(SyntheticConfig(n_docs=exact.ADS, seed=exact.CORPUS_SEED, ambiguous=True))
     test = ads[exact.TRAIN + exact.DEV:]
     assert min(sum(len(ad.tokens) for ad in test[a:b]) for a, b in exact.JOINED) >= SPLIT_ROWS
+
+
+def test_the_codec_prints_an_encode_and_a_decode_digest_per_part(capsys):
+    """Every ad, the long documents and three joins of a benchmark corpus; the
+    training corpus has no long documents."""
+    assert exact.main(["exact.py", str(ROOT / "src")], kinds=(), seeds=(),
+                      corpus_seeds=(1, exact.CODEC_SEEDS[-1])) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    joined = [f"joined-{k}" for k in exact.CODEC_JOINED]
+    for seed, parts in [(1, ["ads", "long", *joined]), (exact.CODEC_SEEDS[-1], ["ads", *joined])]:
+        for step in ("encode", "decode"):
+            assert [line[2] for line in lines if line[:2] == [f"codec/seed{seed}", step]] == parts
+    assert len(lines) == 2 * 9 and all(len(line[-1]) == 64 for line in lines)
+    assert len({line[-1] for line in lines}) == len(lines)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,26 @@ def test_split_pair_mlp_is_the_frozen_per_head_route(splits):
     assert len(splits) == 1
     assert p[1:].tobytes() == ref.tobytes()
     assert np.isnan(p[0]).all()
+
+
+def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, splits):
+    """``np.errstate`` does not reach a new thread: the worker takes the
+    caller's state, so overflow stays quiet on both halves, as in ``fit``."""
+    rng = np.random.default_rng(11)
+    m, l, n = 6, 5, SPLIT_ROWS + 4
+    states = Tensor(rng.normal(size=(n + 1, m)) * 1e200)
+    heads = [tuple(Tensor(rng.normal(size=shape) * 1e200) for shape in [(l, m), (l, m), (l,), (l,)])
+             for _ in range(4)]
+    outs = []
+    for split in (True, False):
+        monkeypatch.setattr(autodiff, "SECOND_CORE", split)
+        out = np.zeros((n, n + 1, 4))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            autodiff.pair_mlp(Tensor(states.data[1:]), states, heads, out)
+        outs.append(out)
+    assert len(splits) == 1
+    assert np.isnan(outs[0]).any() and outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_the_worker_is_joined_after_every_call(splits):

@@ -27,6 +27,14 @@ training with sequential training.  One BLAS thread also fixes the bytes:
 with two, OpenBLAS splits biaffine attention's larger products too, and the
 134-token distribution rounds differently, with or without the split.
 
+Last, it digests the gold-forest codec over the benchmark's corpora
+(``perfbench/workloads.py``) at seeds 1, 2 and 1000000 (``CODEC_SEEDS``):
+every ad, the pipeline workload's long documents (seeds 1 and 2), and the
+first 32, 128 and 512 ads joined into one document each (554-8,776
+tokens; the training corpus has 320 ads).  For each part it prints one
+digest of the ``encode_tree_to_heads`` heads and labels and one of the
+forests ``decode_heads_to_tree`` rebuilds from them.
+
 Two trees train and predict byte for byte alike when their outputs are equal:
 
     python tools/exact.py OTHER/src > other.txt
@@ -53,6 +61,10 @@ JOINED = ((0, 4), (4, 8), (0, 8))
 # validation F1 reads 0, 2.63 and 2.63: it stops after 3 of 8 epochs and keeps
 # epoch 2, the first of the tied best.
 EARLY_STOP = (1, 8, 0.05)
+# The benchmark's corpus seeds: its workload seeds 1 and 2 and its training
+# seed; and the numbers of leading ads joined into one document each.
+CODEC_SEEDS = (1, 2, 1_000_000)
+CODEC_JOINED = (32, 128, 512)
 
 
 def child(kinds: list[str], seeds: list[int]) -> None:
@@ -106,11 +118,44 @@ def child(kinds: list[str], seeds: list[int]) -> None:
                 print(run, "distribution", doc_id, sha(p.tobytes()))
 
 
-def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS) -> int:
+def codec_child(corpus_seeds: list[int]) -> None:
+    """Print the codec's encode and decode digests for each part of each corpus."""
+    import hashlib
+    import json
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from longdocs import draw_ks, join_ads, long_documents
+    from workloads import SPECS, TRAIN_SEED, make_corpus
+
+    from proptree.data import decode_heads_to_tree, encode_tree_to_heads
+
+    spec = SPECS["pipeline"]
+    for seed in corpus_seeds:
+        ks = draw_ks(spec.long_docs, seed, spec.k_min, spec.k_max)
+        # As in the workloads, the training seed's corpus has no test ads to make long documents of.
+        parts = make_corpus(seed, 0 if seed == TRAIN_SEED else sum(ks))
+        ads = [doc for part in parts for doc in part]
+        docs = {"ads": ads}
+        if parts[2]:
+            docs["long"] = long_documents(parts[2], ks, spec.max_tokens)
+        docs |= {f"joined-{k}": [join_ads(f"joined-{k}", ads[:k])] for k in CODEC_JOINED}
+        for name, part in docs.items():
+            golds = [encode_tree_to_heads(doc) for doc in part]
+            rebuilt = [decode_heads_to_tree(gold, doc.tokens, doc.id) for gold, doc in zip(golds, part)]
+            encoded = json.dumps([[gold.heads, gold.labels] for gold in golds])
+            decoded = json.dumps([[doc.id, doc.tokens, [[e.id, e.type, [[m.start, m.end] for m in e.mentions],
+                                                          e.parent] for e in doc.entities]]
+                                  for doc in rebuilt])
+            print(f"codec/seed{seed}", "encode", name, hashlib.sha256(encoded.encode()).hexdigest())
+            print(f"codec/seed{seed}", "decode", name, hashlib.sha256(decoded.encode()).hexdigest())
+
+
+def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS,
+         corpus_seeds: tuple[int, ...] = CODEC_SEEDS) -> int:
     src = str(Path(argv[1] if len(argv) > 1 else "src").resolve())
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, __file__, "--child", ",".join(kinds),
-                          ",".join(map(str, seeds))],
+                          ",".join(map(str, seeds)), ",".join(map(str, corpus_seeds))],
                          env=env, check=True, capture_output=True, text=True).stdout
     sys.stdout.write(out)
     return 0
@@ -118,6 +163,8 @@ def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...]
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        child(sys.argv[2].split(","), [int(s) for s in sys.argv[3].split(",")])
+        ints = [[int(s) for s in arg.split(",") if s] for arg in sys.argv[3:5]]
+        child([k for k in sys.argv[2].split(",") if k], ints[0])
+        codec_child(ints[1])
     else:
         sys.exit(main(sys.argv))
