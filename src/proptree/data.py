@@ -112,16 +112,21 @@ class TokenHeadAssignment:
             if self.labels[t - 1] != SKIP
         }
 
+    def check_heads(self) -> None:
+        """Raises ValueError for the first token whose head is not a position
+        0..n: the one rule that gold checks and decoding share."""
+        if bad := next((t for t, h in enumerate(self.heads, 1) if not 0 <= h <= self.n), None):
+            raise ValueError(f"token {bad}: head {self.head_of(bad)} out of range 0..{self.n}")
+
     def validate_gold(self) -> None:
         """Check the invariants encoded gold trees satisfy.
 
         Predicted assignments may violate all of these until repaired by the
         spanning-tree decoder, so this is only called on gold data.
         """
+        self.check_heads()
         for t in range(1, self.n + 1):
             h, c = self.heads[t - 1], self.labels[t - 1]
-            if not 0 <= h <= self.n:
-                raise ValueError(f"token {t}: head {h} out of range 0..{self.n}")
             if not 0 <= c <= 3:
                 raise ValueError(f"token {t}: label {c} out of range 0..3")
             if (c == SKIP) != (h == t):
@@ -194,6 +199,7 @@ def decode_heads_to_tree(assignment: TokenHeadAssignment, tokens: list[str],
     if len(tokens) != n:
         raise ValueError(f"{len(tokens)} tokens but assignment covers {n}")
 
+    assignment.check_heads()
     heads, labels = assignment.heads, assignment.labels
     resolved: dict[int, int] = {}
 

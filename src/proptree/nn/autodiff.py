@@ -14,11 +14,11 @@ leaves before an optimizer step.
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .. import cores
 
 
 class Tensor:
@@ -276,64 +276,6 @@ def pair_scores(rows: np.ndarray, cols: np.ndarray, b: np.ndarray, v: np.ndarray
     return y if keep else None
 
 
-def second_core_allowed(cpus: int, environ: Mapping[str, str]) -> bool:
-    """Whether proptree may put work on a second core: untaped ``pair_mlp``
-    scores half of its heads on a second thread, and training runs the
-    pipeline's edge stage and joint validations in a forked child
-    (``train.in_child``).  The process may use at least two CPUs and BLAS runs
-    one thread.
-
-    OpenBLAS takes its thread count, when it loads, from the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
-    positive number, and uses every core when none does.  A threaded BLAS
-    serves both threads' products from its own threads, and the split then
-    loses time.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return cpus >= 2 and int(value) == 1
-    return False
-
-
-# Read once, as OpenBLAS reads its variables once.
-SECOND_CORE = second_core_allowed(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, os.environ)
-# Untaped ``pair_mlp`` splits its heads from this many rows on: the crossover
-# of the sweep in README "Joint scorer".  Below it, starting the thread and the
-# two threads' turns at the interpreter lock cost more than the second core saves.
-SPLIT_ROWS = 56
-
-
-def _beside(fn: Callable, there, here) -> None:
-    """Runs fn(there) on a new thread while fn(here) runs on this one.
-
-    The thread is joined before this returns, also when fn(here) raises, and
-    an exception of fn(there) is raised here.  The thread runs under this
-    thread's numpy error state, which ``np.errstate`` does not pass to a new
-    thread.  A thread per call leaves nothing behind that a forked child
-    could inherit half-held.
-    """
-    raised = []
-    errors = np.geterr()
-
-    def work():
-        try:
-            with np.errstate(**errors):
-                fn(there)
-        except BaseException as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        fn(here)
-    finally:
-        worker.join()
-    if raised:
-        raise raised[0]
-
-
 def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
              out: np.ndarray) -> Tensor:
     """Pairwise one-layer MLP scores under K heads, recorded as a single op.
@@ -347,9 +289,10 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
     head keeps its tanh values y, one (R, C, l) array, and the backward pass
     reads 1 - y^2 from them instead of recomputing tanh.
 
-    With no tape, at least SPLIT_ROWS rows, two heads or more and SECOND_CORE
-    set, the later half of the heads is scored on a second thread.  Each head
-    makes the same calls either way, so ``out`` holds the same bytes.
+    With no tape, at least ``cores.SPLIT_ROWS`` rows, two heads or more and
+    ``cores.SECOND_CORE`` set, the later half of the heads is scored on a
+    second thread (``cores.beside``).  Each head makes the same calls either
+    way, so ``out`` holds the same bytes.
 
     The inputs are recorded as (cols, rows, w0, u0, b0, v0, ...): when rows
     is cols, its cols gradient is added first.  The backward pass walks the
@@ -371,8 +314,8 @@ def pair_mlp(rows: Tensor, cols: Tensor, heads: Sequence[tuple[Tensor, Tensor, T
 
     numbered, half = list(enumerate(heads)), len(heads) // 2
     scores = Tensor(out.reshape(n_rows, n_cols * len(heads)))
-    if not taped and half and n_rows >= SPLIT_ROWS and SECOND_CORE:
-        _beside(score, numbered[half:], numbered[:half])
+    if not taped and half and n_rows >= cores.SPLIT_ROWS and cores.SECOND_CORE:
+        cores.beside(score, numbered[half:], numbered[:half])
         return scores
     ys = score(numbered)
     if not taped:

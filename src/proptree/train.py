@@ -5,19 +5,14 @@ through the one loop ``nn.optim.fit``.  The joint model's end-of-epoch
 callback early-stops on validation overall F1, computed after tree
 enforcement, and the best-epoch weights are the ones kept.  Pipelines train
 their two stages for a fixed epoch budget.  With a second core free
-(``in_child``), a pipeline trains its edge stage beside its CRF, and the joint
-model validates an epoch beside the next one.  Runners wrap trained models
+(``cores.in_child``), a pipeline trains its edge stage beside its CRF, and the
+joint model validates an epoch beside the next one.  Runners wrap trained models
 behind one interface (evaluate / predict_doc / save) so the CLI and tests
 never branch on model family.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
-import signal
-import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -26,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import cores
 from .attention import READERS, VARIANTS, scorer_input_width
 from .corpus import doc_to_json
 from .data import Document, TokenHeadAssignment, decode_heads_to_tree, encode_tree_to_heads
@@ -33,7 +29,7 @@ from .embeddings import EmbeddingTable
 from .joint import JointParser
 from .metrics import MetricsReport, aggregate, score_edges
 from .mst import is_tree, repair
-from .nn import Adam, Tape, Tensor, autodiff, load_checkpoint, save_checkpoint
+from .nn import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from .nn.optim import fit
 from .pipeline import CrfModel, LtmModel, MttModel, pipeline_predict, train_crf, train_ltm, train_mtt
 from .synthetic import vocabulary
@@ -257,66 +253,6 @@ def _names_in_order(index: dict[str, int]) -> list[str]:
     return [name for name, _ in sorted(index.items(), key=lambda kv: kv[1])]
 
 
-def in_child(fn: Callable, stage: str) -> Callable:
-    """Runs ``fn()`` in a forked child beside the caller and returns a handle:
-    calling it waits for the child, then returns fn's value or raises its
-    exception.  The handle is called once, and no child outlives it: an
-    interrupt while it waits kills the child.
-
-    It forks only when ``nn.autodiff.SECOND_CORE`` holds, where ``os.fork``
-    exists, and from a process with no other thread (a lock that one holds
-    would stay held in the child).  Otherwise ``fn()`` runs now, and the
-    handle returns what it returned or raises what it raised.  Either way
-    the value or exception is pickled: one that does not pickle arrives as a
-    RuntimeError with its type and message, and a child that ends without a
-    result raises a RuntimeError naming ``stage``.
-    """
-    if not (autodiff.SECOND_CORE and hasattr(os, "fork") and threading.active_count() == 1):
-        blob = _pickled(fn, stage)
-        return lambda: _unpickled(blob)
-    read, write = os.pipe()
-    if not (pid := os.fork()):
-        try:
-            with os.fdopen(write, "wb") as pipe:
-                pipe.write(_pickled(fn, stage))
-        finally:
-            os._exit(0)
-    os.close(write)
-
-    def handle():
-        try:
-            with os.fdopen(read, "rb") as pipe:
-                blob = pipe.read()
-        except BaseException:  # an interrupt while waiting ends the child too
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if not blob:
-            raise RuntimeError(f"{stage}: the child ended without a result, wait status {status}")
-        return _unpickled(blob)
-    return handle
-
-
-def _pickled(fn: Callable, stage: str) -> bytes:
-    """(True, fn's value) or (False, the exception it raised), pickled.  A
-    value that does not pickle counts as that error, and an exception that
-    does not survive the round trip becomes a RuntimeError that names it."""
-    try:
-        return pickle.dumps((True, fn()))
-    except Exception as exc:
-        with suppress(Exception):
-            return pickle.dumps((False, pickle.loads(pickle.dumps(exc))))
-        return pickle.dumps((False, RuntimeError(f"{stage}: {exc!r}")))
-
-
-def _unpickled(blob: bytes):
-    ok, value = pickle.loads(blob)
-    if not ok:
-        raise value
-    return value
-
-
 def train_joint(config: TrainConfig, train_docs: list[Document],
                 dev_docs: list[Document],
                 table: EmbeddingTable | None = None) -> tuple[JointRunner, TrainLog]:
@@ -338,7 +274,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
     # snapshot as large as the whole store lifts glibc's mmap threshold above
     # the largest parameter's temporaries, which then stay resident in the heap.
     # The buffer is a shared mapping, so a validation in a child writes it too.
-    best_params = np.frombuffer(mmap.mmap(-1, opt.data.nbytes))
+    best_params = cores.shared_like(opt.data)
     # The (epoch, loss, seconds, handle) of the one validation not yet logged:
     # one that runs in a child, or one that ``end_epoch`` runs here at once.
     pending = []
@@ -380,7 +316,7 @@ def train_joint(config: TrainConfig, train_docs: list[Document],
         collect()  # the epoch before, whose F1 could not stop training
         forks = epoch < config.max_epochs and epoch - log.best_epoch < config.patience
         pending.append((epoch, loss, seconds,
-                        in_child(validate, f"validation of epoch {epoch}") if forks else validate))
+                        cores.in_child(validate, f"validation of epoch {epoch}") if forks else validate))
         stop = not forks and collect()  # validates now, on this epoch's weights
         started = time.perf_counter()
         return stop
@@ -400,8 +336,8 @@ def train_pipeline(config: TrainConfig, train_docs: list[Document],
     # The edge stage trains on gold entities and never reads the CRF.  Each
     # stage's trainer refuses a broken gold forest before its first step.
     trainer = train_ltm if config.model.endswith("ltm") else train_mtt
-    edge = in_child(lambda: trainer(train_docs, epochs=config.max_epochs, lr=config.lr,
-                                    seed=config.seed), f"{config.model}'s edge stage")
+    edge = cores.in_child(lambda: trainer(train_docs, epochs=config.max_epochs, lr=config.lr,
+                                          seed=config.seed), f"{config.model}'s edge stage")
     try:
         crf = train_crf(train_docs, lam=10.0, epochs=config.max_epochs,
                         lr=config.lr, seed=config.seed)

@@ -10,8 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from proptree import train
-from proptree.nn import autodiff
+from proptree import cores, train
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,7 +34,7 @@ def test_tracer_installs_and_uninstalls():
 def test_tracer_sees_both_pipeline_training_stages(monkeypatch):
     # The patch table records spans in one process: the edge stage stays in
     # this one, whatever the caller's BLAS variables.
-    monkeypatch.setattr(autodiff, "SECOND_CORE", False)
+    monkeypatch.setattr(cores, "SECOND_CORE", False)
     docs = generate_corpus(SyntheticConfig(n_docs=6, seed=1))
     t = tracer()
     t.install()

@@ -231,6 +231,22 @@ def test_decode_rejects_forward_segment_arc():
         decode_heads_to_tree(bad, ["a", "b", "c"], doc_id="bad")
 
 
+@pytest.mark.parametrize("heads, labels, message", [
+    ([5], [PART_OF], "token 1: head 5 out of range 0..1"),
+    ([3, 0], [PART_OF, PART_OF], "token 1: head 3 out of range 0..2"),
+    # Not read through negative indexing as token 1's segment arc to token 2.
+    ([-1, 0], [SEGMENT, PART_OF], "token 1: head -1 out of range 0..2"),
+    ([0, 1, 4], [PART_OF, EQUIVALENT, PART_OF], "token 3: head 4 out of range 0..3"),
+], ids=["one-token", "two-tokens", "negative", "third-token"])
+def test_decode_rejects_a_head_out_of_range(heads, labels, message):
+    """In ``validate_gold``'s words, before any arc is followed."""
+    assignment = TokenHeadAssignment(heads, labels)
+    for check in (lambda: decode_heads_to_tree(assignment, ["w"] * len(heads)),
+                  assignment.validate_gold):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
+
+
 def test_decode_rejects_parent_cycle():
     bad = TokenHeadAssignment([2, 1], [PART_OF, PART_OF])
     with pytest.raises(ValueError):

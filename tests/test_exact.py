@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from proptree.nn.autodiff import SPLIT_ROWS
+from proptree.cores import SPLIT_ROWS
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +58,16 @@ def test_the_codec_prints_an_encode_and_a_decode_digest_per_part(capsys):
             assert [line[2] for line in lines if line[:2] == [f"codec/seed{seed}", step]] == parts
     assert len(lines) == 2 * 9 and all(len(line[-1]) == 64 for line in lines)
     assert len({line[-1] for line in lines}) == len(lines)
+
+
+def test_blas_threads_sets_the_childs_variable(tmp_path, capsys):
+    """N reaches the child, 1 by default.  The SRC given links to proptree and
+    holds a ``sitecustomize`` that prints the variable as the child starts;
+    with no kinds, seeds or corpus seeds the child prints nothing else."""
+    (tmp_path / "proptree").symlink_to(ROOT / "src" / "proptree")
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os\nprint('OPENBLAS_NUM_THREADS', os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    for flags, threads in [([], "1"), (["--blas-threads", "2"], "2")]:
+        assert exact.main(["exact.py", *flags, str(tmp_path)], kinds=(), seeds=(),
+                          corpus_seeds=()) == 0
+        assert capsys.readouterr().out.splitlines() == [f"OPENBLAS_NUM_THREADS {threads}"]

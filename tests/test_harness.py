@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proptree import cli, nn, pipeline
+from proptree import cli, cores, nn, pipeline
 from proptree import train as train_module
 from proptree.attention import VARIANTS, scorer_input_width
 from proptree.corpus import read_corpus, write_corpus
@@ -323,7 +323,7 @@ def test_early_stopping_keeps_best_epoch(monkeypatch, tmp_path):
     docs = small_corpus(n=4)
     sequence = [50.0, 60.0, 59.0, 58.0, 57.0, 56.0]
     for second_core in (False, True):
-        monkeypatch.setattr(nn.autodiff, "SECOND_CORE", second_core)
+        monkeypatch.setattr(cores, "SECOND_CORE", second_core)
         folder = tmp_path / f"second-core-{second_core}"
         folder.mkdir()
 
@@ -1141,7 +1141,7 @@ def test_cli_generate_split_train_evaluate_predict(tmp_path, capsys, monkeypatch
             return predict_doc(self, tokens)
 
         with monkeypatch.context() as patched:
-            patched.setattr(nn.autodiff, "SECOND_CORE", second_core)
+            patched.setattr(cores, "SECOND_CORE", second_core)
             patched.setattr(JointRunner, "predict_doc", counted_predict_doc)
             assert run_cli(["train", "--train", splits / "train.jsonl",
                             "--dev", splits / "dev.jsonl", "--model", "joint",

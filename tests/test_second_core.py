@@ -1,4 +1,4 @@
-"""Training on the second core: ``train.in_child`` runs the pipeline's edge
+"""Training on the second core: ``cores.in_child`` runs the pipeline's edge
 stage beside its CRF, and a joint epoch's validation beside the next epoch,
 in a forked child.  Every result keeps its bytes, errors surface in the order
 of sequential training, and no child outlives the call."""
@@ -12,11 +12,12 @@ import threading
 import numpy as np
 import pytest
 
+from proptree import cores
 from proptree import train as train_module
 from proptree.joint import JointParser
-from proptree.nn import autodiff
 from proptree.synthetic import SyntheticConfig, generate_corpus
-from proptree.train import JointRunner, TrainConfig, in_child, train_model
+from proptree.cores import in_child
+from proptree.train import JointRunner, TrainConfig, train_model
 
 from helpers import train_joint_reference
 
@@ -92,10 +93,10 @@ RUNS = {
 def test_the_second_core_keeps_every_byte(run, monkeypatch, forks):
     config = RUNS[run]
     threads = threading.active_count()
-    monkeypatch.setattr(autodiff, "SECOND_CORE", False)
+    monkeypatch.setattr(cores, "SECOND_CORE", False)
     alone = outcome(config)
     assert forks == []  # nothing forks with the gate off
-    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
+    monkeypatch.setattr(cores, "SECOND_CORE", True)
     assert outcome(config) == alone
     if run.startswith("pipeline"):
         assert len(forks) == 1  # the edge stage
@@ -130,7 +131,7 @@ class PoisonedParser(JointParser):
 
 @pytest.mark.parametrize("second_core", [False, True])
 def test_a_non_finite_gradient_names_the_epoch_in_training(second_core, monkeypatch, forks):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", second_core)
+    monkeypatch.setattr(cores, "SECOND_CORE", second_core)
     monkeypatch.setattr(train_module, "JointParser", PoisonedParser)
     config = TrainConfig("joint", d=8, l=4, lr=0.01, max_epochs=5, patience=5, seed=0)
     rng = np.random.default_rng(config.seed)
@@ -146,7 +147,7 @@ def test_a_non_finite_gradient_names_the_epoch_in_training(second_core, monkeypa
 
 @pytest.mark.parametrize("second_core", [False, True])
 def test_a_crf_error_comes_before_an_edge_stage_error(second_core, monkeypatch):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", second_core)
+    monkeypatch.setattr(cores, "SECOND_CORE", second_core)
 
     def fails(message):
         def trainer(*args, **kwargs):
@@ -168,7 +169,7 @@ def test_a_crf_error_comes_before_an_edge_stage_error(second_core, monkeypatch):
 @pytest.mark.parametrize("second_core", [False, True])
 def test_a_validation_error_comes_before_the_next_epochs_training_error(second_core,
                                                                        monkeypatch):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", second_core)
+    monkeypatch.setattr(cores, "SECOND_CORE", second_core)
     monkeypatch.setattr(PoisonedParser, "POISON", 2)
     monkeypatch.setattr(train_module, "JointParser", PoisonedParser)
 
@@ -201,7 +202,7 @@ def raise_(exc):
 
 @pytest.mark.parametrize("second_core", [False, True])
 def test_in_child_returns_the_value_or_raises_the_error(second_core, monkeypatch, forks):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", second_core)
+    monkeypatch.setattr(cores, "SECOND_CORE", second_core)
     threads = threading.active_count()
     assert (in_child(os.getpid, "pid")() != os.getpid()) is second_core
     with pytest.raises(KeyError, match="'missing'"):
@@ -221,7 +222,7 @@ def test_in_child_returns_the_value_or_raises_the_error(second_core, monkeypatch
                                  lambda: os.kill(os.getpid(), signal.SIGKILL)],
                          ids=["exit", "sigkill"])
 def test_a_child_that_ends_without_a_result_names_its_stage(end, monkeypatch):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
+    monkeypatch.setattr(cores, "SECOND_CORE", True)
     threads = threading.active_count()
     handle = in_child(end, "the doomed stage")
     with pytest.raises(RuntimeError, match="^the doomed stage: the child ended without a result"):
@@ -230,7 +231,7 @@ def test_a_child_that_ends_without_a_result_names_its_stage(end, monkeypatch):
 
 
 def test_an_interrupt_kills_the_child_it_waits_for(monkeypatch, forks):
-    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
+    monkeypatch.setattr(cores, "SECOND_CORE", True)
     threads = threading.active_count()
     handle = in_child(lambda: signal.pause(), "the hung stage")
     try:
@@ -247,7 +248,7 @@ def test_an_interrupt_kills_the_child_it_waits_for(monkeypatch, forks):
 
 def test_no_fork_beside_another_thread(monkeypatch, forks):
     """A lock held by another thread at the fork would stay held in the child."""
-    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
+    monkeypatch.setattr(cores, "SECOND_CORE", True)
     done = threading.Event()
     other = threading.Thread(target=done.wait)
     other.start()

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proptree import cores
 from proptree.embeddings import EmbeddingTable
 from proptree.joint import JointParser
 from proptree.nn import Tensor, autodiff
-from proptree.nn.autodiff import SPLIT_ROWS, second_core_allowed
+from proptree.cores import SPLIT_ROWS, second_core_allowed
 from proptree.train import JointRunner, TrainConfig
 
 from helpers import pair_mlp_reference
@@ -41,14 +42,14 @@ def runner_for(attention=None):
 def splits(monkeypatch):
     """Forces the gate open and counts the calls that took the second thread."""
     calls = []
-    beside = autodiff._beside
+    beside = cores.beside
 
     def counted(*args):
         calls.append(args)
         return beside(*args)
 
-    monkeypatch.setattr(autodiff, "SECOND_CORE", True)
-    monkeypatch.setattr(autodiff, "_beside", counted)
+    monkeypatch.setattr(cores, "SECOND_CORE", True)
+    monkeypatch.setattr(cores, "beside", counted)
     return calls
 
 
@@ -68,9 +69,9 @@ def test_split_distribution_and_prediction_are_byte_identical(monkeypatch, split
         # One split per ``distribution`` call (the scorer's four heads); the
         # additive attention's one head never splits.
         assert len(splits) == (2 if n >= SPLIT_ROWS else 0), n
-        monkeypatch.setattr(autodiff, "SECOND_CORE", False)
+        monkeypatch.setattr(cores, "SECOND_CORE", False)
         assert outputs(runner, tokens) == split, n
-        monkeypatch.setattr(autodiff, "SECOND_CORE", True)
+        monkeypatch.setattr(cores, "SECOND_CORE", True)
 
 
 def test_split_pair_mlp_is_the_frozen_per_head_route(splits):
@@ -98,7 +99,7 @@ def test_the_worker_runs_under_the_callers_numpy_error_state(monkeypatch, splits
              for _ in range(4)]
     outs = []
     for split in (True, False):
-        monkeypatch.setattr(autodiff, "SECOND_CORE", split)
+        monkeypatch.setattr(cores, "SECOND_CORE", split)
         out = np.zeros((n, n + 1, 4))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
@@ -189,7 +190,7 @@ def test_the_gate_is_read_at_import(blas_threads, one_cpu):
     if blas_threads:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     pin = "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); " if one_cpu else ""
-    code = f"import os; {pin}from proptree.nn import autodiff; print(autodiff.SECOND_CORE)"
+    code = f"import os; {pin}from proptree import cores; print(cores.SECOND_CORE)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     cpus = 1 if one_cpu else len(os.sched_getaffinity(0))

@@ -18,14 +18,15 @@ one line per digest of:
 The joint kinds also predict three documents of joined test ads (60, 74 and
 134 tokens), long enough that prediction scores half of the labels on a
 second thread when the machine has two CPUs.  The child runs with one BLAS
-thread, which turns the second-core gate on
-(``proptree.nn.autodiff.second_core_allowed``) on a machine with two CPUs:
-prediction splits those heads, a pipeline trains its edge stage in a forked
-child, and a joint epoch validates in a forked child beside the next epoch.
-Diffing against a parent tree without the gate therefore compares forked
-training with sequential training.  One BLAS thread also fixes the bytes:
-with two, OpenBLAS splits biaffine attention's larger products too, and the
-134-token distribution rounds differently, with or without the split.
+thread by default (``--blas-threads N`` sets its ``OPENBLAS_NUM_THREADS``),
+which turns the second-core gate on (``proptree.cores.second_core_allowed``)
+on a machine with two CPUs: prediction splits those heads, a pipeline trains
+its edge stage in a forked child, and a joint epoch validates in a forked
+child beside the next epoch.  Diffing against a parent tree without the gate,
+or against ``--blas-threads 2``, where the gate is off, therefore compares
+forked training with sequential training.  One BLAS thread also fixes the
+bytes: with two, OpenBLAS splits biaffine attention's larger products too, and
+the 134-token distribution rounds differently, with or without the split.
 
 Last, it digests the gold-forest codec over the benchmark's corpora
 (``perfbench/workloads.py``) at seeds 1, 2 and 1000000 (``CODEC_SEEDS``):
@@ -41,11 +42,12 @@ Two trees train and predict byte for byte alike when their outputs are equal:
     python tools/exact.py > this.txt
     diff other.txt this.txt
 
-Usage: python tools/exact.py [SRC]   (SRC defaults to src)
+Usage: python tools/exact.py [--blas-threads N] [SRC]   (N defaults to 1, SRC to src)
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -152,8 +154,16 @@ def codec_child(corpus_seeds: list[int]) -> None:
 
 def main(argv: list[str], kinds: tuple[str, ...] = KINDS, seeds: tuple[int, ...] = SEEDS,
          corpus_seeds: tuple[int, ...] = CODEC_SEEDS) -> int:
-    src = str(Path(argv[1] if len(argv) > 1 else "src").resolve())
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    parser = argparse.ArgumentParser(description="Print a digest of everything that "
+                                                 "training and prediction produce.")
+    parser.add_argument("src", nargs="?", default="src", help="the source tree (default: src)")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="the child's OPENBLAS_NUM_THREADS (default: 1)")
+    args = parser.parse_args(argv[1:])
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be positive, got {args.blas_threads}")
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
+           "OPENBLAS_NUM_THREADS": str(args.blas_threads)}
     out = subprocess.run([sys.executable, __file__, "--child", ",".join(kinds),
                           ",".join(map(str, seeds)), ",".join(map(str, corpus_seeds))],
                          env=env, check=True, capture_output=True, text=True).stdout
