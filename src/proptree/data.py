@@ -115,8 +115,9 @@ class TokenHeadAssignment:
     def check_heads(self) -> None:
         """Raises ValueError for the first token whose head is not a position
         0..n: the one rule that gold checks and decoding share."""
-        if bad := next((t for t, h in enumerate(self.heads, 1) if not 0 <= h <= self.n), None):
-            raise ValueError(f"token {bad}: head {self.head_of(bad)} out of range 0..{self.n}")
+        n = len(self.heads)
+        if bad := next((t for t, h in enumerate(self.heads, 1) if not 0 <= h <= n), None):
+            raise ValueError(f"token {bad}: head {self.heads[bad - 1]} out of range 0..{n}")
 
     def validate_gold(self) -> None:
         """Check the invariants encoded gold trees satisfy.
@@ -125,8 +126,7 @@ class TokenHeadAssignment:
         spanning-tree decoder, so this is only called on gold data.
         """
         self.check_heads()
-        for t in range(1, self.n + 1):
-            h, c = self.heads[t - 1], self.labels[t - 1]
+        for t, (h, c) in enumerate(zip(self.heads, self.labels), 1):
             if not 0 <= c <= 3:
                 raise ValueError(f"token {t}: label {c} out of range 0..3")
             if (c == SKIP) != (h == t):

@@ -56,7 +56,7 @@ class FeatureTable(NamedTuple):
         ids = self.slots.T
         known = ids >= 0
         # Training keeps one flat index per case, so it takes the smallest type that holds them all.
-        kind = np.min_scalar_type((ids.max(initial=0) + 1) * width)
+        kind = np.min_scalar_type((int(ids.max(initial=0)) + 1) * width)
         flat = (ids[known].astype(kind)[:, None] * width + np.arange(width, dtype=kind)).ravel()
         counts = known.sum(axis=1)
         return lambda grad, coeff: np.add.at(grad.reshape(-1), flat, coeff.repeat(counts, axis=0).ravel())
@@ -77,7 +77,7 @@ class Recorder(dict):
         used = set().union(*(table.slots.ravel().tolist() for table in tables))
         index = {f: i for i, f in enumerate(sorted(name for name, old in self.items() if old in used))}
         # Old id i becomes ids[i]; the slot -1 reads the last entry.
-        ids = np.array([*(index.get(f, -1) for f in self), -1], dtype=np.int64)
+        ids = np.array([*(index.get(f, -1) for f in self), -1], dtype=np.int32)
         slots = (ids[table.slots] for table in tables)
         return index, [FeatureTable(s[(s >= 0).any(axis=1)]) for s in slots]
 
@@ -113,7 +113,7 @@ class CrfModel(Module):
             raise ValueError("cannot score an empty sequence")
         known, get = self.token_ids, self.feature_index.get
         fresh = {w: self._ids_of(w) for w in set(tokens) if w not in known}
-        ids = np.array([known[w] if w in known else fresh[w] for w in tokens])
+        ids = np.array([known[w] if w in known else fresh[w] for w in tokens], dtype=np.int32)
         slots = ids.T.copy()
         # Position i's prev= id is token i-1's own, and its next= id token i+1's.
         slots[8, 0], slots[8, 1:] = get("prev=<s>", -1), ids[:-1, 8]

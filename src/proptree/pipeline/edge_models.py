@@ -6,14 +6,15 @@ root as parent) with sparse hand-built features.  LTM treats every pair as
 an independent binary decision; MTT normalizes over all spanning
 arborescences of the entity graph, with the partition function computed as
 a Laplacian minor determinant and marginals from its inverse.  Training
-and prediction read each document's arc features from one ``ArcFeatures``
-table, built without per-arc strings.
+and prediction read each document's arc features from one builder,
+``arc_blocks``, which yields them in ``ArcFeatures`` blocks of at most
+``ARC_BLOCK`` arcs, built without per-arc strings.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,29 +32,48 @@ def _bucket(n: int) -> str:
     return "4-6" if n <= 6 else "7+"
 
 
+# Candidate arcs are built and scored this many at a time: a long document's
+# slot grid and weight gather never exist whole (1,024 cuts the benchmark's
+# largest documents, 54 gold entities and 2,916 arcs, into three blocks).
+ARC_BLOCK = 1024
+
+
+def _cuts(n: int) -> list[slice]:
+    """Arcs 0..n-1 in consecutive blocks of at most ``ARC_BLOCK``."""
+    return [slice(s, min(s + ARC_BLOCK, n)) for s in range(0, n, ARC_BLOCK)]
+
+
 class ArcFeatures(NamedTuple):
-    """One document's candidate arcs over nodes 0..t, ``heads[i] -> children[i]``:
-    the root 0 is only a parent and no entity heads itself.  They run
-    child-major, the root first and then heads ascending.  This fixes LTM's
-    training pairs and, through argmax's first maximum, the greedy tie rule:
-    the root beats every tied head and a smaller head a larger one.  Row i
-    of ``feats`` holds arc i's feature ids in template order."""
+    """Candidate arcs over nodes 0..t, ``heads[i] -> children[i]``: the root 0
+    is only a parent and no entity heads itself.  They run child-major, the
+    root first and then heads ascending.  This fixes LTM's training pairs and,
+    through argmax's first maximum, the greedy tie rule: the root beats every
+    tied head and a smaller head a larger one.  Column i of ``feats`` holds
+    arc i's feature ids in template order."""
 
     heads: np.ndarray
     children: np.ndarray
     feats: FeatureTable
 
-    def scores(self, w: np.ndarray) -> np.ndarray:
-        """(t+1, t+1) [head, child] matrix of summed arc weights, -inf off the arcs."""
-        t = math.isqrt(len(self.heads))  # t entities have t * t candidate arcs
-        out = np.full((t + 1, t + 1), -np.inf)
-        out[self.heads, self.children] = self.feats.sums(w)
-        return out
+    def blocks(self) -> list[ArcFeatures]:
+        """The table cut where ``arc_blocks`` cuts it, as views."""
+        return [ArcFeatures(self.heads[cut], self.children[cut], FeatureTable(self.feats.slots[:, cut]))
+                for cut in _cuts(len(self.heads))]
 
 
-def arc_features(entities: Sequence[Entity], tokens: list[str],
-                 feature_index: dict[str, int]) -> ArcFeatures:
-    """The edge-feature template: every candidate arc's feature ids, in one slot grid.
+def arc_scores(t: int, blocks: Iterable[ArcFeatures], w: np.ndarray) -> np.ndarray:
+    """(t+1, t+1) [head, child] matrix of summed arc weights, -inf off the arcs,
+    filled one block at a time."""
+    out = np.full((t + 1, t + 1), -np.inf)
+    for block in blocks:
+        out[block.heads, block.children] = block.feats.sums(w)
+    return out
+
+
+def arc_blocks(entities: Sequence[Entity], tokens: list[str],
+               feature_index: dict[str, int]) -> Iterator[ArcFeatures]:
+    """The edge-feature template: the candidate arcs' int32 feature ids, one
+    block of at most ``ARC_BLOCK`` arcs at a time.
 
     Strings are looked up per entity, per type pair and per distinct token,
     never per arc; each slot row is one gather of such ids through the arcs'
@@ -62,7 +82,7 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     span ``[lo, hi)`` holds those with ``prefix[hi] > prefix[lo]``.
     """
     def lookup(names) -> np.ndarray:
-        return np.array([feature_index.get(f, -1) for f in names], dtype=np.int64)
+        return np.array([feature_index.get(f, -1) for f in names], dtype=np.int32)
 
     t, mains = len(entities), [e.main_mention() for e in entities]
     anchor_tok = [tokens[m.end - 2] for m in mains]  # the anchor is end - 1, 1-based
@@ -74,38 +94,55 @@ def arc_features(entities: Sequence[Entity], tokens: list[str],
     prefix[np.arange(1, len(tokens) + 1), [column.get(tok, -1) for tok in tokens]] = 1
     prefix = prefix.cumsum(axis=0, dtype=np.int32)[:, :-1]
 
-    # Arc i is heads[i] -> child[i] + 1.  Column v of ``nodes`` is node v's main
-    # span and kind: the root's span is [0, 0) and its kind 0, and node v > 0 is
-    # entity v - 1, of type kinds[kind - 1].
-    child, j = np.divmod(np.arange(t * t), t)
-    heads, root = j + (j > child), j == 0  # the child's own node is skipped
+    # Column v of ``nodes`` is node v's main span and kind: the root's span is
+    # [0, 0) and its kind 0, and node v > 0 is entity v - 1, of type kinds[kind - 1].
     nodes = np.array([(0, 0, 0), *((m.start, m.end, kinds.index(e.type) + 1)
                                    for m, e in zip(mains, entities))], dtype=np.int64).T
-    p_start, p_end, p_kind = nodes.take(heads, axis=1)
-    cs, ce, c_kind = nodes.take(child + 1, axis=1)
-    case = np.where(root, 3, np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2)))
-    # Between the spans lies [lo, hi); [0, 0) for an overlap or the root.
-    lo = np.where(case == 0, p_end, np.where(case == 1, ce, 1)) - 1
-    hi = np.where(case == 0, cs, np.where(case == 1, p_start, 1)) - 1
-    slots = np.empty((9 + len(btw), t * t), dtype=np.int64)
-    slots[0] = feature_index.get("bias", -1)
-    slots[1] = lookup(f"c_tok={tok}" for tok in anchor_tok)[child]
-    slots[2] = lookup(f"c_type={k}" for k in kinds)[c_kind - 1]
-    slots[3] = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))[heads]
-    slots[4] = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))[p_kind]
-    slots[5] = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds
-                      ).reshape(len(kinds) + 1, len(kinds))[p_kind, c_kind - 1]
-    # A root arc's slots 6 and 7 hold dist=root and order=root, and no btw_n= or btw=.
-    slots[6] = lookup(["order=parent-first", "order=child-first", "order=overlap", "dist=root"])[case]
-    slots[7] = lookup([*(f"dist={_bucket(n)}" for n in range(8)), "order=root"]
-                      )[np.where(root, 8, np.minimum(abs(p_end - ce), 7))]
-    slots[8] = np.where(root, -1, lookup(f"btw_n={_bucket(n)}" for n in range(8))[np.minimum(hi - lo, 7)])
-    # A btw= slot holds (span holds the token) * (id + 1) - 1: the id, or -1.
-    held = slots[9:]
-    held[...] = (prefix.take(hi, axis=0) > prefix.take(lo, axis=0)).T
-    held *= np.array([*btw.values()], dtype=np.int64)[:, None] + 1
-    held -= 1
-    return ArcFeatures(heads, child + 1, FeatureTable(slots))
+    bias = feature_index.get("bias", -1)
+    c_tok = lookup(f"c_tok={tok}" for tok in anchor_tok)
+    c_type = lookup(f"c_type={k}" for k in kinds)
+    p_tok = lookup(f"p_tok={tok}" for tok in (ROOT_TOKEN, *anchor_tok))
+    p_type = lookup(f"p_type={k}" for k in (ROOT_TOKEN, *kinds))
+    pair = lookup(f"pair={p}>{c}" for p in (ROOT_TOKEN, *kinds) for c in kinds).reshape(len(kinds) + 1, len(kinds))
+    order = lookup(["order=parent-first", "order=child-first", "order=overlap", "dist=root"])
+    dist = lookup([*(f"dist={_bucket(n)}" for n in range(8)), "order=root"])
+    btw_n = lookup(f"btw_n={_bucket(n)}" for n in range(8))
+    btw_ids = np.array([*btw.values()], dtype=np.int32)[:, None] + 1
+    for cut in _cuts(t * t):
+        # Arc i is heads[i] -> child[i] + 1.
+        child, j = np.divmod(np.arange(cut.start, cut.stop), t)
+        heads, root = j + (j > child), j == 0  # the child's own node is skipped
+        p_start, p_end, p_kind = nodes.take(heads, axis=1)
+        cs, ce, c_kind = nodes.take(child + 1, axis=1)
+        case = np.where(root, 3, np.where(p_end <= cs, 0, np.where(ce <= p_start, 1, 2)))
+        # Between the spans lies [lo, hi); [0, 0) for an overlap or the root.
+        lo = np.where(case == 0, p_end, np.where(case == 1, ce, 1)) - 1
+        hi = np.where(case == 0, cs, np.where(case == 1, p_start, 1)) - 1
+        slots = np.empty((9 + len(btw), len(child)), dtype=np.int32)
+        slots[0] = bias
+        slots[1] = c_tok[child]
+        slots[2] = c_type[c_kind - 1]
+        slots[3] = p_tok[heads]
+        slots[4] = p_type[p_kind]
+        slots[5] = pair[p_kind, c_kind - 1]
+        # A root arc's slots 6 and 7 hold dist=root and order=root, and no btw_n= or btw=.
+        slots[6] = order[case]
+        slots[7] = dist[np.where(root, 8, np.minimum(abs(p_end - ce), 7))]
+        slots[8] = np.where(root, -1, btw_n[np.minimum(hi - lo, 7)])
+        # A btw= slot holds (span holds the token) * (id + 1) - 1: the id, or -1.
+        held = slots[9:]
+        held[...] = (prefix.take(hi, axis=0) > prefix.take(lo, axis=0)).T
+        held *= btw_ids
+        held -= 1
+        yield ArcFeatures(heads, child + 1, FeatureTable(slots))
+
+
+def arc_features(entities: Sequence[Entity], tokens: list[str],
+                 feature_index: dict[str, int]) -> ArcFeatures:
+    """The document's whole table: ``arc_blocks`` joined.  Training keeps one per document."""
+    parts = zip(*((b.heads, b.children, b.feats.slots) for b in arc_blocks(entities, tokens, feature_index)))
+    heads, children, slots = (np.concatenate(part, axis=-1) for part in parts)
+    return ArcFeatures(heads, children, FeatureTable(slots))
 
 
 class _FeatureModel(Module):
@@ -117,7 +154,7 @@ class _FeatureModel(Module):
 
     def arc_matrix(self, entities: Sequence[Entity], tokens: list[str]) -> np.ndarray:
         """(t+1, t+1) [head, child] weights of the candidate arcs, -inf elsewhere."""
-        return arc_features(entities, tokens, self.feature_index).scores(self.w.data)
+        return arc_scores(len(entities), arc_blocks(entities, tokens, self.feature_index), self.w.data)
 
 
 class LtmModel(_FeatureModel):
@@ -244,13 +281,17 @@ def train_mtt(docs: list[Document], epochs: int, lr: float, seed: int) -> MttMod
         raise ValueError("no documents with entities in the training corpus")
     model = MttModel(index)
 
-    def step(table: ArcFeatures, gold: np.ndarray, scatter: Callable, gold_arcs: tuple) -> float:
-        theta = table.scores(model.w.data)
+    def step(t: int, blocks: list[tuple], gold_arcs: tuple) -> float:
+        theta = arc_scores(t, (block for block, _, _ in blocks), model.w.data)
         log_z, marg = mtt_log_partition_and_marginals(theta)
-        scatter(model.w.grad, marg[table.heads, table.children] - gold)
+        for block, gold, scatter in blocks:
+            scatter(model.w.grad, marg[block.heads, block.children] - gold)
         return log_z - theta[gold_arcs].sum()
 
-    # Each case's scatter and gold (head, child) arcs are fixed across epochs.
-    cases = [(t, gold, t.feats.scatter(1), (t.heads[gold], t.children[gold])) for t, gold in cases]
+    # Each case's blocks, with their gold flags and scatters, and its gold
+    # (head, child) arcs are fixed across epochs.
+    cases = [(math.isqrt(len(gold)),
+              [(block, gold[cut], block.feats.scatter(1)) for block, cut in zip(table.blocks(), _cuts(len(gold)))],
+              (table.heads[gold], table.children[gold])) for table, gold in cases]
     fit(Adam(model.params_named().values(), lr=lr), cases, step, epochs, seed, "MttModel", 1.0, None)
     return model

@@ -73,13 +73,32 @@ MUTANTS = [
          file="src/proptree/train.py",
          text="if report.overall.f1 > max(",
          replacement="if report.overall.f1 >= max(",
-         # Every epoch of this run reads F1 0, so the weights of epoch 1 are kept.
-         tests=["tests/test_second_core.py::test_the_second_core_keeps_every_byte[joint]"]),
+         # Epoch 5 of this run ties epoch 2's F1 of 9.09, and epoch 2's weights are kept.
+         tests=["tests/test_second_core.py::test_the_second_core_keeps_every_byte[joint-tied-best]"]),
+
+    # The pipeline's arc blocks (edge_models._cuts, read by the builder and by training).
+    dict(id="arc-blocks-drop-the-last-partial-block",
+         file="src/proptree/pipeline/edge_models.py",
+         text="for s in range(0, n, ARC_BLOCK)]",
+         replacement="for s in range(0, n - n % ARC_BLOCK if n > ARC_BLOCK else n, ARC_BLOCK)]",
+         tests=["tests/test_pipeline.py::test_arc_table_matches_the_string_features",
+                "tests/test_pipeline.py::test_blocks_cut_a_long_table_inside_a_childs_arcs"]),
+    dict(id="arc-block-ends-one-arc-early",
+         file="src/proptree/pipeline/edge_models.py",
+         text="slice(s, min(s + ARC_BLOCK, n))",
+         replacement="slice(s, min(s + ARC_BLOCK - 1, n))",
+         tests=["tests/test_pipeline.py::test_arc_table_matches_the_string_features",
+                "tests/test_pipeline.py::test_blocks_cut_a_long_table_inside_a_childs_arcs"]),
 
     # Decoding and gold checks (data.TokenHeadAssignment.check_heads).
     dict(id="decode-reads-a-negative-head",
          file="src/proptree/data.py",
-         text="if not 0 <= h <= self.n), None)",
-         replacement="if not h <= self.n), None)",
+         text="if not 0 <= h <= n), None)",
+         replacement="if not h <= n), None)",
+         tests=["tests/test_data.py::test_decode_rejects_a_head_out_of_range"]),
+    dict(id="decode-reads-a-head-past-the-end",
+         file="src/proptree/data.py",
+         text="if not 0 <= h <= n), None)",
+         replacement="if not 0 <= h), None)",
          tests=["tests/test_data.py::test_decode_rejects_a_head_out_of_range"]),
 ]

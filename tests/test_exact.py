@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from proptree.cores import SPLIT_ROWS
+from proptree.pipeline.edge_models import ARC_BLOCK
 from proptree.synthetic import SyntheticConfig, generate_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,8 +26,18 @@ def test_two_runs_print_the_same_digests(capsys):
     assert [line[2] for line in lines if line[1] == "param"] == ["crf.w_emit", "crf.w_trans", "ltm.w"]
     assert sum(line[1] == "checkpoint" for line in lines) >= 2
     assert sum(line[1] == "losses" for line in lines) == 1
-    assert sum(line[1] == "predict" for line in lines) == exact.ADS - exact.TRAIN - exact.DEV
+    # Each test ad and the long document: its prediction and its arc matrix.
+    documents = exact.ADS - exact.TRAIN - exact.DEV + 1
+    for kind in ("predict", "arcs"):
+        assert sum(line[1] == kind for line in lines) == documents
+        assert [kind, exact.LONG] in [line[1:3] for line in lines]
     assert all(len(line[-1]) == 64 for line in lines)
+
+
+def test_the_long_document_spans_several_arc_blocks():
+    """Its gold entities alone give more candidate arcs than two blocks hold."""
+    ads = generate_corpus(SyntheticConfig(n_docs=exact.ADS, seed=exact.CORPUS_SEED, ambiguous=True))
+    assert sum(len(ad.entities) for ad in ads) ** 2 > 2 * ARC_BLOCK
 
 
 def test_joint_runs_print_a_distribution_digest_per_document(capsys):

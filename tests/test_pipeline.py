@@ -1,6 +1,7 @@
 """Pipeline stages: CRF tagger, arc models, tree assembly."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -10,17 +11,21 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from proptree.data import ROOT_ID, Document, Entity, Mention, bio_encode, encode_tree_to_heads
+from proptree.pipeline import edge_models
 from proptree.pipeline.crf import (
     CrfModel,
     FeatureTable,
+    Recorder,
     crf_objective,
     tagset_from_corpus,
     train_crf,
 )
 from proptree.pipeline.edge_models import (
+    ARC_BLOCK,
     LtmModel,
     MttModel,
     _training_cases,
+    arc_blocks,
     arc_features,
     mtt_log_partition_and_marginals,
     train_ltm,
@@ -350,7 +355,7 @@ def test_crf_token_table_holds_across_calls():
     for tokens in (["a", "b", "<s>"], ["zz", "a", "zz", "</s>"], ["<s>"], ["</s>", "<s>", "q", "b"],
                    ["q"], ["ab", "a", "b"], ["b"], ["a", "b", "<s>"]):
         table = model.features(tokens)
-        assert table.slots.dtype == np.int64 and table.slots.flags.c_contiguous
+        assert table.slots.dtype == np.int32 and table.slots.flags.c_contiguous
         assert table.slots.shape == (10, len(tokens))
         for i in range(len(tokens)):
             assert table.slots[:, i].tolist() == [index.get(f, -1)
@@ -474,8 +479,16 @@ LONG = arc_layout(LONG_TOKENS, [Entity(f"E{i}", "xyz"[i % 3], [Mention(s, s + 1 
                                 for i, s in enumerate(range(1, 129, 4))], 0.1, 5)
 
 
+# 47 entities over 190 tokens: 2,209 candidate arcs, cut into three blocks of
+# at most ARC_BLOCK (1,024), the first cut falling among child 22's arcs.
+BLOCKS = arc_layout([f"w{k}" for k in np.random.default_rng(8).integers(0, 40, size=190)],
+                    [Entity(f"E{i}", "xyz"[i % 3], [Mention(s, s + 1 + i % 4)])
+                     for i, s in enumerate(range(1, 189, 4))], 0.1, 9)
+
+
 @example(REPEATS)
 @example(LONG)
+@example(BLOCKS)
 @example(without_btw(REPEATS))
 @example(arc_layout(["a", "b", "a"], [Entity("E1", "x", [Mention(2, 3)])], 0.0, 6))
 @given(arc_layouts())
@@ -503,6 +516,67 @@ def test_arc_table_matches_the_string_features(layout):
     table_grad = np.zeros(len(w))
     table.feats.scatter(1)(table_grad, coeff)
     assert np.array_equal(table_grad, loop_grad)
+
+
+def test_blocks_cut_a_long_table_inside_a_childs_arcs():
+    tokens, entities, index, _, _ = BLOCKS
+    blocks = list(arc_blocks(entities, tokens, index))
+    assert [len(b.heads) for b in blocks] == [ARC_BLOCK, ARC_BLOCK, len(entities) ** 2 - 2 * ARC_BLOCK]
+    assert blocks[0].children[-1] == blocks[1].children[0]
+    assert all(b.feats.slots.dtype == np.int32 and b.feats.slots.shape[1] == len(b.heads) for b in blocks)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_keep_every_byte(block, monkeypatch):
+    """Trained weights and arc matrices do not depend on the block size: the
+    ads here, one block each at ``ARC_BLOCK``, are cut into many."""
+    docs = toy_docs()
+
+    def outcome():
+        models = train_ltm(docs, 2, 0.05, 0), train_mtt(docs, 2, 0.05, 0)
+        return [m.w.data.tobytes() for m in models] + [
+            m.arc_matrix(doc.entities, doc.tokens).tobytes() for m in models for doc in docs]
+
+    want = outcome()
+    monkeypatch.setattr(edge_models, "ARC_BLOCK", block)
+    assert outcome() == want
+
+
+def joined_ads(n_ads, seed):
+    """The tokens and entities of ``n_ads`` synthetic ads in a row, each
+    entity renamed by its ad and its mentions shifted."""
+    tokens, entities = [], []
+    for a, ad in enumerate(generate_corpus(SyntheticConfig(n_docs=n_ads, seed=seed, ambiguous=True))):
+        entities += [Entity(f"A{a}.{e.id}", e.type, [Mention(m.start + len(tokens), m.end + len(tokens))
+                                                     for m in e.mentions]) for e in ad.entities]
+        tokens += ad.tokens
+    return tokens, entities
+
+
+@pytest.mark.parametrize("model", [MttModel, LtmModel])
+def test_arc_matrix_memory_on_a_long_document(model):
+    """On 60 joined ads (245 entities, 60,025 arcs), scoring keeps the
+    (t+1)^2 score matrix (LTM's log-sigmoid about four more) and one block of
+    arcs: ARC_BLOCK * (9 + V) int32 ids, their intp copy in the gather and the
+    gathered weights, about 20 index arrays of ARC_BLOCK, and the (n+1, V+1)
+    int32 prefix counts of the btw= tokens.  Never the whole (9 + V, t^2)
+    table, which is 35 MB here."""
+    tokens, entities = joined_ads(60, 3)
+    recorder = Recorder()
+    list(arc_blocks(entities, tokens, recorder))  # names every feature of every arc
+    model = model(recorder)
+    model.w.data[:] = np.random.default_rng(0).normal(size=len(recorder))
+    t, v = len(entities), sum(f"btw={tok}" in recorder for tok in set(tokens))
+    tracemalloc.start()
+    try:
+        model.arc_matrix(entities, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = 1 if model.kind == "mtt" else 5
+    assert t * t > 50 * ARC_BLOCK
+    assert peak <= (matrices * (t + 1) ** 2 * 8 + ARC_BLOCK * ((9 + v) * 24 + 20 * 8)
+                    + (len(tokens) + 1) * (v + 1) * 4)
 
 
 def check_training_cases(docs):

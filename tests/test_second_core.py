@@ -84,6 +84,10 @@ RUNS = {
     # and 6 validate beside the next one, and the tied F1 0 keeps epoch 1.
     "joint-patience-2": TrainConfig("joint", d=8, l=4, lr=0.02, max_epochs=10, patience=2,
                                     seed=1),
+    # F1 0, 9.09, 0, 8.82, 9.09: epoch 5 ties the best F1, and epoch 2's weights
+    # are kept.
+    "joint-tied-best": TrainConfig("joint", d=8, l=4, lr=0.03, max_epochs=5, patience=5,
+                                   seed=2),
     "pipeline-crf+mtt": TrainConfig("pipeline-crf+mtt", lr=0.05, max_epochs=3, seed=1),
     "pipeline-crf+ltm": TrainConfig("pipeline-crf+ltm", lr=0.05, max_epochs=3, seed=1),
 }

@@ -12,12 +12,17 @@ one line per digest of:
 - each member of the saved checkpoint;
 - the epoch losses, as float hex;
 - each document's predicted heads, labels and was-tree flag;
-- for the joint kinds, each document's ``JointDistribution.p``, so that a
-  1-ulp change that flips no decision still shows.
+- for the joint kinds, each document's ``JointDistribution.p``, and for the
+  pipeline kinds each document's edge-model arc matrix over the entities
+  that its CRF tags, so that a 1-ulp change that flips no decision still
+  shows.
 
 The joint kinds also predict three documents of joined test ads (60, 74 and
 134 tokens), long enough that prediction scores half of the labels on a
-second thread when the machine has two CPUs.  The child runs with one BLAS
+second thread when the machine has two CPUs.  The pipeline kinds also predict
+every ad joined into one document (``LONG``, 484 tokens), whose 74-87 tagged
+entities give 5,476-7,569 candidate arcs: several of the edge models' blocks
+(``ARC_BLOCK``), a boundary falling inside one child's arcs.  The child runs with one BLAS
 thread by default (``--blas-threads N`` sets its ``OPENBLAS_NUM_THREADS``),
 which turns the second-core gate on (``proptree.cores.second_core_allowed``)
 on a machine with two CPUs: prediction splits those heads, a pipeline trains
@@ -59,6 +64,8 @@ SEEDS = (1, 2)
 ADS, TRAIN, DEV, CORPUS_SEED = 28, 16, 4, 7
 # The joined documents, as slices of the 8 test ads.
 JOINED = ((0, 4), (4, 8), (0, 8))
+# The pipelines' long document: all the ads joined.
+LONG = "joined-all"
 # The early-stopping joint run: seed, epoch budget and learning rate.  Its
 # validation F1 reads 0, 2.63 and 2.63: it stops after 3 of 8 epochs and keeps
 # epoch 2, the first of the tied best.
@@ -77,6 +84,7 @@ def child(kinds: list[str], seeds: list[int]) -> None:
     import zipfile
 
     from proptree.attention import VARIANTS
+    from proptree.pipeline.predict import entities_from_tags
     from proptree.synthetic import SyntheticConfig, generate_corpus
     from proptree.train import TrainConfig, train_model
 
@@ -86,6 +94,7 @@ def child(kinds: list[str], seeds: list[int]) -> None:
     docs = generate_corpus(SyntheticConfig(n_docs=ADS, seed=CORPUS_SEED, ambiguous=True))
     train, dev, test = docs[:TRAIN], docs[TRAIN:TRAIN + DEV], docs[TRAIN + DEV:]
     joined = [(f"joined-{a}-{b}", [t for doc in test[a:b] for t in doc.tokens]) for a, b in JOINED]
+    long = [(LONG, [t for doc in docs for t in doc.tokens])]
     runs = []
     for kind in kinds:
         joint = kind.startswith("joint")
@@ -111,13 +120,16 @@ def child(kinds: list[str], seeds: list[int]) -> None:
                     print(run, "checkpoint", member, sha(zf.read(member)))
         losses = " ".join(float(r.loss).hex() for r in log.records)
         print(run, "losses", sha(losses.encode()))
-        for doc_id, tokens in [(doc.id, doc.tokens) for doc in test] + (joined if joint else []):
+        for doc_id, tokens in [(doc.id, doc.tokens) for doc in test] + (joined if joint else long):
             assignment, was_tree = runner.predict_doc(tokens)
             out = json.dumps([assignment.heads, assignment.labels, was_tree])
             print(run, "predict", doc_id, sha(out.encode()))
             if joint:
                 p = runner.model.distribution(tokens).p
                 print(run, "distribution", doc_id, sha(p.tobytes()))
+            else:
+                arcs = runner.edge_model.arc_matrix(entities_from_tags(runner.crf.viterbi(tokens)), tokens)
+                print(run, "arcs", doc_id, sha(arcs.tobytes()))
 
 
 def codec_child(corpus_seeds: list[int]) -> None:
